@@ -7,6 +7,7 @@ Progress goes to stderr; machine-readable results go to files/stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import yaml
 
 from fedfair import data, engine, fairness, kernels, logistic, lp, protocol
-from fedfair.errors import FedFairError
+from fedfair.errors import ConfigError, RowParseError, SchemaError
 
 log = logging.getLogger("fedfair")
 
@@ -36,15 +37,7 @@ def cmd_prepare(args) -> int:
         log.error("schema file %s has no 'split' section", args.schema)
         return EXIT_USAGE
     if args.seed is not None:
-        split = data.ShiftSplitSpec(
-            split_column=split.split_column,
-            split_predicate=split.split_predicate,
-            train_fraction_group_a=split.train_fraction_group_a,
-            train_fraction_group_b=split.train_fraction_group_b,
-            client_assignment=split.client_assignment,
-            num_clients=split.num_clients,
-            seed=args.seed,
-        )
+        split = dataclasses.replace(split, seed=args.seed)
     raw = data.load_csv(args.data, schema)
     ds = data.encode(raw)
     train, test, shards = data.shift_split(ds, split)
@@ -88,14 +81,7 @@ def _load_run_config(args) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
-    hyper_cfg = dict(cfg.get("hyper", {}))
-    if "lambda" in hyper_cfg:
-        hyper_cfg["lam"] = hyper_cfg.pop("lambda")
-    if args.rounds is not None:
-        hyper_cfg["rounds"] = args.rounds
-    if args.seed is not None:
-        hyper_cfg["seed"] = args.seed
-    hyper = engine.HyperParams(**hyper_cfg)
+    hyper = engine.hyper_from_config(cfg, rounds=args.rounds, seed=args.seed)
 
     algorithm = args.algorithm or cfg.get("algorithm", "AgnosticFair")
     if algorithm not in engine.ALGORITHMS:
@@ -115,32 +101,12 @@ def cmd_run(args) -> int:
         raw = data.load_csv(data_cfg["path"], schema)
         train, test, shards = data.shift_split(data.encode(raw), split)
     else:
-        split_kwargs = {
-            k: split_cfg[k]
-            for k in (
-                "train_fraction_group_a",
-                "train_fraction_group_b",
-                "client_assignment",
-                "num_clients",
-            )
-            if k in split_cfg
-        }
-        train, test, shards = engine.prepare_census(
-            seed=hyper.seed,
-            n=int(data_cfg.get("n", 6000)),
-            split_kwargs=split_kwargs,
-            census_kwargs=data_cfg.get("census"),
-        )
+        train, test, shards = engine.census_from_config(data_cfg, split_cfg, hyper.seed)
 
     spec = engine.AlgorithmSpec(kind=algorithm, hyper=hyper)
     dump = os.path.join(out, "lp_dump.txt") if args.debug_lp_dump else None
-    if hyper.rounds == 0:
-        w0 = np.zeros(train.dim)
-        final = engine._evaluate(w0, train, test, shards)
-        result = engine.RunResult([], final, np.array([]), w0)
-    else:
-        result = engine.run(spec, train, test, shards, debug_lp_dump=dump)
-        engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
+    result = engine.run(spec, train, test, shards, debug_lp_dump=dump)
+    engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     with open(os.path.join(out, "result.yaml"), "w") as fh:
         yaml.safe_dump(
             {
@@ -186,23 +152,60 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_lp(inject_fault: bool) -> bool:
-    rng = np.random.default_rng(7)
-    for _ in range(40):
+def check_lp_oracle(seed: int, solver=lp.solve) -> tuple[float, list[str]]:
+    """Compare *solver* with the vertex-enumeration oracle on 100 random LPs.
+
+    Every fourth LP has no fairness row, and every fourth (offset by one) a
+    row large enough to force relaxation; a row "binds" when it lowers the
+    oracle's optimum. Returns the worst objective or slack gap and the
+    failures, among them each solver branch that no LP reached.
+    """
+    rng = np.random.default_rng(seed)
+    worst, failures, reached = 0.0, [], set()
+    for i in range(100):
         m = int(rng.integers(1, 5))
+        scale = (None, 5.0, 0.5, 0.5)[i % 4]
         problem = lp.AlphaLP(
             objective=rng.normal(size=m),
             equality=np.abs(rng.normal(size=m)) + 0.05,
-            fairness_row=rng.normal(size=m) * 0.5,
-            tau=float(rng.uniform(0.01, 0.5)),
+            fairness_row=None if scale is None else rng.normal(size=m) * scale,
+            tau=0.01 if scale == 5.0 else float(rng.uniform(0.01, 0.5)),
             box_upper=5.0,
         )
-        got = lp.solve(problem)
-        ref = lp.brute_force_oracle(problem)
-        val = got.objective_value + (0.01 if inject_fault else 0.0)
-        if got.status != ref.status or abs(val - ref.objective_value) > 1e-6:
-            return False
-    return True
+        got, ref = solver(problem), lp.brute_force_oracle(problem)
+        if got.status != ref.status:
+            failures.append(f"LP {i}: status {got.status}, oracle {ref.status}")
+        if got.status != ref.status or got.status == lp.STATUS_ERROR:
+            continue
+        f, a, tol = problem.fairness_row, got.alpha, 1e-8
+        if f is None or got.status == lp.STATUS_RELAXED:
+            reached.add("no row" if f is None else "relaxed")
+        else:
+            free = lp.brute_force_oracle(dataclasses.replace(problem, fairness_row=None))
+            binds = free.objective_value > ref.objective_value + 1e-9
+            reached.add("row binding" if binds else "first fill")
+        excess = 0.0 if f is None else abs(f @ a) - problem.tau - got.slack_used
+        if abs(problem.equality @ a - 1.0) > tol or max(
+            -a.min(), a.max() - problem.box_upper, excess
+        ) > tol:
+            failures.append(f"LP {i}: alpha is infeasible")
+        gap = max(abs(got.objective_value - ref.objective_value),
+                  abs(got.slack_used - ref.slack_used))
+        worst = max(worst, gap)
+        if gap > 1e-6:
+            failures.append(f"LP {i}: gap {gap:.2e} to the oracle")
+    branches = ("no row", "first fill", "row binding", "relaxed")
+    failures += [f"no LP took the {b} branch" for b in branches if b not in reached]
+    return worst, failures
+
+
+def _check_lp(inject_fault: bool) -> bool:
+    def faulty(problem):
+        sol = lp.solve(problem)
+        return dataclasses.replace(sol, objective_value=sol.objective_value + 0.01)
+
+    _, failures = check_lp_oracle(7, faulty if inject_fault else lp.solve)
+    return not failures
 
 
 def _check_gradient(inject_fault: bool) -> bool:
@@ -346,13 +349,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except FedFairError as exc:
+    except (ConfigError, SchemaError, RowParseError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - ProtocolError, MetricUndefinedError, bugs
         log.error("runtime failure: %s", exc)
         return EXIT_RUNTIME
 

@@ -45,7 +45,7 @@ from fedfair.data import (
     encode,
     shift_split,
 )
-from fedfair.errors import ConfigError
+from fedfair.errors import ConfigError, FedFairError
 
 log = logging.getLogger(__name__)
 
@@ -485,23 +485,32 @@ def prepare_census(
 # ---------------------------------------------------------------------------
 
 
-def _grid_cell(algorithm: str, split_cfg: dict, hyper: HyperParams, data_cfg: dict, seed: int) -> dict:
-    split_kwargs = {
-        k: split_cfg[k]
-        for k in (
-            "train_fraction_group_a",
-            "train_fraction_group_b",
-            "client_assignment",
-            "num_clients",
-        )
-        if k in split_cfg
-    }
-    train, test, shards = prepare_census(
+_SPLIT_KEYS = ("train_fraction_group_a", "train_fraction_group_b",
+               "client_assignment", "num_clients")
+
+
+def hyper_from_config(config: dict, **overrides) -> HyperParams:
+    """HyperParams from a config's ``hyper`` section, which may spell
+    ``lam`` as ``lambda``; *overrides* that are not None take precedence."""
+    hyper_cfg = dict(config.get("hyper", {}))
+    if "lambda" in hyper_cfg:
+        hyper_cfg["lam"] = hyper_cfg.pop("lambda")
+    hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    return HyperParams(**hyper_cfg)
+
+
+def census_from_config(data_cfg: dict, split_cfg: dict, seed: int):
+    """The census draw a config's ``dataset`` and split sections describe."""
+    return prepare_census(
         seed=seed,
         n=int(data_cfg.get("n", 6000)),
-        split_kwargs=split_kwargs,
-        census_kwargs=data_cfg.get("census", None),
+        split_kwargs={k: split_cfg[k] for k in _SPLIT_KEYS if k in split_cfg},
+        census_kwargs=data_cfg.get("census"),
     )
+
+
+def _grid_cell(algorithm: str, split_cfg: dict, hyper: HyperParams, data_cfg: dict, seed: int) -> dict:
+    train, test, shards = census_from_config(data_cfg, split_cfg, seed)
     spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
     return run(spec, train, test, shards).final
 
@@ -516,10 +525,7 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     splits = config.get("splits", [{"name": "shift"}])
     reps = int(config.get("repetitions", 1))
     base_seed = int(config.get("base_seed", 0))
-    hyper_cfg = dict(config.get("hyper", {}))
-    if "lambda" in hyper_cfg:
-        hyper_cfg["lam"] = hyper_cfg.pop("lambda")
-    hyper = HyperParams(**hyper_cfg)
+    hyper = hyper_from_config(config)
     data_cfg = dict(config.get("dataset", {}))
 
     summary = []
@@ -531,7 +537,7 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
                     finals.append(
                         _grid_cell(algorithm, split_cfg, hyper, data_cfg, base_seed + r)
                     )
-                except Exception as exc:  # noqa: BLE001 - grid must continue
+                except FedFairError as exc:
                     log.error(
                         "cell (%s, %s) rep %d failed: %s",
                         algorithm,

@@ -14,7 +14,6 @@ are supported:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,11 +151,3 @@ def theta(km: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         )
     return km @ alpha
 
-
-def save_basis_csv(path, basis: KernelBasis) -> None:
-    """Persist centers with sigma/B in the header for reproducibility."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"kind={basis.kind}", f"sigma={basis.sigma}", f"bound={basis.bound}"])
-        for row in basis.centers:
-            w.writerow([f"{v:.12g}" for v in row])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedfair.data import ClientShard
-from fedfair.errors import ConfigError, ProtocolError
+from fedfair.errors import ProtocolError
 
 #: logit saturation bound applied before exp()
 LOGIT_CLAMP = 30.0
@@ -44,12 +44,6 @@ class OptimizerSpec:
     max_halvings: int = 20
 
 
-@dataclass
-class LossReport:
-    weighted_loss: float
-    per_sample_loss: np.ndarray
-
-
 def predict_proba(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Sigmoid of the clamped logit; strictly inside (0, 1)."""
     z = np.clip(features @ w, -LOGIT_CLAMP, LOGIT_CLAMP)
@@ -63,27 +57,6 @@ def predict_label(w: np.ndarray, features: np.ndarray) -> np.ndarray:
 def per_sample_logloss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     p = np.clip(predict_proba(w, features), CLAMP_EPS, 1.0 - CLAMP_EPS)
     return -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))
-
-
-def weighted_loss(
-    w: np.ndarray, shard: ClientShard, theta: np.ndarray, n_global: int
-) -> LossReport:
-    """Reweighed loss contribution (1/n) sum_i theta_i * logloss_i.
-
-    Normalized by the global sample count n, not the shard size.
-    """
-    if np.any(theta < 0):
-        raise ConfigError("sample weights must be nonnegative")
-    losses = per_sample_logloss(w, shard.features, shard.labels)
-    return LossReport(
-        weighted_loss=float(theta @ losses) / n_global,
-        per_sample_loss=losses,
-    )
-
-
-def boundary_distance(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Unnormalized signed margin w . x, bias included."""
-    return features @ w
 
 
 def local_objective(

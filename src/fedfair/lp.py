@@ -1,19 +1,21 @@
-"""Dense LP solver for the server's mixture-coefficient subproblem.
+"""Exact solver for the server's mixture-coefficient subproblem.
 
 maximize    psi_L . alpha
 subject to  psi_theta . alpha  = 1
             |psi_C . alpha|   <= tau        (optional row)
             0 <= alpha_m      <= B
 
-Solved with a two-phase bounded-variable primal simplex using Bland's
-rule (the system has at most 3 rows, so a dense textbook implementation
-is both adequate and dependency-free). When the constraint set is
-infeasible the fairness row is relaxed by the smallest slack s with
-|psi_C . alpha| <= tau + s, and the objective is then maximized under
-the relaxed row.
+psi_theta is a column sum of kernel values, so it is nonnegative, and
+over the box and the equality row alone the LP is a fractional knapsack
+that a greedy fill solves exactly. When the objective's optimal face
+misses the fairness row, the row binds on one side, and a secant search
+over its Lagrange multiplier finds two fills whose segment crosses it at
+the optimum. When no point meets the row, it is relaxed by the smallest
+slack s with |psi_C . alpha| <= tau + s, and the objective is then
+maximized under the relaxed row.
 
 A vertex-enumeration oracle (for small M) is provided for testing and
-must never share code with the simplex path.
+must never share code with the solver.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedfair.errors import ConfigError
-
-PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-8
-MAX_ITER = 10_000
 
 STATUS_OPTIMAL = "optimal"
 STATUS_RELAXED = "infeasible_relaxed"
@@ -52,6 +50,8 @@ class AlphaLP:
             raise ConfigError("objective/equality length mismatch")
         if self.fairness_row is not None and len(self.fairness_row) != m:
             raise ConfigError("fairness row length mismatch")
+        if np.any(np.asarray(self.equality) < 0):
+            raise ConfigError("equality row must be nonnegative")
 
 
 @dataclass
@@ -62,195 +62,84 @@ class LPSolution:
     slack_used: float = 0.0
 
 
-class _Unbounded(Exception):
-    pass
-
-
-class _Infeasible(Exception):
-    pass
-
-
-def _simplex_phase(A, b, c, upper, basis, at_upper):
-    """Bounded-variable primal simplex, maximizing c.x over Ax=b, 0<=x<=u.
-
-    Mutates basis/at_upper in place; returns the full solution vector.
-    Entering and leaving variables follow Bland's rule.
+def _fill(p, q, e, upper):
+    """Lexicographic maximum of (p . alpha, q . alpha) over the box and
+    e . alpha = 1, or None when the box cannot meet that row: entries with
+    e > 0 take the bound by descending (p/e, q/e) until the row is met, the
+    marginal one the remainder; entries with e == 0 take it when (p, q) > 0.
     """
-    m, n = A.shape
-    for _ in range(MAX_ITER):
-        in_basis = np.zeros(n, dtype=bool)
-        in_basis[basis] = True
-        nonbasic = np.flatnonzero(~in_basis)
-
-        x = np.where(at_upper & ~in_basis, upper, 0.0)
-        x[~np.isfinite(x)] = 0.0  # nonbasic at +inf cannot happen
-        B = A[:, basis]
-        x[basis] = np.linalg.solve(B, b - A[:, nonbasic] @ x[nonbasic])
-
-        y = np.linalg.solve(B.T, c[basis])
-        reduced = c[nonbasic] - A[:, nonbasic].T @ y
-
-        entering = -1
-        for j, d in sorted(zip(nonbasic, reduced)):
-            if upper[j] <= PIVOT_TOL:  # fixed variable (e.g. retired artificial)
-                continue
-            if (not at_upper[j] and d > PIVOT_TOL) or (at_upper[j] and d < -PIVOT_TOL):
-                entering = j
-                break
-        if entering < 0:
-            return x
-
-        delta = -1.0 if at_upper[entering] else 1.0
-        direction = -np.linalg.solve(B, A[:, entering]) * delta
-
-        # step limits: basic variables hitting a bound, or a bound flip
-        t_flip = upper[entering] if np.isfinite(upper[entering]) else np.inf
-        t_best = t_flip
-        leave_row = -1
-        leave_at_upper = False
-        for i in range(m):
-            vi = basis[i]
-            if direction[i] < -PIVOT_TOL:
-                lim = x[vi] / -direction[i]
-                hits_upper = False
-            elif direction[i] > PIVOT_TOL and np.isfinite(upper[vi]):
-                lim = (upper[vi] - x[vi]) / direction[i]
-                hits_upper = True
-            else:
-                continue
-            lim = max(lim, 0.0)
-            better = lim < t_best - PIVOT_TOL or (
-                lim < t_best + PIVOT_TOL
-                and leave_row >= 0
-                and vi < basis[leave_row]
-            )
-            if better:
-                t_best = lim
-                leave_row = i
-                leave_at_upper = hits_upper
-        if not np.isfinite(t_best):
-            raise _Unbounded
-        if leave_row < 0:
-            # entering variable travels to its opposite bound
-            at_upper[entering] = not at_upper[entering]
-            continue
-        leaving = basis[leave_row]
-        basis[leave_row] = entering
-        at_upper[entering] = False
-        at_upper[leaving] = leave_at_upper
-    raise ConfigError("simplex iteration limit exceeded")
+    alpha = np.where((e == 0) & ((p > 0) | ((p == 0) & (q > 0))), upper, 0.0)
+    (paid,) = np.nonzero(e)
+    order = paid[np.lexsort((-q[paid] / e[paid], -p[paid] / e[paid]))]
+    mass = np.cumsum(upper * e[order])
+    if not len(mass) or mass[-1] < 1.0:
+        return None
+    k = int(np.searchsorted(mass, 1.0))
+    alpha[order[:k]] = upper
+    alpha[order[k]] = (1.0 - (mass[k - 1] if k else 0.0)) / e[order[k]]
+    return alpha
 
 
-def _solve_standard(a_eq, b_eq, a_ub, b_ub, c, upper):
-    """Two-phase simplex for max c.x, a_eq x = b_eq, a_ub x <= b_ub, 0<=x<=upper.
+def _segment(a, b, f, target):
+    """The point of the segment from a to b where f . alpha == target."""
+    fa, fb = f @ a, f @ b
+    return a + ((target - fa) / (fb - fa) if fb != fa else 0.0) * (b - a)
 
-    Returns the structural solution vector; raises _Infeasible.
+
+def _result(c, alpha, status=STATUS_OPTIMAL, slack=0.0) -> LPSolution:
+    if alpha is None:
+        return LPSolution(np.zeros(len(c)), float("nan"), STATUS_ERROR)
+    return LPSolution(alpha, float(c @ alpha), status, slack)
+
+
+def _bind(lp: AlphaLP, c, e, f, a) -> LPSolution:
+    """Optimum when every best fill of c has f . alpha > tau; a is one.
+
+    b = fill(-f, c) has the least f . alpha and is the relaxed answer if
+    even that exceeds tau. Otherwise each pass refills at the multiplier mu
+    where the Lagrangian values (c - mu f) . x + mu tau of a and b meet, and
+    the refill replaces a or b by its side of tau. Once a refill gains
+    nothing, mu is optimal, and so is the point between a and b where the
+    row binds.
     """
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    a_ub = (
-        np.atleast_2d(np.asarray(a_ub, dtype=float))
-        if len(b_ub)
-        else np.zeros((0, a_eq.shape[1]))
-    )
-    n_struct = a_eq.shape[1]
-    n_slack = a_ub.shape[0]
-    m = a_eq.shape[0] + n_slack
-
-    A = np.zeros((m, n_struct + n_slack + m))
-    b = np.concatenate([np.asarray(b_eq, dtype=float), np.asarray(b_ub, dtype=float)])
-    A[: a_eq.shape[0], :n_struct] = a_eq
-    A[a_eq.shape[0] :, :n_struct] = a_ub
-    for i in range(n_slack):
-        A[a_eq.shape[0] + i, n_struct + i] = 1.0
-    # normalize rhs signs, then append artificial identity columns
-    neg = b < 0
-    A[neg] *= -1.0
-    b = np.abs(b)
-    for i in range(m):
-        A[i, n_struct + n_slack + i] = 1.0
-
-    u = np.concatenate(
-        [np.asarray(upper, dtype=float), np.full(n_slack + m, np.inf)]
-    )
-    basis = list(range(n_struct + n_slack, n_struct + n_slack + m))
-    at_upper = np.zeros(A.shape[1], dtype=bool)
-
-    c1 = np.zeros(A.shape[1])
-    c1[n_struct + n_slack :] = -1.0
-    x = _simplex_phase(A, b, c1, u, basis, at_upper)
-    if x[n_struct + n_slack :].sum() > FEAS_TOL:
-        raise _Infeasible
-
-    # artificials pinned at zero for phase 2
-    u[n_struct + n_slack :] = 0.0
-    c2 = np.zeros(A.shape[1])
-    c2[:n_struct] = c
-    x = _simplex_phase(A, b, c2, u, basis, at_upper)
-    return x[:n_struct]
-
-
-def _try_solve(lp: AlphaLP, tau: float, with_slack: bool):
-    """Assemble the row system and run the simplex.
-
-    with_slack adds a variable s >= 0 relaxing both fairness rows and
-    maximizes -s (used to find the minimal relaxation).
-    """
-    m = len(lp.objective)
-    n_extra = 1 if with_slack else 0
-    eq = np.concatenate([np.asarray(lp.equality, dtype=float), np.zeros(n_extra)])
-    a_ub, b_ub = [], []
-    if lp.fairness_row is not None:
-        f = np.asarray(lp.fairness_row, dtype=float)
-        slack_col = [-1.0] if with_slack else []
-        a_ub.append(np.concatenate([f, slack_col]))
-        a_ub.append(np.concatenate([-f, slack_col]))
-        b_ub = [tau, tau]
-    if with_slack:
-        c = np.concatenate([np.zeros(m), [-1.0]])
-        upper = np.concatenate([np.full(m, lp.box_upper), [np.inf]])
-    else:
-        c = np.asarray(lp.objective, dtype=float)
-        upper = np.full(m, lp.box_upper)
-    x = _solve_standard([eq], [1.0], a_ub, b_ub, c, upper)
-    return x[:m], (float(x[m]) if with_slack else 0.0)
+    b = _fill(-f, c, e, lp.box_upper)
+    if f @ b > lp.tau:
+        return _result(c, b, STATUS_RELAXED, float(f @ b - lp.tau))
+    # the dual has at most one piece per order swap of two entries or sign
+    # change of one, and every pass that does not stop finds a new piece
+    for _ in range((len(c) + 1) ** 2):
+        lam = c - (c @ a - c @ b) / (f @ a - f @ b) * f
+        new = _fill(lam, c, e, lp.box_upper)
+        gain = lam @ new - max(lam @ a, lam @ b)
+        # a gain within the rounding error of these dot products is none
+        if gain <= len(c) * np.finfo(float).eps * (np.abs(lam) @ (a + b + new)):
+            return _result(c, _segment(a, b, f, lp.tau))
+        if f @ new > lp.tau:
+            a = new
+        else:
+            b = new
+    return _result(c, None)
 
 
 def solve(lp: AlphaLP) -> LPSolution:
-    """Solve the mixture-coefficient LP, relaxing the fairness row if needed."""
-    m = len(lp.objective)
-    if np.all(np.abs(lp.equality) < PIVOT_TOL):
-        return LPSolution(
-            alpha=np.zeros(m),
-            objective_value=float("nan"),
-            status=STATUS_ERROR,
-        )
-    try:
-        alpha, _ = _try_solve(lp, lp.tau, with_slack=False)
-        return LPSolution(
-            alpha=alpha,
-            objective_value=float(lp.objective @ alpha),
-            status=STATUS_OPTIMAL,
-        )
-    except _Infeasible:
-        pass
-    if lp.fairness_row is None:
-        return LPSolution(
-            alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
-        )
-    try:
-        _, slack = _try_solve(lp, lp.tau, with_slack=True)
-        alpha, _ = _try_solve(lp, lp.tau + slack + 1e-12, with_slack=False)
-    except _Infeasible:
-        # the sum-to-one row itself is unreachable inside the box
-        return LPSolution(
-            alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
-        )
-    return LPSolution(
-        alpha=alpha,
-        objective_value=float(lp.objective @ alpha),
-        status=STATUS_RELAXED,
-        slack_used=slack,
-    )
+    """Solve the mixture-coefficient LP, relaxing the fairness row if needed.
+
+    lo and hi are the best fills of the objective with the least and the
+    most psi_C . alpha (a missing row counts as psi_C = 0). Where that
+    range meets [-tau, tau], the answer is the point of the segment from
+    lo to hi closest to psi_C . alpha = 0; otherwise the row binds.
+    """
+    c = np.asarray(lp.objective, dtype=float)
+    e = np.asarray(lp.equality, dtype=float)
+    f = np.zeros_like(c) if lp.fairness_row is None else lp.fairness_row
+    f = np.asarray(f, dtype=float)
+    lo, hi = _fill(c, -f, e, lp.box_upper), _fill(c, f, e, lp.box_upper)
+    if lo is None:
+        return _result(c, None)
+    target = min(max(0.0, f @ lo), f @ hi)
+    if abs(target) <= lp.tau:
+        return _result(c, _segment(lo, hi, f, target))
+    return _bind(lp, c, e, f, lo) if target > 0 else _bind(lp, c, e, -f, hi)
 
 
 def _enumerate_vertices(planes, check_feasible, dim):
@@ -270,7 +159,7 @@ def brute_force_oracle(lp: AlphaLP) -> LPSolution:
     m = len(lp.objective)
     if m > 6:
         raise ConfigError("vertex-enumeration oracle limited to M <= 6")
-    if np.all(np.abs(lp.equality) < PIVOT_TOL):
+    if np.all(np.abs(lp.equality) < 1e-10):
         return LPSolution(
             alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
         )

@@ -10,7 +10,6 @@ length-(d+1) vectors plus scalars -- never raw samples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,9 @@ class ClientState:
     kernel_matrix: np.ndarray
     w: np.ndarray
     stats: fairness.FairnessStats
-    local_s_bar: float
+    psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
+    local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
+    fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
     expected_round: int = 0
 
 
@@ -105,17 +106,6 @@ class ServerState:
     last_lp: lp.LPSolution | None = None
 
 
-class MessageLog:
-    """Line-delimited JSON log of every exchanged message."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def record(self, sender: str, message) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"sender": sender, **message.to_dict()}) + "\n")
-
-
 def _penalty_for(state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig):
     dim = state.shard.features.shape[1]
     if cfg.penalty_mode == PENALTY_NONE or cfg.lam == 0.0:
@@ -124,16 +114,8 @@ def _penalty_for(state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig):
         # covariance over this shard only, with the local sensitive mean;
         # the target is exact local parity (zero covariance), not the
         # relaxed tau used by the agnostic constraint
-        weights = (state.shard.sensitive - state.local_s_bar).astype(float)
-        phi = state.shard.features.T @ weights / state.shard.n
-        return logistic.PenaltySpec(lam=cfg.lam, tau=0.0, phi_c=phi)
+        return logistic.PenaltySpec(lam=cfg.lam, tau=0.0, phi_c=state.local_phi)
     return logistic.PenaltySpec(lam=cfg.lam, tau=cfg.tau, phi_c=bc.phi_C_global)
-
-
-def _phi_weights(state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig):
-    if cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL):
-        return np.ones(state.shard.n)
-    return kernels.theta(state.kernel_matrix, bc.alpha)
 
 
 def client_round(
@@ -149,28 +131,26 @@ def client_round(
     penalty = _penalty_for(state, bc, cfg)
     w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
 
-    n = state.stats.n_total
     losses = logistic.per_sample_logloss(w_new, state.shard.features, state.shard.labels)
-    psi_L = state.kernel_matrix.T @ losses / n
-    psi_theta = state.kernel_matrix.sum(axis=0) / n
+    psi_L = state.kernel_matrix.T @ losses / state.stats.n_total
     psi_C = fairness.covariance_coeff_alpha(
         state.shard, state.kernel_matrix, w_new, state.stats
     )
-    phi_C = fairness.covariance_coeff_w(
-        state.shard, _phi_weights(state, bc, cfg), state.stats
-    )
+    phi_C = state.fixed_phi_C
+    if phi_C is None:
+        phi_C = fairness.covariance_coeff_w(state.shard, th, state.stats)
 
     bundle = CoefficientBundle(
         client_id=state.shard.client_id,
         psi_L=psi_L,
-        psi_theta=psi_theta,
+        psi_theta=state.psi_theta,
         psi_C=psi_C,
         phi_C=phi_C,
         w_local=w_new,
     )
     for name, vec in (
         ("psi_L", psi_L),
-        ("psi_theta", psi_theta),
+        ("psi_theta", state.psi_theta),
         ("psi_C", psi_C),
         ("phi_C", phi_C),
         ("w_local", w_new),
@@ -239,7 +219,8 @@ def init_protocol(
         raise ConfigError("init_protocol needs at least one shard")
     stats = fairness.compute_stats(shards)
     kms = [kernels.kernel_matrix(s, basis) for s in shards]
-    psi_theta = np.sum([km.sum(axis=0) for km in kms], axis=0) / stats.n_total
+    col_sums = [km.sum(axis=0) for km in kms]
+    psi_theta = np.sum(col_sums, axis=0) / stats.n_total
     total = float(psi_theta.sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
@@ -247,15 +228,23 @@ def init_protocol(
     dim = shards[0].features.shape[1]
     w0 = np.zeros(dim)
 
+    local = cfg.penalty_mode == PENALTY_LOCAL
+    unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
     clients = [
         ClientState(
             shard=s,
             kernel_matrix=km,
             w=w0.copy(),
             stats=stats,
-            local_s_bar=float(s.sensitive.mean()),
+            psi_theta=col / stats.n_total,
+            local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
+            if local
+            else None,
+            fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
+            if unweighted
+            else None,
         )
-        for s, km in zip(shards, kms)
+        for s, km, col in zip(shards, kms, col_sums)
     ]
     # phi_C does not depend on w, so the stats round can already ship the
     # exact alpha0-weighted covariance vector; otherwise the first local

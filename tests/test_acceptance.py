@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedfair import engine, fairness, kernels, logistic, lp, protocol
+from fedfair import cli, engine, fairness, kernels, logistic, lp, protocol
 from fedfair.data import ClientShard
 
 SHIFT_SEEDS = range(20)
@@ -180,29 +180,14 @@ def test_criterion_6_client_count_sweep(sweep_runs):
 
 
 def test_criterion_7_lp_matches_vertex_oracle():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        problem = lp.AlphaLP(
-            objective=rng.normal(size=m),
-            equality=np.abs(rng.normal(size=m)) + 0.05,
-            fairness_row=rng.normal(size=m) * 0.5,
-            tau=float(rng.uniform(0.01, 0.5)),
-            box_upper=5.0,
-        )
-        got = lp.solve(problem)
-        ref = lp.brute_force_oracle(problem)
-        assert got.status == ref.status
-        if got.status == lp.STATUS_ERROR:
-            continue
-        worst = max(worst, abs(got.objective_value - ref.objective_value))
-        assert abs(problem.equality @ got.alpha - 1.0) <= 1e-8
-        assert np.all(got.alpha >= -1e-8)
-        assert np.all(got.alpha <= problem.box_upper + 1e-8)
-        if got.status == lp.STATUS_OPTIMAL:
-            assert abs(problem.fairness_row @ got.alpha) <= problem.tau + 1e-8
-    report(7, worst <= 1e-6, f"100 LP instances, worst objective gap = {worst:.2e}")
+    # the same check as `fedfair verify --only lp`, on its own seed
+    worst, failures = cli.check_lp_oracle(2024)
+    report(
+        7,
+        worst <= 1e-6 and not failures,
+        f"100 LP instances over every solver branch, worst gap = {worst:.2e}"
+        + "".join(f"; {f}" for f in failures),
+    )
 
 
 def test_criterion_8_gradient_matches_finite_differences():

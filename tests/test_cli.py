@@ -125,6 +125,21 @@ def test_run_missing_config_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_run_runtime_failure_exits_1(tmp_path):
+    # 40 shards of a 300-row draw leave some shard without one sensitive
+    # group, so the per-client risk difference is undefined after training
+    cfg = {
+        "algorithm": "FL",
+        "hyper": {"rounds": 2, "local_epochs": 2},
+        "dataset": {"n": 300},
+        "split": {"client_assignment": "even", "num_clients": 40},
+    }
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+
+
 def test_run_deterministic_across_invocations(tmp_path):
     cfg = small_run_config(tmp_path)
     outs = []

@@ -207,18 +207,3 @@ def test_theta_linearity_and_bounds(seed, n, m):
     th = kernels.theta(km, a1)
     assert np.all(th >= 0.0)
     assert np.all(th <= 5.0 * km.sum(axis=1) + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_save_basis_csv(tmp_path, rng):
-    shard = random_shard(rng, 10, 2)
-    basis = kernels.select_basis([shard], 3, seed=0, sigma=1.5, bound=4.0)
-    path = tmp_path / "basis.csv"
-    kernels.save_basis_csv(path, basis)
-    lines = path.read_text().strip().splitlines()
-    assert "sigma=1.5" in lines[0] and "bound=4.0" in lines[0]
-    assert len(lines) == 1 + 3

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfair import logistic
-from fedfair.errors import ConfigError, ProtocolError
+from fedfair.errors import ProtocolError
 
 from conftest import make_shard, random_shard
 
@@ -55,28 +55,22 @@ def test_zero_weights_loss_is_ln2():
     assert losses[0] == pytest.approx(0.693147, abs=1e-6)
 
 
-def test_weighted_loss_hand_case():
-    # single sample, y=1, p=0.75, theta=2, n=1 -> -2 ln 0.75
+def test_local_objective_weighted_hand_case():
+    # single sample, y=1, p=0.75, theta=2, no penalty -> -2 ln 0.75
     shard = make_shard([[np.log(3.0)]], [1], [0])
-    report = logistic.weighted_loss(
-        np.array([1.0, 0.0]), shard, np.array([2.0]), n_global=1
+    obj = logistic.local_objective(
+        np.array([1.0, 0.0]), shard, np.array([2.0]), logistic.PenaltySpec.disabled(2)
     )
-    assert report.weighted_loss == pytest.approx(-2.0 * np.log(0.75))
-    assert report.weighted_loss == pytest.approx(0.575364, abs=1e-6)
+    assert obj == pytest.approx(-2.0 * np.log(0.75))
+    assert obj == pytest.approx(0.575364, abs=1e-6)
 
 
-def test_weighted_loss_uniform_reduction(rng):
+def test_local_objective_uniform_weights_is_mean_loss(rng):
     shard = random_shard(rng, 10, 3)
     w = rng.normal(size=4)
-    report = logistic.weighted_loss(w, shard, np.ones(10), n_global=40)
+    obj = logistic.local_objective(w, shard, np.ones(10), logistic.PenaltySpec.disabled(4))
     mean_loss = logistic.per_sample_logloss(w, shard.features, shard.labels).mean()
-    assert report.weighted_loss == pytest.approx(mean_loss * 10 / 40)
-
-
-def test_weighted_loss_rejects_negative_weights(rng):
-    shard = random_shard(rng, 3, 2)
-    with pytest.raises(ConfigError):
-        logistic.weighted_loss(np.zeros(3), shard, np.array([1.0, -0.1, 1.0]), 3)
+    assert obj == pytest.approx(mean_loss)
 
 
 def test_losses_nonnegative_and_finite(rng):
@@ -85,22 +79,6 @@ def test_losses_nonnegative_and_finite(rng):
         w = rng.normal(size=4) * scale
         losses = logistic.per_sample_logloss(w, shard.features, shard.labels)
         assert np.all(losses >= 0.0) and np.all(np.isfinite(losses))
-
-
-# ---------------------------------------------------------------------------
-# boundary distance
-# ---------------------------------------------------------------------------
-
-
-def test_boundary_distance_zero_weights():
-    x = np.random.default_rng(0).normal(size=(5, 3))
-    assert np.all(logistic.boundary_distance(np.zeros(3), x) == 0.0)
-
-
-def test_boundary_distance_hand_case():
-    w = np.array([1.0, -1.0, 0.0])
-    x = np.array([[0.5, 0.25, 1.0]])
-    assert logistic.boundary_distance(w, x)[0] == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------

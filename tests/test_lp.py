@@ -40,6 +40,11 @@ def test_lp_rejects_nonpositive_box():
         make_lp([1.0], [1.0], box_upper=0.0)
 
 
+def test_lp_rejects_negative_equality_entry():
+    with pytest.raises(ConfigError):
+        make_lp([1.0, 1.0], [1.0, -0.5])
+
+
 def test_lp_rejects_length_mismatch():
     with pytest.raises(ConfigError):
         make_lp([1.0, 2.0], [1.0])

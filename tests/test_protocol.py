@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -291,24 +289,3 @@ def test_lambda_zero_disables_penalty(rng):
     spec = protocol._penalty_for(clients[0], bc, cfg)
     assert spec.lam == 0.0
     assert np.allclose(spec.phi_c, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# message log
-# ---------------------------------------------------------------------------
-
-
-def test_message_log_roundtrip(tmp_path, rng):
-    shards = [random_shard(rng, 6, 2, 0)]
-    basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False)
-    server, clients, bc = setup_run(shards, basis, cfg)
-    log = protocol.MessageLog(tmp_path / "log.jsonl")
-    log.record("server", bc)
-    bundle = protocol.client_round(clients[0], bc, cfg)
-    log.record("client0", bundle)
-    lines = [json.loads(l) for l in open(log.path, encoding="utf-8")]
-    assert lines[0]["sender"] == "server"
-    assert lines[0]["type"] == "broadcast"
-    assert lines[1]["type"] == "bundle"
-    assert lines[1]["client_id"] == 0
