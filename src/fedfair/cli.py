@@ -208,11 +208,14 @@ def _check_lp(inject_fault: bool) -> bool:
     return not failures
 
 
-def _check_gradient(inject_fault: bool) -> bool:
-    rng = np.random.default_rng(11)
+def check_gradient_oracle(seed: int, cases: int, n: int, gradient=logistic.loss_gradient) -> float:
+    """Worst relative gap between *gradient* and central finite differences
+    of the local objective, over *cases* random n-row shards for each of
+    lambda = 0, 2 and 100."""
+    rng = np.random.default_rng(seed)
+    worst, d, h = 0.0, 3, 1e-6
     for lam in (0.0, 2.0, 100.0):
-        for _ in range(10):
-            n, d = 5, 3
+        for _ in range(cases):
             shard = data.ClientShard(
                 client_id=0,
                 features=np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))]),
@@ -222,65 +225,63 @@ def _check_gradient(inject_fault: bool) -> bool:
             w = rng.normal(size=d + 1)
             th = rng.uniform(0.1, 2.0, size=n)
             pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
-            grad = logistic.loss_gradient(w, shard, th, pen)
-            if inject_fault:
-                grad = grad + 1e-2
-            fd = np.zeros_like(w)
-            h = 1e-6
-            for j in range(d + 1):
-                e = np.zeros_like(w)
-                e[j] = h
-                fd[j] = (
-                    logistic.local_objective(w + e, shard, th, pen)
-                    - logistic.local_objective(w - e, shard, th, pen)
-                ) / (2 * h)
-            rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-            if rel > 1e-4:
-                return False
-    return True
+            fd = np.array([
+                logistic.local_objective(w + e, shard, th, pen)
+                - logistic.local_objective(w - e, shard, th, pen)
+                for e in h * np.eye(d + 1)
+            ]) / (2 * h)
+            gap = np.linalg.norm(gradient(w, shard, th, pen) - fd)
+            worst = max(worst, gap / max(np.linalg.norm(fd), 1e-12))
+    return worst
+
+
+def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
+                             client_round=protocol.client_round) -> float:
+    """Largest gap between the server's sums of one round's bundles and a
+    pooled recomputation of psi_L, psi_theta, psi_C and phi_C, on *n*
+    synthetic rows in 3 even shards with 6 Gaussian bases; *seeds* draw
+    the data, the shards and the basis."""
+    data_seed, shard_seed, basis_seed = seeds
+    ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, d=3, seed=data_seed))
+    shards = engine.even_shards(ds, 3, seed=shard_seed)
+    basis = kernels.select_basis(shards, 6, seed=basis_seed)
+    cfg = protocol.ProtocolConfig(
+        penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, opt=logistic.OptimizerSpec(epochs=5)
+    )
+    server, clients, bc = protocol.init_protocol(shards, basis, cfg)
+    bundles = [client_round(c, bc, cfg) for c in clients]
+
+    stats = server.stats
+    pooled = dict.fromkeys(("psi_L", "psi_theta", "psi_C", "phi_C"), 0.0)
+    for client, bundle in zip(clients, bundles):
+        shard, w = client.shard, bundle.w_local
+        km = kernels.kernel_matrix(shard, basis)
+        losses = logistic.per_sample_logloss(w, shard.features, shard.labels)
+        pooled["psi_L"] += km.T @ losses / stats.n_total
+        pooled["psi_theta"] += km.sum(axis=0) / stats.n_total
+        pooled["psi_C"] += fairness.covariance_coeff_alpha(shard, km, w, stats)
+        pooled["phi_C"] += fairness.covariance_coeff_w(shard, kernels.theta(km, bc.alpha), stats)
+    return max(
+        float(np.max(np.abs(np.sum([getattr(b, k) for b in bundles], axis=0) - v)))
+        for k, v in pooled.items()
+    )
+
+
+def _check_gradient(inject_fault: bool) -> bool:
+    def faulty(*args):
+        return logistic.loss_gradient(*args) + 1e-2
+
+    gradient = faulty if inject_fault else logistic.loss_gradient
+    return check_gradient_oracle(11, 10, 5, gradient) <= 1e-4
 
 
 def _check_aggregation(inject_fault: bool) -> bool:
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=60, d=3, seed=3))
-    shards = engine.even_shards(ds, 3, seed=5)
-    basis = kernels.select_basis(shards, 6, seed=9)
-    cfg = protocol.ProtocolConfig(
-        optimize_alpha=True,
-        fairness_row_in_lp=True,
-        penalty_mode=protocol.PENALTY_GLOBAL,
-        lam=2.0,
-        opt=logistic.OptimizerSpec(epochs=5),
-    )
-    server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    bundles = [protocol.client_round(c, bc, cfg) for c in clients]
+    def faulty(*args):
+        bundle = protocol.client_round(*args)
+        return dataclasses.replace(bundle, psi_theta=bundle.psi_theta + 1e-3)
 
-    # centralized recomputation over the pooled data at the clients' new w
-    stats = server.stats
-    n = stats.n_total
-    psi_L = np.zeros(basis.num_bases)
-    psi_theta = np.zeros(basis.num_bases)
-    psi_C = np.zeros(basis.num_bases)
-    phi_C = np.zeros(ds.dim)
-    for client, bundle in zip(clients, bundles):
-        km = kernels.kernel_matrix(client.shard, basis)
-        th = kernels.theta(km, bc.alpha)
-        losses = logistic.per_sample_logloss(
-            bundle.w_local, client.shard.features, client.shard.labels
-        )
-        psi_L += km.T @ losses / n
-        psi_theta += km.sum(axis=0) / n
-        psi_C += fairness.covariance_coeff_alpha(client.shard, km, bundle.w_local, stats)
-        phi_C += fairness.covariance_coeff_w(client.shard, th, stats)
-    sums = {
-        "psi_L": np.sum([b.psi_L for b in bundles], axis=0),
-        "psi_theta": np.sum([b.psi_theta for b in bundles], axis=0),
-        "psi_C": np.sum([b.psi_C for b in bundles], axis=0),
-        "phi_C": np.sum([b.phi_C for b in bundles], axis=0),
-    }
-    if inject_fault:
-        sums["psi_theta"] = sums["psi_theta"] + 1e-3
-    expected = {"psi_L": psi_L, "psi_theta": psi_theta, "psi_C": psi_C, "phi_C": phi_C}
-    return all(np.allclose(sums[k], expected[k], atol=1e-10) for k in sums)
+    client_round = faulty if inject_fault else protocol.client_round
+    return check_aggregation_oracle(60, (3, 5, 9), client_round) <= 1e-10
 
 
 CHECKS = {

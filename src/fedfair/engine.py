@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -495,6 +495,8 @@ def hyper_from_config(config: dict, **overrides) -> HyperParams:
     hyper_cfg = dict(config.get("hyper", {}))
     if "lambda" in hyper_cfg:
         hyper_cfg["lam"] = hyper_cfg.pop("lambda")
+    if unknown := set(hyper_cfg) - {f.name for f in fields(HyperParams)}:
+        raise ConfigError(f"unknown hyper key(s): {', '.join(sorted(unknown))}")
     hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
     return HyperParams(**hyper_cfg)
 

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS/OpenMP thread, as the benchmark runs: the acceptance figures then
+# do not depend on the machine's core count. Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fedfair import cli, engine, fairness, kernels, logistic, lp, protocol
-from fedfair.data import ClientShard
 
 SHIFT_SEEDS = range(20)
 IID_SEEDS = range(6)
@@ -191,73 +190,14 @@ def test_criterion_7_lp_matches_vertex_oracle():
 
 
 def test_criterion_8_gradient_matches_finite_differences():
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for lam in (0.0, 2.0, 100.0):
-        for _ in range(50):
-            n, d = 6, 3
-            shard = ClientShard(
-                client_id=0,
-                features=np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))]),
-                labels=rng.integers(0, 2, size=n),
-                sensitive=rng.integers(0, 2, size=n),
-            )
-            w = rng.normal(size=d + 1)
-            th = rng.uniform(0.1, 2.0, size=n)
-            pen = logistic.PenaltySpec(
-                lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1)
-            )
-            grad = logistic.loss_gradient(w, shard, th, pen)
-            h = 1e-6
-            fd = np.zeros_like(w)
-            for j in range(d + 1):
-                e = np.zeros_like(w)
-                e[j] = h
-                fd[j] = (
-                    logistic.local_objective(w + e, shard, th, pen)
-                    - logistic.local_objective(w - e, shard, th, pen)
-                ) / (2 * h)
-            rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-            worst = max(worst, rel)
+    # the same check as `fedfair verify --only gradient`, on its own seed
+    worst = cli.check_gradient_oracle(31, 50, 6)
     report(8, worst <= 1e-4, f"worst relative gradient error = {worst:.2e}")
 
 
 def test_criterion_9_aggregation_identity():
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=90, d=3, seed=17))
-    shards = engine.even_shards(ds, 3, seed=4)
-    basis = kernels.select_basis(shards, 6, seed=5)
-    cfg = protocol.ProtocolConfig(
-        penalty_mode=protocol.PENALTY_GLOBAL,
-        lam=2.0,
-        opt=logistic.OptimizerSpec(epochs=5),
-    )
-    server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    bundles = [protocol.client_round(c, bc, cfg) for c in clients]
-
-    stats = server.stats
-    worst = 0.0
-    pooled = {
-        "psi_L": np.zeros(basis.num_bases),
-        "psi_theta": np.zeros(basis.num_bases),
-        "psi_C": np.zeros(basis.num_bases),
-        "phi_C": np.zeros(ds.dim),
-    }
-    for client, bundle in zip(clients, bundles):
-        km = kernels.kernel_matrix(client.shard, basis)
-        losses = logistic.per_sample_logloss(
-            bundle.w_local, client.shard.features, client.shard.labels
-        )
-        pooled["psi_L"] += km.T @ losses / stats.n_total
-        pooled["psi_theta"] += km.sum(axis=0) / stats.n_total
-        pooled["psi_C"] += fairness.covariance_coeff_alpha(
-            client.shard, km, bundle.w_local, stats
-        )
-        pooled["phi_C"] += fairness.covariance_coeff_w(
-            client.shard, kernels.theta(km, bc.alpha), stats
-        )
-    for name in pooled:
-        summed = np.sum([getattr(b, name) for b in bundles], axis=0)
-        worst = max(worst, float(np.max(np.abs(summed - pooled[name]))))
+    # the same check as `fedfair verify --only aggregation`, on its own draw
+    worst = cli.check_aggregation_oracle(90, (17, 4, 5))
     report(9, worst <= 1e-10, f"max |server sum - pooled recomputation| = {worst:.2e}")
 
 

@@ -125,6 +125,13 @@ def test_run_missing_config_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_run_unknown_hyper_key_is_usage_error(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"hyper": {"rounds": 1, "bogus": 3}}))
+    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 2
+
+
 def test_run_runtime_failure_exits_1(tmp_path):
     # 40 shards of a 300-row draw leave some shard without one sensitive
     # group, so the per-client risk difference is undefined after training

@@ -108,6 +108,22 @@ def test_gradient_lambda_zero_is_plain_logistic(rng):
     assert np.allclose(grad, expected, atol=1e-12)
 
 
+def test_gradient_matches_finite_differences_at_saturated_logits(rng):
+    # margins of 40-200 in both directions, some on the wrong side: the
+    # loss is linear there, not flat, and the gradient must say so
+    for lam in (0.0, 2.0):
+        z = rng.uniform(40.0, 200.0, size=8) * np.array([1, -1] * 4)
+        shard = make_shard(
+            np.column_stack([z, rng.normal(size=8)]), [1, 0, 0, 1, 1, 1, 0, 0], [0, 1] * 4
+        )
+        w = np.array([1.0, 0.01, 0.0])
+        th = rng.uniform(0.1, 2.0, size=8)
+        pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=3))
+        grad = logistic.loss_gradient(w, shard, th, pen)
+        fd = finite_difference(w, shard, th, pen)
+        assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
+
+
 def test_gradient_zero_on_constraint_boundary(rng):
     shard = random_shard(rng, 5, 2)
     phi = rng.normal(size=3)
@@ -134,6 +150,49 @@ def test_gradient_matches_finite_differences(lam, rng):
 # ---------------------------------------------------------------------------
 # fit_local
 # ---------------------------------------------------------------------------
+
+
+def reference_fit(w_init, shard, theta, penalty, opt):
+    """Weight-space backtracking descent: every candidate's objective from
+    its own weights. Returns w, the halvings made and whether a step was
+    rejected."""
+    w = np.array(w_init, dtype=float)
+    obj = logistic.local_objective(w, shard, theta, penalty)
+    halvings = 0
+    for _ in range(opt.epochs):
+        grad = logistic.loss_gradient(w, shard, theta, penalty)
+        rate = opt.learning_rate
+        for k in range(opt.max_halvings + 1):
+            cand = w - rate * grad
+            cand_obj = logistic.local_objective(cand, shard, theta, penalty)
+            if np.isfinite(cand_obj) and cand_obj <= obj:
+                w, obj = cand, cand_obj
+                halvings += k
+                break
+            rate *= 0.5
+        else:
+            return w, halvings, True
+    return w, halvings, False
+
+
+def test_fit_matches_weight_space_reference(rng):
+    halvings, rejected = 0, 0
+    for lam in (0.0, 2.0, 100.0):
+        for max_halvings in (20, 1, 0):
+            for _ in range(10):
+                n, d = int(rng.integers(20, 60)), int(rng.integers(2, 6))
+                shard = random_shard(rng, n, d)
+                th = rng.uniform(0.1, 2.0, size=n)
+                pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
+                opt = logistic.OptimizerSpec(
+                    learning_rate=5.0, epochs=10, max_halvings=max_halvings
+                )
+                w0 = rng.normal(size=d + 1)
+                ref, h, r = reference_fit(w0, shard, th, pen, opt)
+                got = logistic.fit_local(w0, shard, th, pen, opt)
+                assert np.max(np.abs(got - ref)) <= 1e-12
+                halvings, rejected = halvings + h, rejected + r
+    assert halvings > 0 and rejected > 0
 
 
 def test_fit_zero_epochs_is_identity(rng):
@@ -200,6 +259,30 @@ def test_fit_nonfinite_start_raises(rng):
             w0, shard, np.ones(4), logistic.PenaltySpec.disabled(3),
             logistic.OptimizerSpec(epochs=1),
         )
+
+
+def logaddexp_objective(w, shard, theta, penalty):
+    z = shard.features @ w
+    loss = float(theta @ (np.logaddexp(0.0, z) - shard.labels * z)) / shard.n
+    return loss + penalty.lam * (float(w @ penalty.phi_c) - penalty.tau) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    scale=st.floats(0.1, 1000.0),
+    lam=st.sampled_from([0.0, 2.0]),
+)
+def test_fit_never_raises_logaddexp_objective(seed, scale, lam):
+    r = np.random.default_rng(seed)
+    shard = random_shard(r, 12, 3)
+    th = r.uniform(0.1, 2.0, size=12)
+    pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=r.normal(size=4))
+    w0 = r.uniform(-1.0, 1.0, size=4) * scale
+    w = logistic.fit_local(w0, shard, th, pen, logistic.OptimizerSpec(learning_rate=1.0, epochs=10))
+    before = logaddexp_objective(w0, shard, th, pen)
+    after = logaddexp_objective(w, shard, th, pen)
+    assert after <= before + 1e-12 * max(1.0, abs(before))
 
 
 @settings(max_examples=30, deadline=None)
