@@ -1,15 +1,19 @@
 """Tabular data loading, encoding, shift splitting and client sharding.
 
 The loader is schema generic: any CSV with one declared label column and
-one declared sensitive column works. Categorical columns are one-hot
-expanded, numeric columns are min-max scaled to [0, 1], and a constant
-bias column is appended as the last feature.
+one declared sensitive column works. Raw tables are stored by column, one
+array per schema column. A table is encoded once, before the split, in
+one pass: categorical columns are one-hot expanded, numeric columns are
+min-max scaled to [0, 1], and a constant bias column is appended as the
+last feature. The encoded data is then cut into train, test and client
+shards.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,15 +68,15 @@ class Schema:
 
 @dataclass
 class RawTable:
+    """A table stored by column: one equal-length array per schema column
+    (floats for numeric columns, strings for the others)."""
+
     schema: Schema
-    rows: list[dict]
+    columns: dict[str, np.ndarray]
 
     @property
     def n(self) -> int:
-        return len(self.rows)
-
-    def column_values(self, name: str) -> list:
-        return [r[name] for r in self.rows]
+        return len(self.columns[self.schema.columns[0].name])
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,9 @@ class ClientShard:
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
-    Raises SchemaError if a declared column is absent from the header and
-    RowParseError (with the 1-based line number) on unparsable numerics.
+    Raises SchemaError if a declared column is absent from the header or
+    no complete data row remains, and RowParseError (with the 1-based
+    line number) on a numeric cell that is not a finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -158,145 +163,90 @@ def load_csv(path, schema: Schema) -> RawTable:
                 raise SchemaError(f"{path}: missing column {col.name!r}")
             positions[col.name] = header.index(col.name)
 
-        rows: list[dict] = []
-        dropped = 0
+        values: dict[str, list] = {col.name: [] for col in schema.columns}
+        kept = dropped = 0
         for lineno, raw in enumerate(reader, start=2):
             if not raw:
                 continue
-            values = {
-                col.name: raw[positions[col.name]].strip()
-                for col in schema.columns
-            }
-            if any(v in MISSING_VALUES for v in values.values()):
+            cells = [raw[positions[col.name]].strip() for col in schema.columns]
+            if any(v in MISSING_VALUES for v in cells):
                 dropped += 1
                 continue
-            row = {}
-            for col in schema.columns:
-                v = values[col.name]
+            for col, v in zip(schema.columns, cells):
                 if col.kind == "numeric":
                     try:
-                        row[col.name] = float(v)
+                        x = float(v)
                     except ValueError:
+                        x = math.nan
+                    # float() also accepts "nan" and "inf", which would
+                    # poison the column's min-max scaling
+                    if not math.isfinite(x):
                         raise RowParseError(
-                            lineno, f"column {col.name!r}: non-numeric {v!r}"
-                        ) from None
-                else:
-                    row[col.name] = v
-            rows.append(row)
-    log.info("loaded %d rows from %s (%d dropped as incomplete)", len(rows), path, dropped)
-    return RawTable(schema=schema, rows=rows)
-
-
-class Encoder:
-    """Fit one-hot / min-max statistics on one table, apply to any table.
-
-    Numeric columns are scaled with the fitted min/max and clipped to
-    [0, 1]; categories unseen at fit time map to an all-zero block with
-    a warning. Label and sensitive values are binary-mapped with the
-    majority value at fit time mapped to 1.
-    """
-
-    def __init__(self):
-        self.fitted = False
-        self.numeric_stats: dict[str, tuple[float, float]] = {}
-        self.categories: dict[str, list] = {}
-        self.binary_maps: dict[str, dict] = {}
-        self.feature_names: list[str] = []
-
-    def fit(self, raw: RawTable) -> "Encoder":
-        self.schema = raw.schema
-        self.feature_names = []
-        for col in raw.schema.columns:
-            vals = raw.column_values(col.name)
-            if col.kind == "numeric":
-                lo, hi = min(vals), max(vals)
-                if lo == hi:
-                    warnings.warn(
-                        f"numeric column {col.name!r} is constant; scaled to 0.0"
-                    )
-                self.numeric_stats[col.name] = (lo, hi)
-                self.feature_names.append(col.name)
-            elif col.kind == "categorical":
-                levels = sorted(set(vals))
-                self.categories[col.name] = levels
-                self.feature_names.extend(f"{col.name}={v}" for v in levels)
-            else:  # label or sensitive: majority value -> 1
-                counts: dict = {}
-                for v in vals:
-                    counts[v] = counts.get(v, 0) + 1
-                # deterministic tie-break by value
-                order = sorted(counts, key=lambda v: (counts[v], str(v)))
-                mapping = {v: 0 for v in order[:-1]}
-                mapping[order[-1]] = 1
-                self.binary_maps[col.name] = mapping
-        self.feature_names.append("__bias__")
-        self.fitted = True
-        return self
-
-    def transform(self, raw: RawTable) -> EncodedDataset:
-        if not self.fitted:
-            raise ConfigError("Encoder.transform called before fit")
-        n = raw.n
-        blocks = []
-        for col in raw.schema.columns:
-            vals = raw.column_values(col.name)
-            if col.kind == "numeric":
-                lo, hi = self.numeric_stats[col.name]
-                arr = np.asarray(vals, dtype=float)
-                if hi == lo:
-                    scaled = np.zeros(n)
-                else:
-                    scaled = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
-                blocks.append(scaled[:, None])
-            elif col.kind == "categorical":
-                levels = self.categories[col.name]
-                index = {v: j for j, v in enumerate(levels)}
-                block = np.zeros((n, len(levels)))
-                unseen = 0
-                for i, v in enumerate(vals):
-                    j = index.get(v)
-                    if j is None:
-                        unseen += 1
-                    else:
-                        block[i, j] = 1.0
-                if unseen:
-                    warnings.warn(
-                        f"{unseen} unseen value(s) in column {col.name!r}; "
-                        "encoded as all-zero block"
-                    )
-                blocks.append(block)
-            elif col.kind == "sensitive":
-                # the boundary distance is over non-sensitive attributes
-                # only, so the sensitive column never enters the features
-                pass
-            else:  # label
-                mapping = self.binary_maps[col.name]
-                y = np.asarray([mapping.get(v, 0) for v in vals], dtype=int)
-        blocks.append(np.ones((n, 1)))
-        features = np.hstack(blocks)
-
-        sens_col = raw.schema.sensitive_column
-        mapping = self.binary_maps[sens_col]
-        sensitive = np.asarray(
-            [mapping.get(v, 0) for v in raw.column_values(sens_col)], dtype=int
+                            lineno, f"column {col.name!r}: {v!r} is not a finite number"
+                        )
+                    v = x
+                values[col.name].append(v)
+            kept += 1
+    if not kept:
+        raise SchemaError(f"{path}: no complete data rows")
+    log.info("loaded %d rows from %s (%d dropped as incomplete)", kept, path, dropped)
+    columns = {
+        col.name: np.asarray(
+            values[col.name], dtype=float if col.kind == "numeric" else str
         )
-        aux = {
-            col.name: np.asarray(raw.column_values(col.name), dtype=object)
-            for col in raw.schema.columns
-            if col.split_key
-        }
-        return EncodedDataset(
-            features=features,
-            labels=y,
-            sensitive=sensitive,
-            feature_names=list(self.feature_names),
-            aux=aux,
-        )
+        for col in schema.columns
+    }
+    return RawTable(schema=schema, columns=columns)
+
+
+def _majority_indicator(values: np.ndarray) -> np.ndarray:
+    """1 where *values* holds its most frequent value, else 0; a tie goes
+    to the larger ``str(value)``."""
+    levels, codes, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
+    return (codes == top).astype(int)
 
 
 def encode(raw: RawTable) -> EncodedDataset:
-    """Fit encoding statistics on *raw* and encode it in one step."""
-    return Encoder().fit(raw).transform(raw)
+    """Encode *raw* with statistics taken from *raw* itself.
+
+    Numeric columns are min-max scaled by their own min and max (a
+    constant column becomes 0.0, with a warning); categorical columns are
+    one-hot expanded over their sorted levels. Label and sensitive values
+    are binary-mapped with the majority value mapped to 1. The sensitive
+    column never enters the features, since the boundary distance is over
+    non-sensitive attributes only; split-key columns are kept verbatim in
+    ``aux``.
+    """
+    n = raw.n
+    blocks, names = [], []
+    for col in raw.schema.columns:
+        vals = raw.columns[col.name]
+        if col.kind == "numeric":
+            lo, hi = vals.min(), vals.max()
+            if lo == hi:
+                warnings.warn(
+                    f"numeric column {col.name!r} is constant; scaled to 0.0"
+                )
+                blocks.append(np.zeros((n, 1)))
+            else:
+                blocks.append(((vals - lo) / (hi - lo))[:, None])
+            names.append(col.name)
+        elif col.kind == "categorical":
+            levels, codes = np.unique(vals, return_inverse=True)
+            blocks.append((codes[:, None] == np.arange(levels.size)).astype(float))
+            names.extend(f"{col.name}={v}" for v in levels)
+    blocks.append(np.ones((n, 1)))
+    names.append("__bias__")
+    return EncodedDataset(
+        features=np.hstack(blocks),
+        labels=_majority_indicator(raw.columns[raw.schema.label_column]),
+        sensitive=_majority_indicator(raw.columns[raw.schema.sensitive_column]),
+        feature_names=names,
+        aux={c.name: raw.columns[c.name] for c in raw.schema.columns if c.split_key},
+    )
 
 
 def shift_split(
@@ -314,7 +264,7 @@ def shift_split(
             f"split column {spec.split_column!r} not tracked; mark it split_key"
         )
     values = data.aux[spec.split_column]
-    mask_a = np.asarray([v in spec.split_predicate for v in values], dtype=bool)
+    mask_a = np.isin(values, list(spec.split_predicate))
     idx_a = np.flatnonzero(mask_a)
     idx_b = np.flatnonzero(~mask_a)
 

@@ -372,7 +372,7 @@ _OCC_P_OTHER = (0.50, 0.40, 0.05, 0.05)
 
 
 def generate_census_like(spec: CensusSpec) -> RawTable:
-    """Sample a raw census-like table (strings/floats, pre-encoding)."""
+    """Sample a raw census-like table (float and string columns, pre-encoding)."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     private = rng.random(n) < spec.p_private
@@ -423,30 +423,27 @@ def generate_census_like(spec: CensusSpec) -> RawTable:
         rng.random(n) < spec.pension_p_private,
         rng.random(n) < spec.pension_p_other,
     )
-    rows = [
-        {
-            "skill": float(skill[i]),
-            "hours": float(hours[i]),
-            "education": _EDU_LEVELS[edu_idx[i]],
-            "occupation": _OCC_LEVELS[occ_idx[i]],
-            "schedule": "regular" if regular[i] else "flexible",
-            "pension": "enrolled" if pension[i] else "none",
-            "sector": "private" if private[i] else "other",
-            "gender": "male" if male[i] else "female",
-            "income": "high" if y[i] else "low",
-        }
-        for i in range(n)
-    ]
-    return RawTable(schema=CENSUS_SCHEMA, rows=rows)
+    columns = {
+        "skill": skill,
+        "hours": hours,
+        "education": np.asarray(_EDU_LEVELS)[edu_idx],
+        "occupation": np.asarray(_OCC_LEVELS)[occ_idx],
+        "schedule": np.where(regular, "regular", "flexible"),
+        "pension": np.where(pension, "enrolled", "none"),
+        "sector": np.where(private, "private", "other"),
+        "gender": np.where(male, "male", "female"),
+        "income": np.where(y, "high", "low"),
+    }
+    return RawTable(schema=CENSUS_SCHEMA, columns=columns)
 
 
 def write_census_csv(path, table: RawTable) -> None:
     names = [c.name for c in table.schema.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=names)
-        w.writeheader()
-        for row in table.rows:
-            w.writerow({k: row[k] for k in names})
+        w = csv.writer(fh)
+        w.writerow(names)
+        # .tolist() hands csv Python floats, which it writes by repr
+        w.writerows(zip(*(table.columns[k].tolist() for k in names)))
 
 
 def census_split_spec(
@@ -582,10 +579,13 @@ def _write_summary(output_dir, summary: list[dict]) -> None:
 
 
 def write_round_csv(path, result: RunResult) -> None:
-    """Per-round metric CSV: round, accuracies, risk differences."""
+    """Per-round metric CSV: round, accuracies, risk differences and, for
+    the alpha-optimizing variants, the LP's status, slack and adversary loss."""
     if not result.per_round:
         return
     base_cols = ["round", "train_acc", "test_acc", "train_rd", "test_rd"]
+    base_cols += [c for c in ("lp_status", "lp_slack", "adversary_loss_before",
+                              "adversary_loss_after") if c in result.per_round[0]]
     n_clients = len(result.per_round[0]["per_client_rd"])
     client_cols = [f"client{k}_rd" for k in range(n_clients)]
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -87,7 +87,6 @@ class ServerBroadcast:
 class ClientState:
     shard: ClientShard
     kernel_matrix: np.ndarray
-    w: np.ndarray
     stats: fairness.FairnessStats
     psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
@@ -159,7 +158,6 @@ def client_round(
             raise ProtocolError(
                 f"client {state.shard.client_id}: non-finite {name} in bundle"
             )
-    state.w = w_new
     state.expected_round += 1
     return bundle
 
@@ -234,7 +232,6 @@ def init_protocol(
         ClientState(
             shard=s,
             kernel_matrix=km,
-            w=w0.copy(),
             stats=stats,
             psi_theta=col / stats.n_total,
             local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n

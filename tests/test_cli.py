@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import yaml
 
 from fedfair import cli, engine
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_census_inputs(tmp_path, n=300, with_split=True):
@@ -78,6 +85,41 @@ def test_prepare_missing_data_file_is_usage_error(tmp_path):
          "--schema", str(schema_path), "--output", str(tmp_path / "out")]
     )
     assert rc == 2
+
+
+def test_prepare_header_only_csv_is_usage_error(tmp_path):
+    csv_path, schema_path = write_census_inputs(tmp_path)
+    header = csv_path.read_text().splitlines()[0]
+    csv_path.write_text(header + "\n")
+    rc = cli.main(
+        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
+         "--output", str(tmp_path / "out")]
+    )
+    assert rc == 2
+
+
+def test_make_dataset_script_feeds_prepare(tmp_path):
+    data_dir = tmp_path / "data"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_dataset.py"),
+         "--n", "200", "--out", str(data_dir)],
+        check=True, env=env, capture_output=True,
+    )
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["prepare", "--data", str(data_dir / "census.csv"),
+         "--schema", str(data_dir / "schema.yaml"), "--output", str(out)]
+    )
+    assert rc == 0
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    assert manifest["train_rows"] + manifest["test_rows"] == 200
+    assert len(manifest["shards"]) == 2
+    for entry in manifest["shards"]:
+        assert (out / entry["file"]).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ SCHEMA = data.Schema(
 
 
 def make_table(rows):
-    return data.RawTable(schema=SCHEMA, rows=rows)
+    """Columnar table from row dicts (floats for numeric columns)."""
+    columns = {
+        c.name: np.asarray(
+            [r[c.name] for r in rows], dtype=float if c.kind == "numeric" else str
+        )
+        for c in SCHEMA.columns
+    }
+    return data.RawTable(schema=SCHEMA, columns=columns)
 
 
 def row(age, job, gender, income):
@@ -67,7 +74,8 @@ def test_load_csv_basic(tmp_path):
     )
     table = data.load_csv(p, SCHEMA)
     assert table.n == 2
-    assert table.rows[0]["age"] == 30.0
+    assert table.columns["age"].tolist() == [30.0, 40.0]
+    assert table.columns["job"].tolist() == ["clerk", "cook"]
 
 
 def test_load_csv_drops_incomplete_rows(tmp_path):
@@ -94,9 +102,34 @@ def test_load_csv_bad_numeric_cites_line(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_load_csv_non_finite_numeric_cites_line(tmp_path):
+    p = write_csv(
+        tmp_path / "d.csv",
+        "age,job,gender,income\n30,clerk,male,high\nnan,cook,female,low\n",
+    )
+    with pytest.raises(RowParseError) as err:
+        data.load_csv(p, SCHEMA)
+    assert err.value.line_number == 3
+
+
 def test_load_csv_empty_file(tmp_path):
     p = write_csv(tmp_path / "d.csv", "")
     with pytest.raises(SchemaError):
+        data.load_csv(p, SCHEMA)
+
+
+def test_load_csv_header_only_is_schema_error(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "age,job,gender,income\n")
+    with pytest.raises(SchemaError, match="no complete data rows"):
+        data.load_csv(p, SCHEMA)
+
+
+def test_load_csv_all_rows_incomplete_is_schema_error(tmp_path):
+    p = write_csv(
+        tmp_path / "d.csv",
+        "age,job,gender,income\n?,clerk,male,high\n40,,female,low\n",
+    )
+    with pytest.raises(SchemaError, match="no complete data rows"):
         data.load_csv(p, SCHEMA)
 
 
@@ -132,7 +165,7 @@ def test_encode_one_hot_rows_sum_to_one():
     # round-trip: one-hot block recovers the original category
     levels = ["a", "b", "c"]
     decoded = [levels[j] for j in block.argmax(axis=1)]
-    assert decoded == [r["job"] for r in table.rows]
+    assert decoded == table.columns["job"].tolist()
 
 
 def test_encode_bias_column_last_and_all_ones():
@@ -162,34 +195,18 @@ def test_encode_majority_value_maps_to_one():
     assert ds.sensitive.tolist() == [1, 1, 0]
 
 
+def test_encode_majority_tie_goes_to_larger_value():
+    table = make_table([row(1, "a", "male", "high"), row(2, "a", "female", "low")])
+    ds = data.encode(table)
+    assert ds.labels.tolist() == [0, 1]  # "low" > "high"
+    assert ds.sensitive.tolist() == [1, 0]  # "male" > "female"
+
+
 def test_encode_constant_numeric_warns_and_zeroes():
     table = make_table([row(5, "a", "male", "high"), row(5, "a", "female", "low")])
     with pytest.warns(UserWarning):
         ds = data.encode(table)
     assert np.all(ds.features[:, ds.feature_names.index("age")] == 0.0)
-
-
-def test_transform_unseen_category_warns_all_zero():
-    fit_table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
-    enc = data.Encoder().fit(fit_table)
-    new = make_table([row(1, "zz", "male", "high")])
-    with pytest.warns(UserWarning):
-        ds = enc.transform(new)
-    cols = [enc.feature_names.index("job=a"), enc.feature_names.index("job=b")]
-    assert np.all(ds.features[:, cols] == 0.0)
-
-
-def test_transform_clips_test_values_to_unit_interval():
-    fit_table = make_table([row(0, "a", "male", "high"), row(10, "a", "female", "low")])
-    enc = data.Encoder().fit(fit_table)
-    ds = enc.transform(make_table([row(-5, "a", "male", "high"), row(20, "a", "female", "low")]))
-    age = ds.features[:, enc.feature_names.index("age")]
-    assert np.allclose(age, [0.0, 1.0])
-
-
-def test_transform_before_fit_raises():
-    with pytest.raises(ConfigError):
-        data.Encoder().transform(make_table([row(1, "a", "male", "high")]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +284,7 @@ def test_shift_split_missing_split_key_errors():
             data.ColumnSpec(c.name, c.kind, split_key=False) for c in SCHEMA.columns
         )
     )
-    ds = data.encode(data.RawTable(schema=schema_no_key, rows=table.rows))
+    ds = data.encode(data.RawTable(schema=schema_no_key, columns=table.columns))
     with pytest.raises(ConfigError):
         data.shift_split(ds, spec())
 

@@ -176,15 +176,19 @@ def test_even_shards_partition():
 def test_census_deterministic():
     a = engine.generate_census_like(engine.CensusSpec(n=200, seed=5))
     b = engine.generate_census_like(engine.CensusSpec(n=200, seed=5))
-    assert a.rows == b.rows
+    assert a.columns.keys() == b.columns.keys()
+    for name in a.columns:
+        assert np.array_equal(a.columns[name], b.columns[name])
 
 
 def test_census_rows_match_schema():
     table = engine.generate_census_like(engine.CensusSpec(n=100, seed=0))
-    names = {c.name for c in table.schema.columns}
-    assert len(table.rows) == 100
-    for r in table.rows[:5]:
-        assert set(r) == names
+    assert list(table.columns) == [c.name for c in table.schema.columns]
+    assert table.n == 100
+    for c in table.schema.columns:
+        values = table.columns[c.name]
+        assert values.shape == (100,)
+        assert values.dtype.kind == ("f" if c.kind == "numeric" else "U")
 
 
 def test_prepare_census_default_split():
@@ -197,14 +201,23 @@ def test_prepare_census_default_split():
 
 
 def test_write_census_csv_roundtrip(tmp_path):
-    from fedfair.data import load_csv
+    from fedfair.data import encode, load_csv
 
     table = engine.generate_census_like(engine.CensusSpec(n=50, seed=1))
     path = tmp_path / "census.csv"
     engine.write_census_csv(path, table)
     loaded = load_csv(path, engine.CENSUS_SCHEMA)
-    assert len(loaded.rows) == 50
-    assert loaded.rows[0]["sector"] == table.rows[0]["sector"]
+    assert loaded.n == 50
+    for name in table.columns:
+        assert np.array_equal(loaded.columns[name], table.columns[name])
+    got, want = encode(loaded), encode(table)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.sensitive, want.sensitive)
+    assert got.feature_names == want.feature_names
+    assert got.aux.keys() == want.aux.keys()
+    for name in want.aux:
+        assert np.array_equal(got.aux[name], want.aux[name])
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +273,21 @@ def test_grid_accepts_lambda_alias():
 # ---------------------------------------------------------------------------
 
 
-def test_write_round_csv(tmp_path):
+@pytest.mark.parametrize("kind", ["FL", "AFL"])
+def test_write_round_csv(tmp_path, kind):
     train, test, shards = synthetic_setup()
-    result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=FAST), train, test, shards)
+    result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=FAST), train, test, shards)
     path = tmp_path / "rounds.csv"
     engine.write_round_csv(path, result)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + FAST.rounds
-    assert lines[0].startswith("round,train_acc,test_acc")
+    header = "round,train_acc,test_acc,train_rd,test_rd,"
+    if kind == "AFL":
+        header += "lp_status,lp_slack,adversary_loss_before,adversary_loss_after,"
+    assert lines[0] == header + "client0_rd,client1_rd"
+    if kind == "AFL":
+        status, slack, before, after = lines[1].split(",")[5:9]
+        assert status == "optimal"
+        assert float(slack) == 0.0
+        assert float(before) == result.per_round[0]["adversary_loss_before"]
+        assert float(after) == result.per_round[0]["adversary_loss_after"]
