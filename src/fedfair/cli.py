@@ -208,39 +208,51 @@ def _check_lp(inject_fault: bool) -> bool:
     return not failures
 
 
-def check_gradient_oracle(seed: int, cases: int, n: int, gradient=logistic.loss_gradient) -> float:
-    """Worst relative gap between *gradient* and central finite differences
-    of the local objective, over *cases* random n-row shards for each of
-    lambda = 0, 2 and 100."""
+def check_gradient_oracle(
+    seed: int, cases: int, n: int, block_gradient=logistic.lockstep_gradient
+) -> float:
+    """Worst relative gap between central finite differences of the local
+    objective and both gradients the fits use: loss_gradient on each of
+    *cases* random n-row shards, and *block_gradient* on all of them
+    stacked, each client at its own weights and penalty vector; for each
+    of lambda = 0, 2 and 100."""
     rng = np.random.default_rng(seed)
     worst, d, h = 0.0, 3, 1e-6
     for lam in (0.0, 2.0, 100.0):
-        for _ in range(cases):
-            shard = data.ClientShard(
-                client_id=0,
+        shards = [
+            data.ClientShard(
+                client_id=k,
                 features=np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))]),
                 labels=rng.integers(0, 2, size=n),
                 sensitive=rng.integers(0, 2, size=n),
             )
-            w = rng.normal(size=d + 1)
-            th = rng.uniform(0.1, 2.0, size=n)
-            pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
+            for k in range(cases)
+        ]
+        ws = rng.normal(size=(cases, d + 1))
+        ths = rng.uniform(0.1, 2.0, size=(cases, n))
+        pens = [
+            logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
+            for _ in range(cases)
+        ]
+        stacked = block_gradient(ws, data.ShardBlock.stack(shards), ths.ravel(), pens)
+        for shard, w, th, pen, got in zip(shards, ws, ths, pens, stacked):
             fd = np.array([
                 logistic.local_objective(w + e, shard, th, pen)
                 - logistic.local_objective(w - e, shard, th, pen)
                 for e in h * np.eye(d + 1)
             ]) / (2 * h)
-            gap = np.linalg.norm(gradient(w, shard, th, pen) - fd)
-            worst = max(worst, gap / max(np.linalg.norm(fd), 1e-12))
+            for grad in (got, logistic.loss_gradient(w, shard, th, pen)):
+                gap = np.linalg.norm(grad - fd)
+                worst = max(worst, gap / max(np.linalg.norm(fd), 1e-12))
     return worst
 
 
 def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
-                             client_round=protocol.client_round) -> float:
+                             clients_round=protocol.clients_round) -> float:
     """Largest gap between the server's sums of one round's bundles and a
     pooled recomputation of psi_L, psi_theta, psi_C and phi_C, on *n*
-    synthetic rows in 3 even shards with 6 Gaussian bases; *seeds* draw
-    the data, the shards and the basis."""
+    synthetic rows in 3 even shards (so the clients fit in lockstep) with
+    6 Gaussian bases; *seeds* draw the data, the shards and the basis."""
     data_seed, shard_seed, basis_seed = seeds
     ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, d=3, seed=data_seed))
     shards = engine.even_shards(ds, 3, seed=shard_seed)
@@ -249,7 +261,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
         penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, opt=logistic.OptimizerSpec(epochs=5)
     )
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    bundles = [client_round(c, bc, cfg) for c in clients]
+    bundles = clients_round(clients, bc, cfg)
 
     stats = server.stats
     pooled = dict.fromkeys(("psi_L", "psi_theta", "psi_C", "phi_C"), 0.0)
@@ -269,19 +281,21 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
 
 def _check_gradient(inject_fault: bool) -> bool:
     def faulty(*args):
-        return logistic.loss_gradient(*args) + 1e-2
+        return logistic.lockstep_gradient(*args) + 1e-2
 
-    gradient = faulty if inject_fault else logistic.loss_gradient
+    gradient = faulty if inject_fault else logistic.lockstep_gradient
     return check_gradient_oracle(11, 10, 5, gradient) <= 1e-4
 
 
 def _check_aggregation(inject_fault: bool) -> bool:
     def faulty(*args):
-        bundle = protocol.client_round(*args)
-        return dataclasses.replace(bundle, psi_theta=bundle.psi_theta + 1e-3)
+        return [
+            dataclasses.replace(b, psi_theta=b.psi_theta + 1e-3)
+            for b in protocol.clients_round(*args)
+        ]
 
-    client_round = faulty if inject_fault else protocol.client_round
-    return check_aggregation_oracle(60, (3, 5, 9), client_round) <= 1e-10
+    clients_round = faulty if inject_fault else protocol.clients_round
+    return check_aggregation_oracle(60, (3, 5, 9), clients_round) <= 1e-10
 
 
 CHECKS = {

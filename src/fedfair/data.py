@@ -123,12 +123,13 @@ class EncodedDataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "EncodedDataset":
+        """Rows *idx*, without ``aux``: the split-key columns serve only
+        the split, so its train and test sets do not copy them."""
         return EncodedDataset(
             features=self.features[idx],
             labels=self.labels[idx],
             sensitive=self.sensitive[idx],
             feature_names=self.feature_names,
-            aux={k: v[idx] for k, v in self.aux.items()},
         )
 
 
@@ -144,12 +145,36 @@ class ClientShard:
         return self.features.shape[0]
 
 
+@dataclass(frozen=True)
+class ShardBlock:
+    """Client shards stacked row-wise in client order: client k owns rows
+    ``starts[k]`` to ``starts[k] + counts[k]``."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    sensitive: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def stack(shards: list[ClientShard]) -> "ShardBlock":
+        counts = np.array([s.n for s in shards])
+        return ShardBlock(
+            features=np.vstack([s.features for s in shards]),
+            labels=np.concatenate([s.labels for s in shards]),
+            sensitive=np.concatenate([s.sensitive for s in shards]),
+            starts=np.cumsum(counts) - counts,
+            counts=counts,
+        )
+
+
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
     Raises SchemaError if a declared column is absent from the header or
     no complete data row remains, and RowParseError (with the 1-based
-    line number) on a numeric cell that is not a finite number.
+    line number) on a row with fewer cells than the header or a numeric
+    cell that is not a finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -168,6 +193,10 @@ def load_csv(path, schema: Schema) -> RawTable:
         for lineno, raw in enumerate(reader, start=2):
             if not raw:
                 continue
+            if len(raw) < len(header):
+                raise RowParseError(
+                    lineno, f"{len(raw)} cells where the header has {len(header)}"
+                )
             cells = [raw[positions[col.name]].strip() for col in schema.columns]
             if any(v in MISSING_VALUES for v in cells):
                 dropped += 1

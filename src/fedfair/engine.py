@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -133,7 +134,9 @@ def _protocol_config(spec: AlgorithmSpec) -> protocol.ProtocolConfig:
     )
 
 
-def _evaluate(w, train: EncodedDataset, test: EncodedDataset, shards) -> dict:
+def _evaluate(w, train: EncodedDataset, test: EncodedDataset, clients) -> dict:
+    """Accuracy and risk difference of w on train and test, and each
+    client's risk difference (NaN on a client with one sensitive group)."""
     train_pred = logistic.predict_label(w, train.features)
     test_pred = logistic.predict_label(w, test.features)
     row = {
@@ -142,11 +145,19 @@ def _evaluate(w, train: EncodedDataset, test: EncodedDataset, shards) -> dict:
         "train_rd": fairness.risk_difference(train_pred, train.sensitive).rd,
         "test_rd": fairness.risk_difference(test_pred, test.sensitive).rd,
     }
-    per_client = []
-    for shard in shards:
-        pred = logistic.predict_label(w, shard.features)
-        per_client.append(fairness.risk_difference(pred, shard.sensitive).rd)
-    row["per_client_rd"] = per_client
+    block = clients[0].block
+    if block is None:  # no stacked rows: one prediction per shard
+        per_client = np.concatenate([
+            fairness.client_risk_differences(
+                logistic.predict_label(w, c.shard.features), c.shard.sensitive, [0]
+            )
+            for c in clients
+        ])
+    else:
+        per_client = fairness.client_risk_differences(
+            logistic.predict_label(w, block.features), block.sensitive, block.starts
+        )
+    row["per_client_rd"] = per_client.tolist()
     return row
 
 
@@ -155,17 +166,24 @@ def _evaluate(w, train: EncodedDataset, test: EncodedDataset, shards) -> dict:
 LOCAL_FAIR_RD_MAX = 0.05
 
 
+def _worst_client_rd(row: dict) -> float:
+    """The largest defined per-client risk difference; 0.0 if none is."""
+    return max((v for v in row["per_client_rd"] if not math.isnan(v)), default=0.0)
+
+
 def _select_local_fair_round(per_round: list[dict]) -> dict:
     """Best round (by train accuracy) that is fair on all clients.
 
     A round qualifies when every client's local risk difference under
     the global model is within LOCAL_FAIR_RD_MAX; if no round qualifies
-    the least-unfair round (smallest worst-client RD) is recorded.
+    the least-unfair round (smallest worst-client RD) is recorded. A
+    client whose shard holds one sensitive group has no risk difference
+    (NaN): it neither qualifies nor disqualifies a round, which is judged
+    on the other clients alone, and a round with no defined client
+    qualifies.
     """
-    achieved = [
-        r for r in per_round if max(r["per_client_rd"]) <= LOCAL_FAIR_RD_MAX
-    ]
-    pool = achieved or [min(per_round, key=lambda r: max(r["per_client_rd"]))]
+    achieved = [r for r in per_round if _worst_client_rd(r) <= LOCAL_FAIR_RD_MAX]
+    pool = achieved or [min(per_round, key=_worst_client_rd)]
     return max(pool, key=lambda r: r["train_acc"])
 
 
@@ -185,11 +203,11 @@ def run(
 
     per_round = []
     for t in range(spec.hyper.rounds):
-        bundles = [protocol.client_round(c, bc, cfg) for c in clients]
+        bundles = protocol.clients_round(clients, bc, cfg)
         alpha_old = server.alpha.copy()
         bc = protocol.server_round(server, bundles, cfg)
         row = {"round": t + 1}
-        row.update(_evaluate(bc.w_avg, train, test, shards))
+        row.update(_evaluate(bc.w_avg, train, test, clients))
         if cfg.optimize_alpha:
             psi_L = np.sum([b.psi_L for b in bundles], axis=0)
             row["adversary_loss_before"] = float(psi_L @ alpha_old)
@@ -205,7 +223,7 @@ def run(
         per_round.append(row)
 
     if not per_round:
-        final_row = _evaluate(bc.w_avg, train, test, shards)
+        final_row = _evaluate(bc.w_avg, train, test, clients)
     elif spec.kind == "LocalFair":
         final_row = _select_local_fair_round(per_round)
     else:
@@ -580,7 +598,8 @@ def _write_summary(output_dir, summary: list[dict]) -> None:
 
 def write_round_csv(path, result: RunResult) -> None:
     """Per-round metric CSV: round, accuracies, risk differences and, for
-    the alpha-optimizing variants, the LP's status, slack and adversary loss."""
+    the alpha-optimizing variants, the LP's status, slack and adversary loss.
+    A client with one sensitive group has an empty risk-difference cell."""
     if not result.per_round:
         return
     base_cols = ["round", "train_acc", "test_acc", "train_rd", "test_rd"]
@@ -594,6 +613,6 @@ def write_round_csv(path, result: RunResult) -> None:
         for row in result.per_round:
             w.writerow(
                 [row[c] for c in base_cols]
-                + [f"{v:.6f}" for v in row["per_client_rd"]]
+                + ["" if math.isnan(v) else f"{v:.6f}" for v in row["per_client_rd"]]
             )
 

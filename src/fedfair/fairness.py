@@ -63,6 +63,24 @@ def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> RiskDiffe
     )
 
 
+def client_risk_differences(
+    predictions: np.ndarray, sensitive: np.ndarray, starts
+) -> np.ndarray:
+    """Risk difference of each client's segment of rows, the segments
+    starting at *starts*; NaN for a client whose rows hold one sensitive
+    group, where the metric is undefined."""
+    starts = np.asarray(starts)
+    sensitive = np.asarray(sensitive)
+    size = np.diff(np.append(starts, len(sensitive)))
+    ones = np.add.reduceat(sensitive, starts)
+    pos = np.add.reduceat(predictions, starts)
+    pos_ones = np.add.reduceat(predictions * sensitive, starts)
+    defined = (ones > 0) & (ones < size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rd = np.abs(pos_ones / ones - (pos - pos_ones) / (size - ones))
+    return np.where(defined, rd, np.nan)
+
+
 def reweighted_risk_difference(
     predictions: np.ndarray, sensitive: np.ndarray, theta: np.ndarray
 ) -> float:

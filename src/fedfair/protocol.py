@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedfair import fairness, kernels, logistic, lp
-from fedfair.data import ClientShard
+from fedfair.data import ClientShard, ShardBlock
 from fedfair.errors import ConfigError, ProtocolError
 
 #: penalty modes for the local fairness term
@@ -91,6 +91,9 @@ class ClientState:
     psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
     fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
+    #: every client's rows stacked in client order, one block shared by the
+    #: clients of a run with more than two, which fit in lockstep; else None
+    block: ShardBlock | None = None
     expected_round: int = 0
 
 
@@ -117,19 +120,16 @@ def _penalty_for(state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig):
     return logistic.PenaltySpec(lam=cfg.lam, tau=cfg.tau, phi_c=bc.phi_C_global)
 
 
-def client_round(
-    state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig
-) -> CoefficientBundle:
-    """Local weight fit followed by coefficient extraction at the new w."""
+def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
     if bc.round != state.expected_round:
         raise ProtocolError(
             f"client {state.shard.client_id} expected round "
             f"{state.expected_round}, got {bc.round}"
         )
-    th = kernels.theta(state.kernel_matrix, bc.alpha)
-    penalty = _penalty_for(state, bc, cfg)
-    w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
 
+
+def _bundle(state: ClientState, th: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
+    """Coefficient extraction at the client's new weights."""
     losses = logistic.per_sample_logloss(w_new, state.shard.features, state.shard.labels)
     psi_L = state.kernel_matrix.T @ losses / state.stats.n_total
     psi_C = fairness.covariance_coeff_alpha(
@@ -154,12 +154,42 @@ def client_round(
         ("phi_C", phi_C),
         ("w_local", w_new),
     ):
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ProtocolError(
                 f"client {state.shard.client_id}: non-finite {name} in bundle"
             )
     state.expected_round += 1
     return bundle
+
+
+def client_round(
+    state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig
+) -> CoefficientBundle:
+    """Local weight fit followed by coefficient extraction at the new w."""
+    _check_round(state, bc)
+    th = kernels.theta(state.kernel_matrix, bc.alpha)
+    penalty = _penalty_for(state, bc, cfg)
+    w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
+    return _bundle(state, th, w_new)
+
+
+def clients_round(
+    clients: list[ClientState], bc: ServerBroadcast, cfg: ProtocolConfig
+) -> list[CoefficientBundle]:
+    """Every client's half of a round; the bundles come in client order.
+
+    Clients that share a row block fit in lockstep (logistic.fit_lockstep);
+    otherwise each runs client_round. Extraction is per client either way.
+    """
+    block = clients[0].block
+    if block is None:
+        return [client_round(c, bc, cfg) for c in clients]
+    for c in clients:
+        _check_round(c, bc)
+    ths = [kernels.theta(c.kernel_matrix, bc.alpha) for c in clients]
+    penalties = [_penalty_for(c, bc, cfg) for c in clients]
+    w_new = logistic.fit_lockstep(bc.w_avg, block, np.concatenate(ths), penalties, cfg.opt)
+    return [_bundle(c, th, w) for c, th, w in zip(clients, ths, w_new)]
 
 
 def server_round(
@@ -211,7 +241,9 @@ def init_protocol(
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
     Initial weights are zero; initial alpha is the uniform vector solving
-    the sum-to-one row, alpha_m = 1 / sum_m psi_theta_m.
+    the sum-to-one row, alpha_m = 1 / sum_m psi_theta_m. With more than two
+    shards the clients share one ShardBlock of their stacked rows, so
+    clients_round fits them in lockstep.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -226,6 +258,10 @@ def init_protocol(
     dim = shards[0].features.shape[1]
     w0 = np.zeros(dim)
 
+    # Stacked rows pay off only with more than two clients: two leave
+    # little per-call overhead to share, and the block's masking and
+    # segment sums then cost more than they save.
+    block = ShardBlock.stack(shards) if len(shards) > 2 else None
     local = cfg.penalty_mode == PENALTY_LOCAL
     unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
     clients = [
@@ -240,6 +276,7 @@ def init_protocol(
             fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
             if unweighted
             else None,
+            block=block,
         )
         for s, km, col in zip(shards, kms, col_sums)
     ]

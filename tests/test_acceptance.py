@@ -10,8 +10,11 @@ gender-correlated measurement bias, and sector-conditional label rules.
 Property criteria (7-13) are self-contained and need no external data.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -28,12 +31,27 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def run_one(kind: str, seed: int, split_kwargs=None):
+def timed_run(kind: str, seed: int, split_kwargs=None):
+    """Final metrics of one run at the defaults, and its engine.run seconds."""
     train, test, shards = engine.prepare_census(seed=seed, split_kwargs=split_kwargs)
     spec = engine.AlgorithmSpec(
         kind=kind, hyper=replace(engine.HyperParams(), seed=seed)
     )
-    return engine.run(spec, train, test, shards).final
+    start = time.perf_counter()
+    final = engine.run(spec, train, test, shards).final
+    return final, time.perf_counter() - start
+
+
+def run_all(jobs):
+    """timed_run of every (kind, seed, split_kwargs) job, in job order.
+
+    The runs are independent, so they go to a pool of at most one process
+    per core. Each worker inherits the environment conftest.py set before
+    numpy was first imported, so it runs with one BLAS thread too.
+    """
+    workers = min(os.cpu_count() or 1, len(jobs))
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(timed_run, *zip(*jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +63,13 @@ def run_one(kind: str, seed: int, split_kwargs=None):
 def shift_runs():
     """Twenty-seed shift-split results for the Table-1 algorithms."""
     algorithms = ("FL", "FairFL", "AFL", "AgnosticFair", "AgnosticFair-a")
+    jobs = [(kind, seed, None) for seed in SHIFT_SEEDS for kind in algorithms]
     results = {a: [] for a in algorithms}
     agnostic_runtime = 0.0
-    for seed in SHIFT_SEEDS:
-        train, test, shards = engine.prepare_census(seed=seed)
-        for kind in algorithms:
-            spec = engine.AlgorithmSpec(
-                kind=kind, hyper=replace(engine.HyperParams(), seed=seed)
-            )
-            start = time.perf_counter()
-            results[kind].append(engine.run(spec, train, test, shards).final)
-            if kind == "AgnosticFair":
-                agnostic_runtime += time.perf_counter() - start
+    for (kind, _, _), (final, seconds) in zip(jobs, run_all(jobs)):
+        results[kind].append(final)
+        if kind == "AgnosticFair":
+            agnostic_runtime += seconds
     means = {
         kind: {
             key: float(np.mean([r[key] for r in rows]))
@@ -70,19 +83,16 @@ def shift_runs():
 @pytest.fixture(scope="session")
 def sweep_runs():
     """Client-count sweep for AgnosticFair and LocalFair (criterion 6)."""
-    out = {}
-    for kind in ("AgnosticFair", "LocalFair"):
-        out[kind] = {}
-        for p in (2, 4, 6, 8, 10):
-            accs = [
-                run_one(
-                    kind,
-                    seed,
-                    split_kwargs={"client_assignment": "even", "num_clients": p},
-                )["test_acc"]
-                for seed in SWEEP_SEEDS
-            ]
-            out[kind][p] = float(np.mean(accs))
+    cells = [(kind, p) for kind in ("AgnosticFair", "LocalFair") for p in (2, 4, 6, 8, 10)]
+    jobs = [
+        (kind, seed, {"client_assignment": "even", "num_clients": p})
+        for kind, p in cells
+        for seed in SWEEP_SEEDS
+    ]
+    accs = iter(final["test_acc"] for final, _ in run_all(jobs))
+    out = {"AgnosticFair": {}, "LocalFair": {}}
+    for kind, p in cells:
+        out[kind][p] = float(np.mean([next(accs) for _ in SWEEP_SEEDS]))
     return out
 
 
@@ -130,17 +140,15 @@ def test_criterion_3_robust_reweighing_beats_baselines(shift_runs):
 
 
 def test_criterion_4_no_degradation_when_iid():
-    diffs = []
-    for seed in IID_SEEDS:
-        kw = {
-            "client_assignment": "even",
-            "num_clients": 2,
-            "train_fraction_group_a": 0.8,
-            "train_fraction_group_b": 0.8,
-        }
-        fl = run_one("FL", seed, split_kwargs=kw)["test_acc"]
-        aga = run_one("AgnosticFair-a", seed, split_kwargs=kw)["test_acc"]
-        diffs.append(aga - fl)
+    kw = {
+        "client_assignment": "even",
+        "num_clients": 2,
+        "train_fraction_group_a": 0.8,
+        "train_fraction_group_b": 0.8,
+    }
+    jobs = [(kind, seed, kw) for seed in IID_SEEDS for kind in ("FL", "AgnosticFair-a")]
+    accs = [final["test_acc"] for final, _ in run_all(jobs)]
+    diffs = [aga - fl for fl, aga in zip(accs[::2], accs[1::2])]
     gap = abs(float(np.mean(diffs)))
     report(4, gap <= 0.015, f"IID split |AgnosticFair-a - FL| = {gap:.4f} (<=0.015)")
 
@@ -289,7 +297,7 @@ def test_criterion_12_reductions():
     reference = engine.run_fedavg_reference(shards, 5, opt)
     worst_a = 0.0
     for w_ref in reference:
-        bundles = [protocol.client_round(c, bc, cfg) for c in clients]
+        bundles = protocol.clients_round(clients, bc, cfg)
         bc = protocol.server_round(server, bundles, cfg)
         worst_a = max(worst_a, float(np.max(np.abs(bc.w_avg - w_ref))))
     ok_a = worst_a <= 1e-10

@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import pathlib
 import subprocess
@@ -98,6 +100,18 @@ def test_prepare_header_only_csv_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_prepare_truncated_row_is_usage_error(tmp_path):
+    csv_path, schema_path = write_census_inputs(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:4])
+    csv_path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(
+        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
+         "--output", str(tmp_path / "out")]
+    )
+    assert rc == 2
+
+
 def test_make_dataset_script_feeds_prepare(tmp_path):
     data_dir = tmp_path / "data"
     env = dict(os.environ)
@@ -175,18 +189,38 @@ def test_run_unknown_hyper_key_is_usage_error(tmp_path):
 
 
 def test_run_runtime_failure_exits_1(tmp_path):
-    # 40 shards of a 300-row draw leave some shard without one sensitive
-    # group, so the per-client risk difference is undefined after training
+    # a draw with men only has one sensitive group, so the train set's risk
+    # difference is undefined after training
     cfg = {
         "algorithm": "FL",
+        "hyper": {"rounds": 2, "local_epochs": 2},
+        "dataset": {"n": 300, "census": {"p_male_private": 1.0, "p_male_other": 1.0}},
+    }
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+
+
+def test_run_one_group_shards_record_nan(tmp_path):
+    # 40 shards of a 300-row draw leave six shards with one sensitive group
+    cfg = {
+        "algorithm": "LocalFair",
         "hyper": {"rounds": 2, "local_epochs": 2},
         "dataset": {"n": 300},
         "split": {"client_assignment": "even", "num_clients": 40},
     }
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
-    assert rc == 1
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 0
+    per_client = yaml.safe_load((out / "result.yaml").read_text())["final"]["per_client_rd"]
+    undefined = [k for k, v in enumerate(per_client) if math.isnan(v)]
+    assert len(per_client) == 40 and len(undefined) == 6
+    with open(out / "rounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(rows[1][f"client{k}_rd"] == "" for k in undefined)
 
 
 def test_run_deterministic_across_invocations(tmp_path):

@@ -112,6 +112,16 @@ def test_load_csv_non_finite_numeric_cites_line(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_load_csv_short_row_cites_line(tmp_path):
+    p = write_csv(
+        tmp_path / "d.csv",
+        "age,job,gender,income\n30,clerk,male,high\n31,cook\n",
+    )
+    with pytest.raises(RowParseError) as err:
+        data.load_csv(p, SCHEMA)
+    assert err.value.line_number == 3
+
+
 def test_load_csv_empty_file(tmp_path):
     p = write_csv(tmp_path / "d.csv", "")
     with pytest.raises(SchemaError):
@@ -240,6 +250,12 @@ def test_shift_split_counts_by_group():
     train, test, shards = data.shift_split(ds, spec())
     assert shards[0].n == 8 and shards[1].n == 2
     assert train.n == 10 and test.n == 10
+
+
+def test_shift_split_leaves_split_keys_behind():
+    ds = data.encode(make_split_table())
+    train, test, _ = data.shift_split(ds, spec())
+    assert "job" in ds.aux and train.aux == {} and test.aux == {}
 
 
 def test_shift_split_partition_no_overlap():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedfair import engine, logistic
+from fedfair import engine, fairness, logistic
 from fedfair.errors import ConfigError
 
 
@@ -129,6 +129,36 @@ def test_local_fair_falls_back_to_least_unfair():
         row(0.80, [0.08, 0.09]),  # smallest worst-client rd
     ]
     assert engine._select_local_fair_round(rounds)["train_acc"] == 0.80
+
+
+def test_local_fair_judges_rounds_on_defined_clients():
+    nan = float("nan")
+    rounds = [
+        row(0.70, [0.01, nan]),  # fair on its one defined client
+        row(0.90, [nan, 0.30]),  # unfair
+        row(0.80, [nan, nan]),  # no defined client: qualifies
+    ]
+    assert engine._select_local_fair_round(rounds)["train_acc"] == 0.80
+    rounds = [row(0.70, [0.30, nan]), row(0.90, [nan, 0.20])]
+    assert engine._select_local_fair_round(rounds)["train_acc"] == 0.90
+
+
+@pytest.mark.parametrize("kind", ["FL", "LocalFair"])
+def test_one_group_shards_get_nan_risk_difference(kind):
+    train, test, shards = engine.census_from_config(
+        {"n": 300}, {"client_assignment": "even", "num_clients": 40}, 0
+    )
+    hyper = engine.HyperParams(rounds=3, local_epochs=2)
+    result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper), train, test, shards)
+    one_group = [k for k, s in enumerate(shards) if len(set(s.sensitive.tolist())) < 2]
+    assert len(one_group) == 6
+    for r in result.per_round:
+        assert [k for k, v in enumerate(r["per_client_rd"]) if np.isnan(v)] == one_group
+    last = result.per_round[-1]["per_client_rd"]
+    for k, shard in enumerate(shards):
+        if k not in one_group:
+            pred = logistic.predict_label(result.w_final, shard.features)
+            assert last[k] == fairness.risk_difference(pred, shard.sensitive).rd
 
 
 # ---------------------------------------------------------------------------

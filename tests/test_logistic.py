@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import logistic
+from fedfair import fairness, logistic
+from fedfair.data import ShardBlock
 from fedfair.errors import ProtocolError
 
 from conftest import make_shard, random_shard
@@ -297,3 +298,96 @@ def test_no_nan_for_bounded_weights(seed, scale):
         w, shard, np.ones(6), logistic.PenaltySpec.disabled(3)
     )
     assert np.all(np.isfinite(grad))
+
+
+# ---------------------------------------------------------------------------
+# fit_lockstep, against fit_local client by client
+# ---------------------------------------------------------------------------
+
+
+def mode_penalties(mode, r, shards, thetas, lam):
+    """Each client's penalty as the protocol builds it in each penalty mode."""
+    dim = shards[0].features.shape[1]
+    if mode == "none":
+        return [logistic.PenaltySpec.disabled(dim)] * len(shards)
+    if mode == "local":
+        return [
+            logistic.PenaltySpec(lam, 0.0, s.features.T @ (s.sensitive - s.sensitive.mean()) / s.n)
+            for s in shards
+        ]
+    stats = fairness.compute_stats(shards)
+    weights = thetas if mode == "global" else [np.ones(s.n) for s in shards]
+    phi = np.sum(
+        [fairness.covariance_coeff_w(s, w, stats) for s, w in zip(shards, weights)], axis=0
+    )
+    return [logistic.PenaltySpec(lam, 0.05, phi)] * len(shards)
+
+
+def lockstep_case(seed, p, mode, lam, scale):
+    r = np.random.default_rng(seed)
+    sizes = r.integers(1, 12, size=p)
+    sizes[r.integers(p)] = 1
+    shards = [random_shard(r, int(n), 3, k) for k, n in enumerate(sizes)]
+    thetas = [r.uniform(0.1, 2.0, size=n) * (r.random(n) < 0.7) for n in sizes]
+    thetas[r.integers(p)][:] = 0.0
+    w0 = r.normal(size=4) * scale
+    return shards, thetas, mode_penalties(mode, r, shards, thetas, lam), w0
+
+
+def assert_same_fit(got, want, shard, theta, penalty):
+    """*got* is *want* exactly, unless an accept test of fit_local was
+    decided by rounding: the two sum the objective in different orders,
+    and at saturated logits near the optimum the terms c*softplus(z) and
+    c*y*z cancel to below the error of their sums. The two then reach the
+    same exact objective to that error, a few 1e-16 of sum(c |z|)."""
+    if np.array_equal(got, want):
+        return
+    scale = float(theta @ np.abs(shard.features @ want)) / shard.n
+    gap = logaddexp_objective(got, shard, theta, penalty) - logaddexp_objective(
+        want, shard, theta, penalty
+    )
+    assert abs(gap) <= 1e-13 * max(1.0, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 25),
+    mode=st.sampled_from(["none", "global", "unweighted", "local"]),
+    lam=st.sampled_from([2.0, 100.0]),
+    scale=st.sampled_from([0.1, 1.0, 60.0]),
+    step=st.sampled_from([(1.0, 20), (5.0, 2), (1e6, 0)]),
+)
+def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
+    # scale 60 puts logits far beyond +-40; a step of 1e6 with no halving
+    # is rejected by every client whose gradient is not zero
+    shards, thetas, pens, w0 = lockstep_case(seed, p, mode, lam, scale)
+    opt = logistic.OptimizerSpec(learning_rate=step[0], epochs=10, max_halvings=step[1])
+    got = logistic.fit_lockstep(w0, ShardBlock.stack(shards), np.concatenate(thetas), pens, opt)
+    assert got.shape == (p, 4)
+    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
+        assert_same_fit(got[k], logistic.fit_local(w0, shard, th, pen, opt), shard, th, pen)
+
+
+def test_lockstep_stops_rejecting_clients_and_fits_the_rest():
+    shards, thetas, pens, w0 = lockstep_case(5, 8, "global", 2.0, 1.0)
+    block, theta = ShardBlock.stack(shards), np.concatenate(thetas)
+    for lr, halvings in ((1e6, 0), (1e3, 3), (1.0, 20)):
+        opt = logistic.OptimizerSpec(learning_rate=lr, epochs=5, max_halvings=halvings)
+        got = logistic.fit_lockstep(w0, block, theta, pens, opt)
+        for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
+            assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+        if lr == 1e6:
+            # the quadratic penalty makes so long a step worse for every
+            # client: each rejects its first step and stops at w0
+            assert all(np.array_equal(w, w0) for w in got)
+
+
+def test_lockstep_nonfinite_start_raises(rng):
+    shards = [random_shard(rng, 4, 2, k) for k in range(3)]
+    w0 = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ProtocolError):
+        logistic.fit_lockstep(
+            w0, ShardBlock.stack(shards), np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
+            logistic.OptimizerSpec(epochs=1),
+        )

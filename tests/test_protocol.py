@@ -289,3 +289,48 @@ def test_lambda_zero_disables_penalty(rng):
     spec = protocol._penalty_for(clients[0], bc, cfg)
     assert spec.lam == 0.0
     assert np.allclose(spec.phi_c, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep clients
+# ---------------------------------------------------------------------------
+
+
+def test_only_runs_with_more_than_two_clients_share_a_block(rng):
+    basis = kernels.constant_basis(3)
+    for p, shared in ((1, False), (2, False), (3, True)):
+        shards = [random_shard(rng, 5, 2, k) for k in range(p)]
+        _, clients, _ = setup_run(shards, basis, fast_cfg())
+        assert (clients[0].block is not None) == shared
+        assert all(c.block is clients[0].block for c in clients)
+
+
+@pytest.mark.parametrize("mode", [
+    protocol.PENALTY_NONE, protocol.PENALTY_GLOBAL,
+    protocol.PENALTY_UNWEIGHTED, protocol.PENALTY_LOCAL,
+])
+def test_lockstep_round_matches_client_rounds(mode, rng):
+    # uneven shards, one of a single row, over three rounds of the LP loop
+    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((1, 7, 12, 30))]
+    basis = kernels.select_basis(shards, 5, seed=1)
+    cfg = fast_cfg(penalty_mode=mode, fairness_row_in_lp=True,
+                   opt=logistic.OptimizerSpec(learning_rate=2.0, epochs=10))
+    server, clients, bc = setup_run(shards, basis, cfg)
+    _, oracle_clients, _ = setup_run(shards, basis, cfg)
+    for _ in range(3):
+        bundles = protocol.clients_round(clients, bc, cfg)
+        expected = [protocol.client_round(c, bc, cfg) for c in oracle_clients]
+        for got, want in zip(bundles, expected):
+            assert got.client_id == want.client_id
+            for name in ("psi_L", "psi_theta", "psi_C", "phi_C", "w_local"):
+                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
+        bc = protocol.server_round(server, bundles, cfg)
+
+
+def test_lockstep_round_mismatch_raises(rng):
+    shards = [random_shard(rng, 6, 2, k) for k in range(3)]
+    cfg = fast_cfg(optimize_alpha=False)
+    server, clients, bc = setup_run(shards, kernels.constant_basis(3), cfg)
+    protocol.clients_round(clients, bc, cfg)
+    with pytest.raises(ProtocolError):
+        protocol.clients_round(clients, bc, cfg)
