@@ -1,4 +1,4 @@
-"""Command-line entry point: prepare data, run experiments, verify math.
+"""Command-line entry point: run experiments, verify math.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 Progress goes to stderr; machine-readable results go to files/stdout.
@@ -31,56 +31,8 @@ def _output_dir(args) -> str:
     return out
 
 
-def cmd_prepare(args) -> int:
-    schema, split = data.load_schema_file(args.schema)
-    if split is None:
-        log.error("schema file %s has no 'split' section", args.schema)
-        return EXIT_USAGE
-    if args.seed is not None:
-        split = dataclasses.replace(split, seed=args.seed)
-    raw = data.load_csv(args.data, schema)
-    ds = data.encode(raw)
-    train, test, shards = data.shift_split(ds, split)
-
-    out = _output_dir(args)
-    data.save_encoded_csv(os.path.join(out, "train.csv"), train)
-    data.save_encoded_csv(os.path.join(out, "test.csv"), test)
-    shard_files = []
-    for shard in shards:
-        name = f"shard{shard.client_id}.csv"
-        data.save_encoded_csv(
-            os.path.join(out, name),
-            data.EncodedDataset(
-                features=shard.features,
-                labels=shard.labels,
-                sensitive=shard.sensitive,
-                feature_names=train.feature_names,
-            ),
-        )
-        shard_files.append({"client_id": shard.client_id, "file": name, "rows": shard.n})
-    manifest = {
-        "source": os.path.abspath(args.data),
-        "seed": split.seed,
-        "train_rows": train.n,
-        "test_rows": test.n,
-        "features": train.feature_names,
-        "shards": shard_files,
-    }
-    with open(os.path.join(out, "manifest.yaml"), "w") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=False)
-    log.info("prepared %d train / %d test rows into %s", train.n, test.n, out)
-    return EXIT_OK
-
-
-def _load_run_config(args) -> dict:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            return yaml.safe_load(fh) or {}
-    return {}
-
-
 def cmd_run(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = engine.read_config(args.config, engine.RUN_KEYS) if args.config else {}
     hyper = engine.hyper_from_config(cfg, rounds=args.rounds, seed=args.seed)
 
     algorithm = args.algorithm or cfg.get("algorithm", "AgnosticFair")
@@ -92,20 +44,12 @@ def cmd_run(args) -> int:
         )
         return EXIT_USAGE
 
-    split_cfg = (cfg.get("splits") or [cfg.get("split", {})])[0]
-    data_cfg = dict(cfg.get("dataset", {}))
+    train, test, shards = engine.data_from_config(
+        cfg.get("dataset") or {}, engine.config_splits(cfg)[0], hyper.seed
+    )
     out = _output_dir(args)
-
-    if data_cfg.get("kind", "census") == "csv":
-        schema, split = data.load_schema_file(data_cfg["schema"])
-        raw = data.load_csv(data_cfg["path"], schema)
-        train, test, shards = data.shift_split(data.encode(raw), split)
-    else:
-        train, test, shards = engine.census_from_config(data_cfg, split_cfg, hyper.seed)
-
     spec = engine.AlgorithmSpec(kind=algorithm, hyper=hyper)
-    dump = os.path.join(out, "lp_dump.txt") if args.debug_lp_dump else None
-    result = engine.run(spec, train, test, shards, debug_lp_dump=dump)
+    result = engine.run(spec, train, test, shards)
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     with open(os.path.join(out, "result.yaml"), "w") as fh:
         yaml.safe_dump(
@@ -127,11 +71,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if not args.config:
-        log.error("grid requires --config")
-        return EXIT_USAGE
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+    cfg = engine.read_config(args.config, engine.GRID_KEYS)
     out = _output_dir(args)
     summary = engine.experiment_grid(cfg, output_dir=out)
     for row in summary:
@@ -327,20 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="INFO")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("prepare", help="encode, split and shard a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--output", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_prepare)
-
     p = sub.add_parser("run", help="run one training experiment")
     p.add_argument("--config", default=None)
     p.add_argument("--algorithm", default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None)
-    p.add_argument("--debug-lp-dump", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="run an experiment grid from a config file")

@@ -360,15 +360,3 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
         )
     return schema, split
 
-
-def save_encoded_csv(path, ds: EncodedDataset) -> None:
-    """Persist an encoded dataset (features + label + sensitive) as CSV."""
-    header = ds.feature_names + ["__label__", "__sensitive__"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.n):
-            w.writerow(
-                [f"{v:.10g}" for v in ds.features[i]]
-                + [int(ds.labels[i]), int(ds.sensitive[i])]
-            )

@@ -1,4 +1,4 @@
-"""Training orchestration: algorithm variants, synthetic data, experiment grid.
+"""Training orchestration: algorithm variants, data, configs, experiment grid.
 
 All algorithm variants run through the same client/server machinery and
 differ only in basis kind, whether alpha is optimized, whether the LP
@@ -44,6 +44,8 @@ from fedfair.data import (
     Schema,
     ShiftSplitSpec,
     encode,
+    load_csv,
+    load_schema_file,
     shift_split,
 )
 from fedfair.errors import ConfigError, FedFairError
@@ -142,8 +144,8 @@ def _evaluate(w, train: EncodedDataset, test: EncodedDataset, clients) -> dict:
     row = {
         "train_acc": float((train_pred == train.labels).mean()),
         "test_acc": float((test_pred == test.labels).mean()),
-        "train_rd": fairness.risk_difference(train_pred, train.sensitive).rd,
-        "test_rd": fairness.risk_difference(test_pred, test.sensitive).rd,
+        "train_rd": fairness.risk_difference(train_pred, train.sensitive),
+        "test_rd": fairness.risk_difference(test_pred, test.sensitive),
     }
     block = clients[0].block
     if block is None:  # no stacked rows: one prediction per shard
@@ -192,12 +194,9 @@ def run(
     train: EncodedDataset,
     test: EncodedDataset,
     shards: list[ClientShard],
-    debug_lp_dump: str | None = None,
 ) -> RunResult:
     """Execute the full synchronous training loop and evaluate per round."""
     cfg = _protocol_config(spec)
-    if debug_lp_dump:
-        cfg = replace(cfg, debug_lp_dump=debug_lp_dump)
     basis = _make_basis(spec, shards)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
 
@@ -496,28 +495,96 @@ def prepare_census(
 
 
 # ---------------------------------------------------------------------------
-# experiment grid
+# configs and the experiment grid
 # ---------------------------------------------------------------------------
 
 
 _SPLIT_KEYS = ("train_fraction_group_a", "train_fraction_group_b",
                "client_assignment", "num_clients")
 
+#: top-level keys of a ``fedfair run`` and a ``fedfair grid`` config
+RUN_KEYS = ("algorithm", "hyper", "dataset", "split", "splits")
+GRID_KEYS = ("algorithms", "splits", "repetitions", "base_seed", "hyper", "dataset")
+
+#: ``dataset`` keys of each dataset kind
+_DATASET_KEYS = {"census": ("kind", "n", "census"), "csv": ("kind", "path", "schema")}
+#: census draw parameters a config may set; ``n`` and the seed come from elsewhere
+_CENSUS_KEYS = tuple(f.name for f in fields(CensusSpec) if f.name not in ("n", "seed"))
+
+
+def _check_keys(section: str, given, known) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a mapping, not {type(given).__name__}")
+    if unknown := set(given) - set(known):
+        raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
+
+
+def config_splits(config: dict) -> list[dict]:
+    """A config's ``splits`` list, else its one ``split`` section."""
+    return config.get("splits") or [config.get("split") or {}]
+
+
+def read_config(path, keys) -> dict:
+    """The mapping in the YAML file at *path*, every key name checked:
+    the top level against *keys* (RUN_KEYS or GRID_KEYS), then the
+    ``hyper``, ``dataset`` and split sections against what their readers
+    take. Raises ConfigError for a YAML error, an empty file or a
+    document that is not a mapping."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            config = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    if config is None:
+        raise ConfigError(f"{path}: empty config")
+    _check_keys("config", config, keys)
+    hyper_from_config(config)
+    for split_cfg in config_splits(config):
+        _check_data_keys(config.get("dataset") or {}, split_cfg)
+    return config
+
 
 def hyper_from_config(config: dict, **overrides) -> HyperParams:
     """HyperParams from a config's ``hyper`` section, which may spell
     ``lam`` as ``lambda``; *overrides* that are not None take precedence."""
-    hyper_cfg = dict(config.get("hyper", {}))
+    hyper_cfg = config.get("hyper") or {}
+    _check_keys("hyper", hyper_cfg, ("lambda", *(f.name for f in fields(HyperParams))))
+    hyper_cfg = dict(hyper_cfg)
     if "lambda" in hyper_cfg:
         hyper_cfg["lam"] = hyper_cfg.pop("lambda")
-    if unknown := set(hyper_cfg) - {f.name for f in fields(HyperParams)}:
-        raise ConfigError(f"unknown hyper key(s): {', '.join(sorted(unknown))}")
     hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
     return HyperParams(**hyper_cfg)
 
 
-def census_from_config(data_cfg: dict, split_cfg: dict, seed: int):
-    """The census draw a config's ``dataset`` and split sections describe."""
+def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
+    """Check a ``dataset`` section and one split against the keys
+    data_from_config reads; returns the dataset kind."""
+    kind = data_cfg.get("kind", "census") if isinstance(data_cfg, dict) else "census"
+    if kind not in ("census", "csv"):
+        raise ConfigError(f"unknown dataset kind {kind!r}; valid: census, csv")
+    _check_keys("dataset", data_cfg, _DATASET_KEYS[kind])
+    if kind == "csv":
+        if missing := {"path", "schema"} - set(data_cfg):
+            raise ConfigError(f"csv dataset needs key(s): {', '.join(sorted(missing))}")
+        # a CSV is split as its schema file's split section says
+        _check_keys("csv split", split_cfg, ("name",))
+    else:
+        _check_keys("dataset.census", data_cfg.get("census") or {}, _CENSUS_KEYS)
+        _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
+    return kind
+
+
+def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
+    """The (train, test, shards) that a config's ``dataset`` section and
+    one of its splits describe. ``kind: census`` (the default) draws the
+    census-like generator at *seed*; ``kind: csv`` loads ``path`` against
+    the schema file ``schema`` and splits it as that file's ``split``
+    section says."""
+    if _check_data_keys(data_cfg, split_cfg) == "csv":
+        schema, split = load_schema_file(data_cfg["schema"])
+        if split is None:
+            raise ConfigError(f"{data_cfg['schema']}: schema file has no 'split' section")
+        return shift_split(encode(load_csv(data_cfg["path"], schema)), split)
     return prepare_census(
         seed=seed,
         n=int(data_cfg.get("n", 6000)),
@@ -527,7 +594,7 @@ def census_from_config(data_cfg: dict, split_cfg: dict, seed: int):
 
 
 def _grid_cell(algorithm: str, split_cfg: dict, hyper: HyperParams, data_cfg: dict, seed: int) -> dict:
-    train, test, shards = census_from_config(data_cfg, split_cfg, seed)
+    train, test, shards = data_from_config(data_cfg, split_cfg, seed)
     spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
     return run(spec, train, test, shards).final
 
@@ -543,7 +610,7 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     reps = int(config.get("repetitions", 1))
     base_seed = int(config.get("base_seed", 0))
     hyper = hyper_from_config(config)
-    data_cfg = dict(config.get("dataset", {}))
+    data_cfg = config.get("dataset") or {}
 
     summary = []
     for algorithm in algorithms:
@@ -572,6 +639,7 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
             if finals:
                 for key in ("train_acc", "test_acc", "test_rd"):
                     row[key] = float(np.mean([f[key] for f in finals]))
+                row["test_acc_sd"] = float(np.std([f["test_acc"] for f in finals]))
             if errors:
                 row["errors"] = errors
             summary.append(row)
@@ -586,7 +654,7 @@ def _write_summary(output_dir, summary: list[dict]) -> None:
 
     os.makedirs(output_dir, exist_ok=True)
     cols = ["algorithm", "split", "repetitions_ok", "repetitions_failed",
-            "train_acc", "test_acc", "test_rd"]
+            "train_acc", "test_acc", "test_acc_sd", "test_rd"]
     with open(os.path.join(output_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)

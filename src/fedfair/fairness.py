@@ -24,43 +24,30 @@ from fedfair.errors import MetricUndefinedError
 class FairnessStats:
     s_bar: float
     n_total: int
-    per_client_counts: tuple[tuple[int, int], ...]  # (n_k, sum of s)
-
-
-@dataclass
-class RiskDifferenceReport:
-    rd: float
-    group_rates: dict[int, float]
-    group_counts: dict[int, int]
 
 
 def compute_stats(shards: list[ClientShard]) -> FairnessStats:
     """Pool per-client (n_k, sum s) into the global sensitive mean."""
-    counts = tuple((int(s.n), int(s.sensitive.sum())) for s in shards)
-    n = sum(c[0] for c in counts)
-    s_sum = sum(c[1] for c in counts)
-    s_bar = s_sum / n
+    n = sum(int(s.n) for s in shards)
+    s_bar = sum(int(s.sensitive.sum()) for s in shards) / n
     if s_bar in (0.0, 1.0):
         warnings.warn(
             "sensitive attribute is constant; covariance constraint degenerates"
         )
-    return FairnessStats(s_bar=s_bar, n_total=n, per_client_counts=counts)
+    return FairnessStats(s_bar=s_bar, n_total=n)
 
 
-def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> RiskDifferenceReport:
+def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
     """|P(yhat=1 | s=1) - P(yhat=1 | s=0)| over the given samples."""
     predictions = np.asarray(predictions)
     sensitive = np.asarray(sensitive)
-    rates, counts = {}, {}
+    rates = {}
     for g in (0, 1):
         mask = sensitive == g
-        counts[g] = int(mask.sum())
-        if counts[g] == 0:
+        if not mask.any():
             raise MetricUndefinedError(f"sensitive group {g} is empty")
         rates[g] = float(predictions[mask].mean())
-    return RiskDifferenceReport(
-        rd=abs(rates[1] - rates[0]), group_rates=rates, group_counts=counts
-    )
+    return abs(rates[1] - rates[0])
 
 
 def client_risk_differences(

@@ -236,16 +236,3 @@ def brute_force_oracle(lp: AlphaLP) -> LPSolution:
         slack_used=float(s_min),
     )
 
-
-def dump_lp(lp: AlphaLP, path) -> None:
-    """Plain-text dump of the LP rows for offline verification."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("objective " + " ".join(f"{v:.12g}" for v in lp.objective) + "\n")
-        fh.write("equality " + " ".join(f"{v:.12g}" for v in lp.equality) + " = 1\n")
-        if lp.fairness_row is not None:
-            fh.write(
-                "fairness "
-                + " ".join(f"{v:.12g}" for v in lp.fairness_row)
-                + f" | <= {lp.tau:.12g}\n"
-            )
-        fh.write(f"bounds 0 <= alpha <= {lp.box_upper:.12g}\n---\n")

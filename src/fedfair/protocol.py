@@ -33,7 +33,6 @@ class ProtocolConfig:
     optimize_alpha: bool = True
     fairness_row_in_lp: bool = False
     opt: logistic.OptimizerSpec = field(default_factory=logistic.OptimizerSpec)
-    debug_lp_dump: str | None = None
 
     def __post_init__(self):
         if self.penalty_mode not in (
@@ -215,8 +214,6 @@ def server_round(
             tau=cfg.tau,
             box_upper=state.basis.bound,
         )
-        if cfg.debug_lp_dump:
-            lp.dump_lp(problem, cfg.debug_lp_dump)
         solution = lp.solve(problem)
         if solution.status == lp.STATUS_ERROR:
             raise ProtocolError(f"round {state.round}: alpha LP unsolvable")

@@ -309,7 +309,7 @@ def test_criterion_12_reductions():
         n = int(rng.integers(4, 40))
         preds = rng.integers(0, 2, size=n)
         sens = np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
-        plain = fairness.risk_difference(preds, sens).rd
+        plain = fairness.risk_difference(preds, sens)
         rw = fairness.reweighted_risk_difference(preds, sens, np.ones(n))
         ok_b = ok_b and (rw == plain)
 

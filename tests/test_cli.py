@@ -2,18 +2,20 @@ import csv
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import pytest
 import yaml
 
-from fedfair import cli, engine
+from fedfair import cli, data, engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_census_inputs(tmp_path, n=300, with_split=True):
-    """Small raw CSV plus matching schema YAML for the prepare command."""
+    """Small raw CSV, its schema YAML and a run config that trains on them."""
     table = engine.generate_census_like(engine.CensusSpec(n=n, seed=0))
     csv_path = tmp_path / "census.csv"
     engine.write_census_csv(csv_path, table)
@@ -35,84 +37,64 @@ def write_census_inputs(tmp_path, n=300, with_split=True):
         }
     schema_path = tmp_path / "schema.yaml"
     schema_path.write_text(yaml.safe_dump(doc))
-    return csv_path, schema_path
+    cfg_path = write_config(tmp_path, {
+        "algorithm": "FL",
+        "hyper": {"rounds": 1, "local_epochs": 2},
+        "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)},
+    })
+    return csv_path, schema_path, cfg_path
 
 
-def small_run_config(tmp_path, algorithm="FL", rounds=2):
-    cfg = {
-        "algorithm": algorithm,
-        "hyper": {"rounds": rounds, "local_epochs": 2, "num_bases": 4},
-        "dataset": {"n": 300},
-    }
-    path = tmp_path / "run.yaml"
+def write_config(tmp_path, cfg, name="run.yaml"):
+    path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
 
 
-# ---------------------------------------------------------------------------
-# prepare
-# ---------------------------------------------------------------------------
+def small_run_config(tmp_path, algorithm="FL", rounds=2):
+    return write_config(tmp_path, {
+        "algorithm": algorithm,
+        "hyper": {"rounds": rounds, "local_epochs": 2, "num_bases": 4},
+        "dataset": {"n": 300},
+    })
 
 
-def test_prepare_writes_manifest_and_shards(tmp_path):
-    csv_path, schema_path = write_census_inputs(tmp_path)
-    out = tmp_path / "out"
-    rc = cli.main(
-        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
-         "--output", str(out)]
-    )
-    assert rc == 0
-    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-    assert manifest["train_rows"] + manifest["test_rows"] == 300
-    assert len(manifest["shards"]) == 2
-    for entry in manifest["shards"]:
-        assert (out / entry["file"]).exists()
-    assert (out / "train.csv").exists() and (out / "test.csv").exists()
-    assert sum(e["rows"] for e in manifest["shards"]) == manifest["train_rows"]
+# ---------------------------------------------------------------------------
+# CSV datasets: the data preparation step of run and grid
+# ---------------------------------------------------------------------------
 
 
 def test_prepare_without_split_section_is_usage_error(tmp_path):
-    csv_path, schema_path = write_census_inputs(tmp_path, with_split=False)
-    rc = cli.main(
-        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
-         "--output", str(tmp_path / "out")]
-    )
+    _, _, cfg = write_census_inputs(tmp_path, with_split=False)
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
 
 
 def test_prepare_missing_data_file_is_usage_error(tmp_path):
-    _, schema_path = write_census_inputs(tmp_path)
-    rc = cli.main(
-        ["prepare", "--data", str(tmp_path / "nope.csv"),
-         "--schema", str(schema_path), "--output", str(tmp_path / "out")]
-    )
+    csv_path, _, cfg = write_census_inputs(tmp_path)
+    csv_path.unlink()
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
 
 
 def test_prepare_header_only_csv_is_usage_error(tmp_path):
-    csv_path, schema_path = write_census_inputs(tmp_path)
+    csv_path, _, cfg = write_census_inputs(tmp_path)
     header = csv_path.read_text().splitlines()[0]
     csv_path.write_text(header + "\n")
-    rc = cli.main(
-        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
-         "--output", str(tmp_path / "out")]
-    )
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
 
 
 def test_prepare_truncated_row_is_usage_error(tmp_path):
-    csv_path, schema_path = write_census_inputs(tmp_path)
+    csv_path, _, cfg = write_census_inputs(tmp_path)
     lines = csv_path.read_text().splitlines()
     lines[5] = ",".join(lines[5].split(",")[:4])
     csv_path.write_text("\n".join(lines) + "\n")
-    rc = cli.main(
-        ["prepare", "--data", str(csv_path), "--schema", str(schema_path),
-         "--output", str(tmp_path / "out")]
-    )
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
 
 
-def test_make_dataset_script_feeds_prepare(tmp_path):
+def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     data_dir = tmp_path / "data"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -123,17 +105,86 @@ def test_make_dataset_script_feeds_prepare(tmp_path):
          "--n", "200", "--out", str(data_dir)],
         check=True, env=env, capture_output=True,
     )
-    out = tmp_path / "out"
-    rc = cli.main(
-        ["prepare", "--data", str(data_dir / "census.csv"),
-         "--schema", str(data_dir / "schema.yaml"), "--output", str(out)]
+    dataset = {"kind": "csv", "path": str(data_dir / "census.csv"),
+               "schema": str(data_dir / "schema.yaml")}
+    hyper = {"rounds": 1, "local_epochs": 2, "num_bases": 4}
+    raw = data.load_csv(data_dir / "census.csv", engine.CENSUS_SCHEMA)
+    _, split = data.load_schema_file(data_dir / "schema.yaml")
+    train, test, shards = data.shift_split(data.encode(raw), split)
+    assert train.n + test.n == 200
+    spec = engine.AlgorithmSpec(kind="FL", hyper=engine.HyperParams(**hyper))
+    want = engine.run(spec, train, test, shards).final
+
+    run_cfg = write_config(tmp_path, {"algorithm": "FL", "hyper": hyper, "dataset": dataset})
+    assert cli.main(["run", "--config", str(run_cfg), "--output", str(tmp_path / "run")]) == 0
+    got = yaml.safe_load((tmp_path / "run" / "result.yaml").read_text())["final"]
+    assert (got["test_acc"], got["test_rd"]) == (want["test_acc"], want["test_rd"])
+
+    grid_cfg = write_config(
+        tmp_path, {"algorithms": ["FL"], "hyper": hyper, "dataset": dataset}, "grid.yaml"
     )
-    assert rc == 0
-    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-    assert manifest["train_rows"] + manifest["test_rows"] == 200
-    assert len(manifest["shards"]) == 2
-    for entry in manifest["shards"]:
-        assert (out / entry["file"]).exists()
+    grid_out = tmp_path / "grid"
+    assert cli.main(["grid", "--config", str(grid_cfg), "--output", str(grid_out)]) == 0
+    [row] = yaml.safe_load((grid_out / "summary.yaml").read_text())
+    assert (row["test_acc"], row["test_rd"]) == (want["test_acc"], want["test_rd"])
+
+
+# ---------------------------------------------------------------------------
+# config files
+# ---------------------------------------------------------------------------
+
+FAST_HYPER = {"rounds": 1, "local_epochs": 1, "num_bases": 4}
+
+BAD_CONFIGS = {
+    "empty": "",
+    "yaml_syntax_error": "hyper: {rounds: 1\n",
+    "not_a_mapping": "- FL\n- AFL\n",
+    "csv_without_schema": {"dataset": {"kind": "csv", "path": "census.csv"}},
+    "csv_without_path": {"dataset": {"kind": "csv", "schema": "schema.yaml"}},
+    "csv_with_split_keys": {
+        "dataset": {"kind": "csv", "path": "census.csv", "schema": "schema.yaml"},
+        "splits": [{"name": "even", "num_clients": 4}],
+    },
+    "unknown_census_key": {"dataset": {"n": 300, "census": {"p_privat": 0.5}}},
+    "unknown_dataset_kind": {"dataset": {"kind": "parquet", "n": 300}},
+    "unknown_dataset_key": {"dataset": {"n": 300, "rows": 300}},
+    "misspelled_split_key": {
+        "dataset": {"n": 300},
+        "splits": [{"name": "even", "client_assignment": "even", "num_client": 4}],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
+    bad = BAD_CONFIGS[case]
+    path = tmp_path / "bad.yaml"
+    if isinstance(bad, str):
+        path.write_text(bad)
+    else:
+        write_census_inputs(tmp_path)  # census.csv and schema.yaml, for the csv cases
+        monkeypatch.chdir(tmp_path)
+        path.write_text(yaml.safe_dump({"hyper": FAST_HYPER, **bad}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+def test_grid_rejects_run_keys(tmp_path):
+    path = write_config(tmp_path, {"algorithm": "FL", "hyper": FAST_HYPER})
+    assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "scripts" / "configs").glob("*.yaml")), ids=lambda p: p.name
+)
+def test_shipped_configs_pass_the_reader(path):
+    text = path.read_text()
+    # each config names the command that reads it in its "Run with:" line
+    command = re.search(r"fedfair (run|grid) --config", text).group(1)
+    keys = engine.RUN_KEYS if command == "run" else engine.GRID_KEYS
+    assert engine.read_config(path, keys) == yaml.safe_load(text)
 
 
 # ---------------------------------------------------------------------------

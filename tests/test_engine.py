@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfair import engine, fairness, logistic
-from fedfair.errors import ConfigError
+from fedfair.data import ClientShard, EncodedDataset
+from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
@@ -145,7 +148,7 @@ def test_local_fair_judges_rounds_on_defined_clients():
 
 @pytest.mark.parametrize("kind", ["FL", "LocalFair"])
 def test_one_group_shards_get_nan_risk_difference(kind):
-    train, test, shards = engine.census_from_config(
+    train, test, shards = engine.data_from_config(
         {"n": 300}, {"client_assignment": "even", "num_clients": 40}, 0
     )
     hyper = engine.HyperParams(rounds=3, local_epochs=2)
@@ -158,7 +161,53 @@ def test_one_group_shards_get_nan_risk_difference(kind):
     for k, shard in enumerate(shards):
         if k not in one_group:
             pred = logistic.predict_label(result.w_final, shard.features)
-            assert last[k] == fairness.risk_difference(pred, shard.sensitive).rd
+            assert last[k] == fairness.risk_difference(pred, shard.sensitive)
+
+
+def random_dataset(rng, n, p_sensitive):
+    x = np.hstack([rng.random((n, 2)), np.ones((n, 1))])
+    return EncodedDataset(
+        features=x,
+        labels=rng.integers(0, 2, size=n),
+        sensitive=(rng.random(n) < p_sensitive).astype(int),
+        feature_names=["x0", "x1", "__bias__"],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(engine.ALGORITHMS),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 30),
+    num_clients=st.integers(1, 6),
+    by_group=st.booleans(),
+    p_group=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    p_sensitive=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+)
+def test_run_returns_or_raises_documented_error(
+    kind, seed, n, num_clients, by_group, p_group, p_sensitive
+):
+    """Over random even and by-group partitions, tiny n and every mix of
+    sensitive groups, one-group shards included, engine.run returns or
+    raises ConfigError, ProtocolError or MetricUndefinedError."""
+    rng = np.random.default_rng(seed)
+    train = random_dataset(rng, n, p_sensitive)
+    test = random_dataset(rng, n, p_sensitive)
+    if by_group:
+        group = rng.random(n) < p_group
+        parts = [np.flatnonzero(group), np.flatnonzero(~group)]
+    else:
+        parts = np.array_split(rng.permutation(n), min(num_clients, n))
+    shards = [
+        ClientShard(k, train.features[idx], train.labels[idx], train.sensitive[idx])
+        for k, idx in enumerate(p for p in parts if p.size)
+    ]
+    hyper = engine.HyperParams(rounds=2, local_epochs=2, num_bases=4, seed=seed)
+    try:
+        result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper), train, test, shards)
+    except (ConfigError, ProtocolError, MetricUndefinedError):
+        return
+    assert len(result.final["per_client_rd"]) == len(shards)
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,3 @@ def test_box_respected_even_when_relaxed(seed):
         assert np.all(sol.alpha <= problem.box_upper + 1e-8)
         assert problem.equality @ sol.alpha == pytest.approx(1.0, abs=1e-8)
 
-
-def test_dump_lp(tmp_path):
-    problem = make_lp([1.0, 2.0], [0.5, 0.5], fairness_row=[0.1, -0.1])
-    path = tmp_path / "dump.txt"
-    lp.dump_lp(problem, path)
-    text = path.read_text()
-    assert "objective 1 2" in text
-    assert "= 1" in text and "bounds" in text
