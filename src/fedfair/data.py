@@ -51,12 +51,6 @@ class Schema:
         if kinds.count("sensitive") != 1:
             raise SchemaError("schema must declare exactly one sensitive column")
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaError(f"no column named {name!r}")
-
     @property
     def label_column(self) -> str:
         return next(c.name for c in self.columns if c.kind == "label")
@@ -286,7 +280,9 @@ def shift_split(
     The training set keeps ``train_fraction_group_a`` of the rows whose
     split column matches the predicate (group A) and
     ``train_fraction_group_b`` of the rest; the test set is the
-    complement. Deterministic given the spec seed.
+    complement. The training rows are ordered client by client and each
+    shard is a view of its client's rows of ``train``. Deterministic
+    given the spec seed.
     """
     if spec.split_column not in data.aux:
         raise ConfigError(
@@ -316,27 +312,40 @@ def shift_split(
         if idx.size == 0:
             raise ConfigError(f"split spec yields an empty shard for client {k}")
 
-    train_idx = np.sort(np.concatenate([train_a, train_b]))
-    train = data.subset(train_idx)
+    train = data.subset(np.concatenate(shard_indices))
     test = data.subset(test_idx)
+    bounds = np.cumsum([0] + [idx.size for idx in shard_indices])
     shards = [
         ClientShard(
             client_id=k,
-            features=data.features[idx],
-            labels=data.labels[idx],
-            sensitive=data.sensitive[idx],
+            features=train.features[lo:hi],
+            labels=train.labels[lo:hi],
+            sensitive=train.sensitive[lo:hi],
         )
-        for k, idx in enumerate(shard_indices)
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
     return train, test, shards
 
 
+def _require(section, keys, path, where: str) -> None:
+    """Raise SchemaError naming *path* and the missing keys unless
+    *section* is a mapping that holds every key in *keys*."""
+    if missing := [k for k in keys if not isinstance(section, dict) or k not in section]:
+        raise SchemaError(f"{path}: {where} lacks the key(s) {', '.join(missing)}")
+
+
 def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
-    """Read a YAML schema file declaring columns and an optional split spec."""
+    """Read a YAML schema file declaring columns and an optional split spec.
+
+    Raises SchemaError naming the file for a missing key or a value of
+    the wrong type.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "columns" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise SchemaError(f"{path}: expected a mapping with a 'columns' list")
+    for j, c in enumerate(doc["columns"]):
+        _require(c, ("name", "kind"), path, f"columns[{j}]")
     columns = tuple(
         ColumnSpec(
             name=c["name"],
@@ -349,14 +358,18 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
     split = None
     if "split" in doc:
         s = doc["split"]
-        split = ShiftSplitSpec(
-            split_column=s["split_column"],
-            split_predicate=frozenset(s["group_a_values"]),
-            train_fraction_group_a=float(s["train_fraction_group_a"]),
-            train_fraction_group_b=float(s["train_fraction_group_b"]),
-            client_assignment=s.get("client_assignment", "by_group"),
-            num_clients=int(s.get("num_clients", 2)),
-            seed=int(s.get("seed", 0)),
-        )
+        _require(s, ("split_column", "group_a_values", "train_fraction_group_a",
+                     "train_fraction_group_b"), path, "split")
+        try:
+            split = ShiftSplitSpec(
+                split_column=s["split_column"],
+                split_predicate=frozenset(s["group_a_values"]),
+                train_fraction_group_a=float(s["train_fraction_group_a"]),
+                train_fraction_group_b=float(s["train_fraction_group_b"]),
+                client_assignment=s.get("client_assignment", "by_group"),
+                num_clients=int(s.get("num_clients", 2)),
+                seed=int(s.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: split: {exc}") from None
     return schema, split
-

@@ -242,27 +242,6 @@ def run(
     )
 
 
-def run_fedavg_reference(
-    shards: list[ClientShard], rounds: int, opt: logistic.OptimizerSpec
-) -> list[np.ndarray]:
-    """Plain federated averaging, written directly (reduction oracle).
-
-    Each round every client minimizes its unweighted mean log-loss from
-    the averaged weights; the server averages. Returns the w-bar sequence.
-    """
-    dim = shards[0].features.shape[1]
-    w_avg = np.zeros(dim)
-    penalty = logistic.PenaltySpec.disabled(dim)
-    history = []
-    for _ in range(rounds):
-        locals_ = [
-            logistic.fit_local(w_avg, s, np.ones(s.n), penalty, opt) for s in shards
-        ]
-        w_avg = np.mean(locals_, axis=0)
-        history.append(w_avg.copy())
-    return history
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
@@ -593,17 +572,14 @@ def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
     )
 
 
-def _grid_cell(algorithm: str, split_cfg: dict, hyper: HyperParams, data_cfg: dict, seed: int) -> dict:
-    train, test, shards = data_from_config(data_cfg, split_cfg, seed)
-    spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
-    return run(spec, train, test, shards).final
-
-
 def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     """Run every (algorithm, split) cell, averaging over repetitions.
 
-    Repetition r uses seed base_seed + r. Partial failures are recorded
-    per cell and the grid continues.
+    Repetition r uses seed base_seed + r. Each (split, repetition) dataset
+    is built once and every algorithm runs on it; no run writes to its
+    data. Partial failures are recorded per cell and the grid continues;
+    a schema file or CSV that does not parse stops it, since every cell
+    reads the same files.
     """
     algorithms = config.get("algorithms", ["FL", "AgnosticFair"])
     splits = config.get("splits", [{"name": "shift"}])
@@ -612,36 +588,46 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     hyper = hyper_from_config(config)
     data_cfg = config.get("dataset") or {}
 
+    finals = {(a, i): [] for a in algorithms for i in range(len(splits))}
+    errors = {cell: [] for cell in finals}
+
+    def failed(algorithm, i, r, exc):
+        log.error("cell (%s, %s) rep %d failed: %s",
+                  algorithm, splits[i].get("name", "?"), r, exc)
+        errors[algorithm, i].append(str(exc))
+
+    for i, split_cfg in enumerate(splits):
+        for r in range(reps):
+            seed = base_seed + r
+            try:
+                data = data_from_config(data_cfg, split_cfg, seed)
+            except ConfigError as exc:  # no data: every algorithm's cell fails
+                for algorithm in algorithms:
+                    failed(algorithm, i, r, exc)
+                continue
+            for algorithm in algorithms:
+                try:
+                    spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
+                    finals[algorithm, i].append(run(spec, *data).final)
+                except FedFairError as exc:
+                    failed(algorithm, i, r, exc)
+
     summary = []
     for algorithm in algorithms:
-        for split_cfg in splits:
-            finals, errors = [], []
-            for r in range(reps):
-                try:
-                    finals.append(
-                        _grid_cell(algorithm, split_cfg, hyper, data_cfg, base_seed + r)
-                    )
-                except FedFairError as exc:
-                    log.error(
-                        "cell (%s, %s) rep %d failed: %s",
-                        algorithm,
-                        split_cfg.get("name", "?"),
-                        r,
-                        exc,
-                    )
-                    errors.append(str(exc))
+        for i, split_cfg in enumerate(splits):
+            cell_finals, cell_errors = finals[algorithm, i], errors[algorithm, i]
             row = {
                 "algorithm": algorithm,
                 "split": split_cfg.get("name", "unnamed"),
-                "repetitions_ok": len(finals),
-                "repetitions_failed": len(errors),
+                "repetitions_ok": len(cell_finals),
+                "repetitions_failed": len(cell_errors),
             }
-            if finals:
+            if cell_finals:
                 for key in ("train_acc", "test_acc", "test_rd"):
-                    row[key] = float(np.mean([f[key] for f in finals]))
-                row["test_acc_sd"] = float(np.std([f["test_acc"] for f in finals]))
-            if errors:
-                row["errors"] = errors
+                    row[key] = float(np.mean([f[key] for f in cell_finals]))
+                row["test_acc_sd"] = float(np.std([f["test_acc"] for f in cell_finals]))
+            if cell_errors:
+                row["errors"] = cell_errors
             summary.append(row)
 
     if output_dir is not None:

@@ -1,8 +1,8 @@
 """Fairness metrics and covariance-constraint coefficient algebra.
 
-Risk difference (plain and reweighted) is evaluation-only; training uses
-the decision-boundary covariance surrogate, which is linear separately
-in the model weights w and in the mixture coefficients alpha:
+Risk difference is evaluation-only; training uses the decision-boundary
+covariance surrogate, which is linear separately in the model weights w
+and in the mixture coefficients alpha:
 
     cov = (1/n) sum_i (s_i - s_bar) * theta_i * (w . x_i)
         = w . phi_C            with phi_C  = (1/n) sum_i (s_i - s_bar) theta_i x_i
@@ -66,24 +66,6 @@ def client_risk_differences(
     with np.errstate(divide="ignore", invalid="ignore"):
         rd = np.abs(pos_ones / ones - (pos - pos_ones) / (size - ones))
     return np.where(defined, rd, np.nan)
-
-
-def reweighted_risk_difference(
-    predictions: np.ndarray, sensitive: np.ndarray, theta: np.ndarray
-) -> float:
-    """Risk difference under sample weights theta; reduces to the plain
-    metric when theta is uniform."""
-    predictions = np.asarray(predictions)
-    sensitive = np.asarray(sensitive)
-    theta = np.asarray(theta, dtype=float)
-    rates = {}
-    for g in (0, 1):
-        mask = sensitive == g
-        denom = float(theta[mask].sum())
-        if denom <= 0.0:
-            raise MetricUndefinedError(f"group {g} has zero total weight")
-        rates[g] = float(theta[mask & (predictions == 1)].sum()) / denom
-    return abs(rates[1] - rates[0])
 
 
 def covariance_coeff_w(

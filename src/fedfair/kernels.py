@@ -25,6 +25,10 @@ GAUSSIAN = "gaussian"
 CONSTANT = "constant"
 INDICATOR = "indicator"
 
+#: rows of the Gaussian kernel matrix finished per step; a step's two
+#: (rows, M) temporaries stay a few MB at M = 200
+KERNEL_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class KernelBasis:
@@ -134,12 +138,22 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
             f"feature dim {shard.features.shape[1]} != basis dim "
             f"{basis.centers.shape[1]}"
         )
-    # squared distances via (x - b)^2 expansion
+    # squared distances via the (x - b)^2 expansion, finished block by
+    # block inside the cross-product matrix, which becomes the result; every
+    # entry takes the steps of exp(-max(x2 + b2 - 2 cross, 0) / (2 sigma^2))
+    # in that order, so the block height cannot change a bit of it
     x2 = np.sum(shard.features**2, axis=1)[:, None]
     b2 = np.sum(basis.centers**2, axis=1)[None, :]
-    cross = shard.features @ basis.centers.T
-    sq = np.maximum(x2 + b2 - 2.0 * cross, 0.0)
-    return np.exp(-sq / (2.0 * basis.sigma**2))
+    out = shard.features @ basis.centers.T
+    for lo in range(0, shard.n, KERNEL_BLOCK_ROWS):
+        blk = out[lo : lo + KERNEL_BLOCK_ROWS]
+        sq = x2[lo : lo + KERNEL_BLOCK_ROWS] + b2
+        sq -= 2.0 * blk
+        np.maximum(sq, 0.0, out=sq)
+        np.negative(sq, out=sq)
+        sq /= 2.0 * basis.sigma**2
+        np.exp(sq, out=blk)
+    return out
 
 
 def theta(km: np.ndarray, alpha: np.ndarray) -> np.ndarray:

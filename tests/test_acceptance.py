@@ -21,6 +21,8 @@ import pytest
 
 from fedfair import cli, engine, fairness, kernels, logistic, lp, protocol
 
+from oracles import reweighted_risk_difference, run_fedavg_reference
+
 SHIFT_SEEDS = range(20)
 IID_SEEDS = range(6)
 SWEEP_SEEDS = range(5)
@@ -294,7 +296,7 @@ def test_criterion_12_reductions():
     )
     basis = kernels.constant_basis(ds.dim)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    reference = engine.run_fedavg_reference(shards, 5, opt)
+    reference = run_fedavg_reference(shards, 5, opt)
     worst_a = 0.0
     for w_ref in reference:
         bundles = protocol.clients_round(clients, bc, cfg)
@@ -310,7 +312,7 @@ def test_criterion_12_reductions():
         preds = rng.integers(0, 2, size=n)
         sens = np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
         plain = fairness.risk_difference(preds, sens)
-        rw = fairness.reweighted_risk_difference(preds, sens, np.ones(n))
+        rw = reweighted_risk_difference(preds, sens, np.ones(n))
         ok_b = ok_b and (rw == plain)
 
     # (c) single-client federated run equals the centralized fit

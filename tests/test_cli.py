@@ -171,6 +171,31 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
+BAD_SCHEMAS = {
+    "split_without_split_column": ("split", "split_column"),
+    "column_without_kind": ("columns", "kind"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(BAD_SCHEMAS))
+def test_schema_file_missing_key_is_usage_error(tmp_path, caplog, command, case):
+    _, schema_path, _ = write_census_inputs(tmp_path)
+    doc = yaml.safe_load(schema_path.read_text())
+    section, key = BAD_SCHEMAS[case]
+    target = doc["split"] if section == "split" else doc["columns"][0]
+    del target[key]
+    schema_path.write_text(yaml.safe_dump(doc))
+    cfg = {"hyper": FAST_HYPER,
+           "dataset": {"kind": "csv", "path": str(tmp_path / "census.csv"),
+                       "schema": str(schema_path)}}
+    path = write_config(tmp_path, cfg, name="bad.yaml")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert str(schema_path) in caplog.text and key in caplog.text
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
 def test_grid_rejects_run_keys(tmp_path):
     path = write_config(tmp_path, {"algorithm": "FL", "hyper": FAST_HYPER})
     assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import data
+from fedfair import data, engine
 from fedfair.errors import ConfigError, RowParseError, SchemaError
 
 SCHEMA = data.Schema(
@@ -327,6 +327,39 @@ def test_shift_split_partition_property(fa, fb, seed):
     )
     assert train.n + test.n == ds.n
     assert sum(s.n for s in shards) == train.n
+
+
+def drawn_indices(ds, sp):
+    """The shard and test row indices of *sp*'s draw, taken from *ds*
+    directly: each shard's rows in the order the draw gives them."""
+    mask_a = np.isin(ds.aux[sp.split_column], list(sp.split_predicate))
+    idx_a, idx_b = np.flatnonzero(mask_a), np.flatnonzero(~mask_a)
+    rng = np.random.default_rng(sp.seed)
+    take_a = int(round(sp.train_fraction_group_a * idx_a.size))
+    take_b = int(round(sp.train_fraction_group_b * idx_b.size))
+    perm_a, perm_b = rng.permutation(idx_a), rng.permutation(idx_b)
+    train_a, train_b = np.sort(perm_a[:take_a]), np.sort(perm_b[:take_b])
+    test_idx = np.sort(np.concatenate([perm_a[take_a:], perm_b[take_b:]]))
+    if sp.client_assignment == "by_group":
+        return [train_a, train_b], test_idx
+    pooled = rng.permutation(np.concatenate([train_a, train_b]))
+    return np.array_split(pooled, sp.num_clients), test_idx
+
+
+@pytest.mark.parametrize("assignment, clients", [("by_group", 2), ("even", 20)])
+def test_shift_split_shards_are_views_of_train(assignment, clients):
+    ds = data.encode(engine.generate_census_like(engine.CensusSpec(n=1500, seed=4)))
+    sp = engine.census_split_spec(4, client_assignment=assignment, num_clients=clients)
+    train, test, shards = data.shift_split(ds, sp)
+    shard_idx, test_idx = drawn_indices(ds, sp)
+    assert len(shards) == len(shard_idx) == clients
+    for name in ("features", "labels", "sensitive"):
+        for shard, idx in zip(shards, shard_idx):
+            assert np.shares_memory(getattr(shard, name), getattr(train, name))
+            assert np.array_equal(getattr(shard, name), getattr(ds, name)[idx])
+        stacked = np.concatenate([getattr(shard, name) for shard in shards])
+        assert np.array_equal(stacked, getattr(train, name))
+        assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
 
 
 # ---------------------------------------------------------------------------

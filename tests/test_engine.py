@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from fedfair import engine, fairness, logistic
 from fedfair.data import ClientShard, EncodedDataset
 from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
+
+from oracles import run_fedavg_reference
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
@@ -64,15 +68,13 @@ def test_constant_basis_fl_matches_fedavg_reference():
     spec = engine.AlgorithmSpec(kind="FL", hyper=FAST)
     result = engine.run(spec, train, test, shards)
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
-    history = engine.run_fedavg_reference(shards, FAST.rounds, opt)
+    history = run_fedavg_reference(shards, FAST.rounds, opt)
     assert np.allclose(result.w_final, history[-1], atol=1e-10)
 
 
 def test_fedavg_reference_zero_epochs_stays_at_origin():
     _, _, shards = synthetic_setup()
-    history = engine.run_fedavg_reference(
-        shards, 3, logistic.OptimizerSpec(epochs=0)
-    )
+    history = run_fedavg_reference(shards, 3, logistic.OptimizerSpec(epochs=0))
     for w in history:
         assert np.allclose(w, 0.0)
 
@@ -324,15 +326,57 @@ def test_experiment_grid_runs_and_summarizes(tmp_path):
 
 def test_experiment_grid_records_cell_failures(tmp_path, caplog):
     config = {
-        "algorithms": ["FL"],
+        "algorithms": ["FL", "AFL"],
         "splits": [{"name": "bad", "client_assignment": "by_group", "num_clients": 3}],
         "repetitions": 1,
         "hyper": {"rounds": 1, "local_epochs": 1, "num_bases": 4},
         "dataset": {"n": 400},
     }
     summary = engine.experiment_grid(config)
-    assert summary[0]["repetitions_failed"] == 1
-    assert "errors" in summary[0]
+    # the split cannot be built, so every algorithm's cell fails
+    assert [row["algorithm"] for row in summary] == ["FL", "AFL"]
+    for row in summary:
+        assert row["repetitions_failed"] == 1
+        assert "errors" in row
+
+
+def test_experiment_grid_builds_each_dataset_once(monkeypatch):
+    config = {
+        "algorithms": ["FL", "AFL", "AgnosticFair"],
+        "splits": [{"name": "shift"},
+                   {"name": "even3", "client_assignment": "even", "num_clients": 3}],
+        "repetitions": 2,
+        "base_seed": 5,
+        "hyper": {"rounds": 2, "local_epochs": 2, "num_bases": 4},
+        "dataset": {"n": 400},
+    }
+    # what per-cell builds give: fresh data for every (algorithm, split, rep)
+    hyper = engine.hyper_from_config(config)
+    expected = []
+    for algorithm in config["algorithms"]:
+        for split_cfg in config["splits"]:
+            finals = []
+            for seed in (5, 6):
+                data = engine.data_from_config(config["dataset"], split_cfg, seed)
+                spec = engine.AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
+                finals.append(engine.run(spec, *data).final)
+            expected.append({
+                "algorithm": algorithm,
+                "split": split_cfg["name"],
+                "repetitions_ok": 2,
+                "repetitions_failed": 0,
+                **{k: float(np.mean([f[k] for f in finals]))
+                   for k in ("train_acc", "test_acc", "test_rd")},
+                "test_acc_sd": float(np.std([f["test_acc"] for f in finals])),
+            })
+
+    calls = []
+    build = engine.data_from_config
+    monkeypatch.setattr(
+        engine, "data_from_config", lambda *a: calls.append(a) or build(*a)
+    )
+    assert engine.experiment_grid(config) == expected
+    assert len(calls) == 2 * 2  # splits x repetitions
 
 
 def test_grid_accepts_lambda_alias():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,58 @@ def test_kernel_matrix_coordinate_permutation_invariance(rng):
         bound=basis.bound,
     )
     assert np.allclose(kernels.kernel_matrix(shard_p, basis_p), km, atol=1e-12)
+
+
+def whole_matrix_kernel(shard, basis):
+    """The Gaussian kernel matrix as one whole-matrix expression: the same
+    floating-point operations, in the same order, as the blocked build,
+    with a full-size temporary at every step."""
+    x2 = np.sum(shard.features**2, axis=1)[:, None]
+    b2 = np.sum(basis.centers**2, axis=1)[None, :]
+    cross = shard.features @ basis.centers.T
+    sq = np.maximum(x2 + b2 - 2.0 * cross, 0.0)
+    return np.exp(-sq / (2.0 * basis.sigma**2))
+
+
+def shard_and_basis(n, sigma, m=30, d=6):
+    """A random shard of n rows and a basis whose first centers are rows
+    of the shard, where the clamped squared distance is 0."""
+    r = np.random.default_rng(n)
+    shard = random_shard(r, n, d)
+    centers = np.vstack([shard.features[: min(n, 5)], r.normal(size=(m, d + 1))])
+    return shard, gaussian_basis(centers, sigma=sigma)
+
+
+BLOCK = kernels.KERNEL_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_kernel_matrix_equals_whole_matrix_expansion(n, sigma):
+    shard, basis = shard_and_basis(n, sigma)
+    assert np.array_equal(
+        kernels.kernel_matrix(shard, basis), whole_matrix_kernel(shard, basis)
+    )
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_kernel_matrix_matches_direct_distances(sigma):
+    shard, basis = shard_and_basis(BLOCK + 1, sigma)
+    x, b = shard.features, basis.centers
+    direct = np.exp(-((x[:, None] - b[None]) ** 2).sum(-1) / (2 * sigma**2))
+    assert np.allclose(kernels.kernel_matrix(shard, basis), direct, rtol=0.0, atol=1e-12)
+
+
+def test_kernel_matrix_allocates_little_beyond_its_result():
+    # the whole-matrix expression peaks at about 4x the result
+    shard, basis = shard_and_basis(20_000, 1.0, m=200, d=10)
+    tracemalloc.start()
+    try:
+        km = kernels.kernel_matrix(shard, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * km.nbytes
 
 
 def test_kernel_matrix_dimension_mismatch(rng):
