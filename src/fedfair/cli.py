@@ -36,19 +36,11 @@ def cmd_run(args) -> int:
     hyper = engine.hyper_from_config(cfg, rounds=args.rounds, seed=args.seed)
 
     algorithm = args.algorithm or cfg.get("algorithm", "AgnosticFair")
-    if algorithm not in engine.ALGORITHMS:
-        log.error(
-            "unknown algorithm %r; valid names: %s",
-            algorithm,
-            ", ".join(engine.ALGORITHMS),
-        )
-        return EXIT_USAGE
-
+    spec = engine.AlgorithmSpec(kind=algorithm, hyper=hyper)  # ConfigError if unknown
     train, test, shards = engine.data_from_config(
         cfg.get("dataset") or {}, engine.config_splits(cfg)[0], hyper.seed
     )
     out = _output_dir(args)
-    spec = engine.AlgorithmSpec(kind=algorithm, hyper=hyper)
     result = engine.run(spec, train, test, shards)
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     with open(os.path.join(out, "result.yaml"), "w") as fh:
@@ -149,12 +141,12 @@ def _check_lp(inject_fault: bool) -> bool:
 
 
 def check_gradient_oracle(
-    seed: int, cases: int, n: int, block_gradient=logistic.lockstep_gradient
+    seed: int, cases: int, n: int, lockstep_gradient=logistic.lockstep_gradient
 ) -> float:
     """Worst relative gap between central finite differences of the local
     objective and both gradients the fits use: loss_gradient on each of
-    *cases* random n-row shards, and *block_gradient* on all of them
-    stacked, each client at its own weights and penalty vector; for each
+    *cases* random n-row shards, and *lockstep_gradient* on all of them
+    together, each client at its own weights and penalty vector; for each
     of lambda = 0, 2 and 100."""
     rng = np.random.default_rng(seed)
     worst, d, h = 0.0, 3, 1e-6
@@ -174,7 +166,7 @@ def check_gradient_oracle(
             logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
             for _ in range(cases)
         ]
-        stacked = block_gradient(ws, data.ShardBlock.stack(shards), ths.ravel(), pens)
+        stacked = lockstep_gradient(ws, shards, ths.ravel(), pens)
         for shard, w, th, pen, got in zip(shards, ws, ths, pens, stacked):
             fd = np.array([
                 logistic.local_objective(w + e, shard, th, pen)
@@ -195,7 +187,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
     6 Gaussian bases; *seeds* draw the data, the shards and the basis."""
     data_seed, shard_seed, basis_seed = seeds
     ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, d=3, seed=data_seed))
-    shards = engine.even_shards(ds, 3, seed=shard_seed)
+    _, shards = engine.even_shards(ds, 3, seed=shard_seed)
     basis = kernels.select_basis(shards, 6, seed=basis_seed)
     cfg = protocol.ProtocolConfig(
         penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, opt=logistic.OptimizerSpec(epochs=5)

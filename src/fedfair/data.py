@@ -6,7 +6,9 @@ array per schema column. A table is encoded once, before the split, in
 one pass: categorical columns are one-hot expanded, numeric columns are
 min-max scaled to [0, 1], and a constant bias column is appended as the
 last feature. The encoded data is then cut into train, test and client
-shards.
+shards. A run's training rows are held once: ``train`` stacks the
+shards' rows in client order and each shard is a view of its rows
+(cut_shards), the layout that shard_starts checks.
 """
 
 from __future__ import annotations
@@ -139,29 +141,6 @@ class ClientShard:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class ShardBlock:
-    """Client shards stacked row-wise in client order: client k owns rows
-    ``starts[k]`` to ``starts[k] + counts[k]``."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    sensitive: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-    @staticmethod
-    def stack(shards: list[ClientShard]) -> "ShardBlock":
-        counts = np.array([s.n for s in shards])
-        return ShardBlock(
-            features=np.vstack([s.features for s in shards]),
-            labels=np.concatenate([s.labels for s in shards]),
-            sensitive=np.concatenate([s.sensitive for s in shards]),
-            starts=np.cumsum(counts) - counts,
-            counts=counts,
-        )
-
-
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
@@ -280,9 +259,8 @@ def shift_split(
     The training set keeps ``train_fraction_group_a`` of the rows whose
     split column matches the predicate (group A) and
     ``train_fraction_group_b`` of the rest; the test set is the
-    complement. The training rows are ordered client by client and each
-    shard is a view of its client's rows of ``train``. Deterministic
-    given the spec seed.
+    complement. Train and shards are laid out by cut_shards.
+    Deterministic given the spec seed.
     """
     if spec.split_column not in data.aux:
         raise ConfigError(
@@ -308,13 +286,22 @@ def shift_split(
         pooled = rng.permutation(np.concatenate([train_a, train_b]))
         shard_indices = np.array_split(pooled, spec.num_clients)
 
-    for k, idx in enumerate(shard_indices):
-        if idx.size == 0:
-            raise ConfigError(f"split spec yields an empty shard for client {k}")
+    train, shards = cut_shards(data, shard_indices)
+    return train, data.subset(test_idx), shards
 
+
+def cut_shards(
+    data: EncodedDataset, shard_indices: list[np.ndarray]
+) -> tuple[EncodedDataset, list[ClientShard]]:
+    """The training set of a run and its client shards: ``train`` holds
+    rows *shard_indices* of *data* stacked client by client, and client
+    k's shard is a view of its contiguous rows of ``train``. Raises
+    ConfigError on an empty shard."""
+    for k, idx in enumerate(shard_indices):
+        if len(idx) == 0:
+            raise ConfigError(f"empty shard for client {k}")
     train = data.subset(np.concatenate(shard_indices))
-    test = data.subset(test_idx)
-    bounds = np.cumsum([0] + [idx.size for idx in shard_indices])
+    bounds = np.cumsum([0] + [len(idx) for idx in shard_indices])
     shards = [
         ClientShard(
             client_id=k,
@@ -324,7 +311,22 @@ def shift_split(
         )
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
-    return train, test, shards
+    return train, shards
+
+
+def shard_starts(train: EncodedDataset, shards: list[ClientShard]) -> np.ndarray:
+    """The row of *train* where each client's rows start. Raises
+    ConfigError unless *train* holds exactly the shards' rows stacked in
+    client order, as cut_shards lays them out; checked by value."""
+    counts = np.array([s.n for s in shards], dtype=int)
+    starts = np.cumsum(counts) - counts
+    if counts.sum() != train.n or not all(
+        np.array_equal(getattr(s, a), getattr(train, a)[lo : lo + s.n])
+        for s, lo in zip(shards, starts)
+        for a in ("features", "labels", "sensitive")
+    ):
+        raise ConfigError("train must hold exactly the shards' rows, in client order")
+    return starts
 
 
 def _require(section, keys, path, where: str) -> None:

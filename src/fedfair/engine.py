@@ -1,20 +1,9 @@
 """Training orchestration: algorithm variants, data, configs, experiment grid.
 
 All algorithm variants run through the same client/server machinery and
-differ only in basis kind, whether alpha is optimized, whether the LP
-carries the fairness row, and the local penalty mode:
-
-==================  =========  ==============  ============  ===========
-variant             basis      alpha           LP fair row   penalty
-==================  =========  ==============  ============  ===========
-FL                  constant   frozen at 1     --            none
-FairFL              constant   frozen at 1     --            global
-AFL                 indicator  LP              no            none
-AgnosticFair        gaussian   LP              yes           global
-AgnosticFair-a      gaussian   LP              no            none
-AgnosticFair-b      gaussian   LP              no            unweighted
-LocalFair           constant   frozen at 1     --            local
-==================  =========  ==============  ============  ===========
+differ only in the four switches of their VARIANTS entry: basis kind,
+whether alpha is optimized, whether the LP carries the fairness row, and
+the local penalty mode.
 
 LocalFair trains a global (averaged) model like the others, but its
 reported metrics follow the protocol of recording the global classifier
@@ -31,6 +20,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -43,27 +33,36 @@ from fedfair.data import (
     RawTable,
     Schema,
     ShiftSplitSpec,
+    cut_shards,
     encode,
     load_csv,
     load_schema_file,
+    shard_starts,
     shift_split,
 )
 from fedfair.errors import ConfigError, FedFairError
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = (
-    "FL",
-    "FairFL",
-    "AFL",
-    "AgnosticFair",
-    "AgnosticFair-a",
-    "AgnosticFair-b",
-    "LocalFair",
-)
 
-_NO_PENALTY = ("FL", "AFL", "AgnosticFair-a")
-_GAUSSIAN = ("AgnosticFair", "AgnosticFair-a", "AgnosticFair-b")
+class Variant(NamedTuple):
+    basis: str  # a kernels basis kind: CONSTANT, INDICATOR or GAUSSIAN
+    optimize_alpha: bool  # else alpha stays at its uniform start
+    fairness_row_in_lp: bool
+    penalty: str  # a protocol.PENALTY_* mode
+
+
+#: each algorithm variant's switches; ALGORITHMS lists the variants
+VARIANTS = {
+    "FL": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_NONE),
+    "FairFL": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_GLOBAL),
+    "AFL": Variant(kernels.INDICATOR, True, False, protocol.PENALTY_NONE),
+    "AgnosticFair": Variant(kernels.GAUSSIAN, True, True, protocol.PENALTY_GLOBAL),
+    "AgnosticFair-a": Variant(kernels.GAUSSIAN, True, False, protocol.PENALTY_NONE),
+    "AgnosticFair-b": Variant(kernels.GAUSSIAN, True, False, protocol.PENALTY_UNWEIGHTED),
+    "LocalFair": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_LOCAL),
+}
+ALGORITHMS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class AlgorithmSpec:
             raise ConfigError(
                 f"unknown algorithm {self.kind!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.kind in _NO_PENALTY and self.hyper.lam != 0.0:
+        if VARIANTS[self.kind].penalty == protocol.PENALTY_NONE and self.hyper.lam != 0.0:
             object.__setattr__(self, "hyper", replace(self.hyper, lam=0.0))
 
 
@@ -104,63 +103,44 @@ class RunResult:
 def _make_basis(spec: AlgorithmSpec, shards: list[ClientShard]) -> kernels.KernelBasis:
     h = spec.hyper
     dim = shards[0].features.shape[1]
-    if spec.kind in _GAUSSIAN:
+    kind = VARIANTS[spec.kind].basis
+    if kind == kernels.GAUSSIAN:
         return kernels.select_basis(
             shards, h.num_bases, seed=h.seed, sigma=h.sigma, bound=h.bound
         )
-    if spec.kind == "AFL":
+    if kind == kernels.INDICATOR:
         return kernels.client_weight_basis(shards)
     return kernels.constant_basis(dim, bound=h.bound)
 
 
 def _protocol_config(spec: AlgorithmSpec) -> protocol.ProtocolConfig:
-    h = spec.hyper
-    penalty = {
-        "FL": protocol.PENALTY_NONE,
-        "AFL": protocol.PENALTY_NONE,
-        "AgnosticFair-a": protocol.PENALTY_NONE,
-        "AgnosticFair": protocol.PENALTY_GLOBAL,
-        "FairFL": protocol.PENALTY_GLOBAL,
-        "AgnosticFair-b": protocol.PENALTY_UNWEIGHTED,
-        "LocalFair": protocol.PENALTY_LOCAL,
-    }[spec.kind]
+    h, v = spec.hyper, VARIANTS[spec.kind]
     return protocol.ProtocolConfig(
         lam=h.lam,
         tau=h.tau,
-        penalty_mode=penalty,
-        optimize_alpha=spec.kind in ("AFL",) + _GAUSSIAN,
-        fairness_row_in_lp=spec.kind == "AgnosticFair",
+        penalty_mode=v.penalty,
+        optimize_alpha=v.optimize_alpha,
+        fairness_row_in_lp=v.fairness_row_in_lp,
         opt=logistic.OptimizerSpec(
             learning_rate=h.learning_rate, epochs=h.local_epochs
         ),
     )
 
 
-def _evaluate(w, train: EncodedDataset, test: EncodedDataset, clients) -> dict:
+def _evaluate(w, train: EncodedDataset, test: EncodedDataset, starts) -> dict:
     """Accuracy and risk difference of w on train and test, and each
-    client's risk difference (NaN on a client with one sensitive group)."""
+    client's risk difference (NaN on a client with one sensitive group)
+    from the same train prediction, client k's rows starting at starts[k]."""
     train_pred = logistic.predict_label(w, train.features)
     test_pred = logistic.predict_label(w, test.features)
-    row = {
+    per_client = fairness.client_risk_differences(train_pred, train.sensitive, starts)
+    return {
         "train_acc": float((train_pred == train.labels).mean()),
         "test_acc": float((test_pred == test.labels).mean()),
         "train_rd": fairness.risk_difference(train_pred, train.sensitive),
         "test_rd": fairness.risk_difference(test_pred, test.sensitive),
+        "per_client_rd": per_client.tolist(),
     }
-    block = clients[0].block
-    if block is None:  # no stacked rows: one prediction per shard
-        per_client = np.concatenate([
-            fairness.client_risk_differences(
-                logistic.predict_label(w, c.shard.features), c.shard.sensitive, [0]
-            )
-            for c in clients
-        ])
-    else:
-        per_client = fairness.client_risk_differences(
-            logistic.predict_label(w, block.features), block.sensitive, block.starts
-        )
-    row["per_client_rd"] = per_client.tolist()
-    return row
 
 
 #: per-client risk-difference bound defining "fairness achieved on every
@@ -195,7 +175,12 @@ def run(
     test: EncodedDataset,
     shards: list[ClientShard],
 ) -> RunResult:
-    """Execute the full synchronous training loop and evaluate per round."""
+    """Execute the full synchronous training loop and evaluate per round.
+
+    *train* must hold exactly the shards' rows in client order, as
+    cut_shards lays them out (ConfigError otherwise): each client's risk
+    difference is taken from its rows of the train prediction."""
+    starts = shard_starts(train, shards)
     cfg = _protocol_config(spec)
     basis = _make_basis(spec, shards)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
@@ -206,7 +191,7 @@ def run(
         alpha_old = server.alpha.copy()
         bc = protocol.server_round(server, bundles, cfg)
         row = {"round": t + 1}
-        row.update(_evaluate(bc.w_avg, train, test, clients))
+        row.update(_evaluate(bc.w_avg, train, test, starts))
         if cfg.optimize_alpha:
             psi_L = np.sum([b.psi_L for b in bundles], axis=0)
             row["adversary_loss_before"] = float(psi_L @ alpha_old)
@@ -222,7 +207,7 @@ def run(
         per_round.append(row)
 
     if not per_round:
-        final_row = _evaluate(bc.w_avg, train, test, clients)
+        final_row = _evaluate(bc.w_avg, train, test, starts)
     elif spec.kind == "LocalFair":
         final_row = _select_local_fair_round(per_round)
     else:
@@ -286,19 +271,13 @@ def generate_synthetic(spec: SyntheticSpec) -> EncodedDataset:
     )
 
 
-def even_shards(ds: EncodedDataset, num_clients: int, seed: int) -> list[ClientShard]:
-    """Shuffle and split an encoded dataset into near-equal client shards."""
+def even_shards(
+    ds: EncodedDataset, num_clients: int, seed: int
+) -> tuple[EncodedDataset, list[ClientShard]]:
+    """Shuffle an encoded dataset and cut it into near-equal client
+    shards; returns the run's train set and its shards (cut_shards)."""
     rng = np.random.default_rng(seed)
-    parts = np.array_split(rng.permutation(ds.n), num_clients)
-    return [
-        ClientShard(
-            client_id=k,
-            features=ds.features[idx],
-            labels=ds.labels[idx],
-            sensitive=ds.sensitive[idx],
-        )
-        for k, idx in enumerate(parts)
-    ]
+    return cut_shards(ds, np.array_split(rng.permutation(ds.n), num_clients))
 
 
 @dataclass(frozen=True)
@@ -507,8 +486,9 @@ def read_config(path, keys) -> dict:
     """The mapping in the YAML file at *path*, every key name checked:
     the top level against *keys* (RUN_KEYS or GRID_KEYS), then the
     ``hyper``, ``dataset`` and split sections against what their readers
-    take. Raises ConfigError for a YAML error, an empty file or a
-    document that is not a mapping."""
+    take. Raises ConfigError for a YAML error, an empty file, a document
+    that is not a mapping, a mistyped ``hyper`` value, and a grid's
+    unknown algorithm or non-integer repetitions or base seed."""
     with open(path, encoding="utf-8") as fh:
         try:
             config = yaml.safe_load(fh)
@@ -518,6 +498,15 @@ def read_config(path, keys) -> dict:
         raise ConfigError(f"{path}: empty config")
     _check_keys("config", config, keys)
     hyper_from_config(config)
+    algorithms = config.get("algorithms", ["FL"])
+    if not isinstance(algorithms, list) or not algorithms:
+        raise ConfigError(f"algorithms must be a non-empty list, not {algorithms!r}")
+    for kind in algorithms:
+        AlgorithmSpec(kind=kind)  # ConfigError on an unknown name
+    for key, least in (("repetitions", 1), ("base_seed", 0)):
+        value = config.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
     for split_cfg in config_splits(config):
         _check_data_keys(config.get("dataset") or {}, split_cfg)
     return config
@@ -525,13 +514,21 @@ def read_config(path, keys) -> dict:
 
 def hyper_from_config(config: dict, **overrides) -> HyperParams:
     """HyperParams from a config's ``hyper`` section, which may spell
-    ``lam`` as ``lambda``; *overrides* that are not None take precedence."""
+    ``lam`` as ``lambda``; *overrides* that are not None take precedence.
+    Raises ConfigError unless each integer field holds an integer and each
+    float field a number (a bool is neither)."""
     hyper_cfg = config.get("hyper") or {}
     _check_keys("hyper", hyper_cfg, ("lambda", *(f.name for f in fields(HyperParams))))
     hyper_cfg = dict(hyper_cfg)
     if "lambda" in hyper_cfg:
         hyper_cfg["lam"] = hyper_cfg.pop("lambda")
     hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    for f in fields(HyperParams):
+        value = hyper_cfg.get(f.name, f.default)
+        integral = isinstance(f.default, int)
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            what = "an integer" if integral else "a number"
+            raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
     return HyperParams(**hyper_cfg)
 
 

@@ -14,8 +14,9 @@ and its gradient sigmoid(z) - y is built from the same exp(-|z|), so the
 objective and its gradient agree even where the sigmoid saturates.
 
 fit_local fits one client; fit_lockstep fits every client of a round at
-once over their stacked rows, with each client's result as if fit_local
-had fitted it alone. The two share no code: fit_local is the oracle the
+once, reading each client's features from its own shard and stacking
+only the per-row vectors, with each client's result as if fit_local had
+fitted it alone. The two share no code: fit_local is the oracle the
 tests hold fit_lockstep to.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfair.data import ClientShard, ShardBlock
+from fedfair.data import ClientShard
 from fedfair.errors import ProtocolError
 
 #: logit saturation bound that keeps predict_proba strictly inside (0, 1)
@@ -148,27 +149,34 @@ def fit_local(
     return w
 
 
-def _block_softplus(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_softplus(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softplus(z) and exp(-|z|), as _softplus forms them, kept apart so
     that fit_lockstep shares no code with its oracle fit_local."""
     e = np.exp(-np.abs(z))
     return np.maximum(z, 0.0) + np.log1p(e), e
 
 
-def _rows(block: ShardBlock) -> list[slice]:
-    return [slice(a, a + n) for a, n in zip(block.starts.tolist(), block.counts.tolist())]
+def _layout(shards: list[ClientShard]):
+    """The clients' labels stacked in client order, and each client's row
+    count, first row and slice in that stacking."""
+    counts = np.array([s.n for s in shards])
+    starts = np.cumsum(counts) - counts
+    rows = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
+    return np.concatenate([s.labels for s in shards]), counts, starts, rows
 
 
-def _block_gradient(block, rows, theta, z, e, gap, lam, phi, clients, raw) -> np.ndarray:
+def _stacked_gradient(
+    shards, rows, labels, counts, theta, z, e, gap, lam, phi, clients, raw
+) -> np.ndarray:
     """Every client's gradient, one row each, from the margins z and
     e = exp(-|z|) of every row and each client's penalty gap, weight lam
     and vector phi. Only the clients in *clients* get a fresh X_k^T r_k,
     kept in raw[k]; the other rows are stale."""
     sig = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-    r = theta * (sig - block.labels)
+    r = theta * (sig - labels)
     for k in clients:
-        np.dot(block.features[rows[k]].T, r[rows[k]], out=raw[k])
-    return raw / block.counts[:, None] + (2.0 * lam * gap)[:, None] * phi
+        np.dot(shards[k].features.T, r[rows[k]], out=raw[k])
+    return raw / counts[:, None] + (2.0 * lam * gap)[:, None] * phi
 
 
 def _penalty_arrays(penalties: list[PenaltySpec]):
@@ -177,57 +185,58 @@ def _penalty_arrays(penalties: list[PenaltySpec]):
     return lam, tau, np.array([pen.phi_c for pen in penalties])
 
 
-def _margins(block, rows, w, phi, tau):
+def _margins(shards, w, phi, tau):
     """Every row's margin under its client's weights w[k], and each
     client's penalty gap w[k] . phi[k] - tau[k]."""
-    z = np.concatenate([block.features[rk] @ w[k] for k, rk in enumerate(rows)])
-    return z, np.array([float(w[k] @ phi[k]) for k in range(len(rows))]) - tau
+    z = np.concatenate([s.features @ w[k] for k, s in enumerate(shards)])
+    return z, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
 
 
 def lockstep_gradient(
-    w: np.ndarray, block: ShardBlock, theta: np.ndarray, penalties: list[PenaltySpec]
+    w: np.ndarray, shards: list[ClientShard], theta: np.ndarray, penalties: list[PenaltySpec]
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
-    fit_lockstep forms it; theta covers every row of *block*."""
-    rows = _rows(block)
+    fit_lockstep forms it; theta covers every shard's rows in client order."""
+    labels, counts, _, rows = _layout(shards)
     lam, tau, phi = _penalty_arrays(penalties)
-    z, gap = _margins(block, rows, w, phi, tau)
-    e = _block_softplus(z)[1]
-    return _block_gradient(
-        block, rows, theta, z, e, gap, lam, phi, range(len(rows)), np.empty(w.shape)
+    z, gap = _margins(shards, w, phi, tau)
+    e = _stacked_softplus(z)[1]
+    return _stacked_gradient(
+        shards, rows, labels, counts, theta, z, e, gap, lam, phi, range(len(rows)),
+        np.empty(w.shape),
     )
 
 
 def fit_lockstep(
     w_init: np.ndarray,
-    block: ShardBlock,
+    shards: list[ClientShard],
     theta: np.ndarray,
     penalties: list[PenaltySpec],
     opt: OptimizerSpec,
 ) -> np.ndarray:
-    """fit_local for every client of *block* at once, all from w_init.
+    """fit_local for every client of *shards* at once, all from w_init.
 
-    Row k of the result is client k's weights; theta covers every row of
-    the block, and penalties[k] is client k's. Each epoch the sigmoid, the
-    softplus and the first candidate, at the configured learning rate, run
-    once over every row, and the per-client sums are np.add.reduceat
-    segments; only the products X_k^T r_k and X_k g_k are made client by
-    client. A client that rejects the first candidate halves on its own
-    rows, and one that rejects every halving stops while the others go
-    on, so each client keeps fit_local's accept test, halving limit and
-    stop. The sums run in another order than fit_local's dot products, so
-    an objective tie at rounding level can decide an accept differently;
-    the weights are otherwise the same.
+    Row k of the result is client k's weights; theta covers every shard's
+    rows in client order, and penalties[k] is client k's. Each epoch the
+    sigmoid, the softplus and the first candidate, at the configured
+    learning rate, run once over every row, and the per-client sums are
+    np.add.reduceat segments; only the products X_k^T r_k and X_k g_k are
+    made client by client, on the shard's own features. A client that
+    rejects the first candidate halves on its own rows, and one that
+    rejects every halving stops while the others go on, so each client
+    keeps fit_local's accept test, halving limit and stop. The sums run
+    in another order than fit_local's dot products, so an objective tie
+    at rounding level can decide an accept differently; the weights are
+    otherwise the same.
     """
-    x, starts, counts = block.features, block.starts, block.counts
-    rows = _rows(block)
+    labels, counts, starts, rows = _layout(shards)
     p = len(rows)
     lam, tau, phi = _penalty_arrays(penalties)
     c = theta / np.repeat(counts, counts)
-    cy = c * block.labels
+    cy = c * labels
     w = np.tile(np.asarray(w_init, dtype=float), (p, 1))
-    z, gap = _margins(block, rows, w, phi, tau)
-    sp, e = _block_softplus(z)
+    z, gap = _margins(shards, w, phi, tau)
+    sp, e = _stacked_softplus(z)
     obj = np.add.reduceat(c * sp, starts) - np.add.reduceat(cy * z, starts) + lam * gap * gap
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
@@ -235,14 +244,16 @@ def fit_lockstep(
     clients = list(range(p))
     raw, dz, gphi = np.zeros_like(w), np.zeros_like(z), np.zeros(p)
     for _ in range(opt.epochs):
-        grad = _block_gradient(block, rows, theta, z, e, gap, lam, phi, clients, raw)
+        grad = _stacked_gradient(
+            shards, rows, labels, counts, theta, z, e, gap, lam, phi, clients, raw
+        )
         for k in clients:
-            np.dot(x[rows[k]], grad[k], out=dz[rows[k]])
+            np.dot(shards[k].features, grad[k], out=dz[rows[k]])
             gphi[k] = grad[k] @ phi[k]
         cyz, cydz = np.add.reduceat(cy * z, starts), np.add.reduceat(cy * dz, starts)
         rate = opt.learning_rate
         cand_z, cand_gap = z - rate * dz, gap - rate * gphi
-        sp, cand_e = _block_softplus(cand_z)
+        sp, cand_e = _stacked_softplus(cand_z)
         cand_obj = (
             np.add.reduceat(c * sp, starts) - (cyz - rate * cydz) + lam * cand_gap * cand_gap
         )
@@ -261,7 +272,7 @@ def fit_lockstep(
             for _ in range(opt.max_halvings):
                 rate *= 0.5
                 cz, cg = z[rk] - rate * dz[rk], gap[k] - rate * gphi[k]
-                sp, ce = _block_softplus(cz)
+                sp, ce = _stacked_softplus(cz)
                 co = float(c[rk] @ sp) - (cyz[k] - rate * cydz[k]) + lam[k] * cg * cg
                 if np.isfinite(co) and co <= obj[k]:
                     w[k] -= rate * grad[k]

@@ -5,7 +5,9 @@ weights, mixture coefficients, global covariance vector), fits its local
 weights, and replies with a coefficient bundle; the server aggregates
 the bundles, refreshes the mixture coefficients by LP, averages the
 weights and emits the next broadcast. Messages carry only length-M and
-length-(d+1) vectors plus scalars -- never raw samples.
+length-(d+1) vectors plus scalars -- never raw samples. clients_round
+runs every client's half; each client reads only its own shard, also
+when more than two fit in lockstep.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedfair import fairness, kernels, logistic, lp
-from fedfair.data import ClientShard, ShardBlock
+from fedfair.data import ClientShard
 from fedfair.errors import ConfigError, ProtocolError
 
 #: penalty modes for the local fairness term
@@ -90,9 +92,6 @@ class ClientState:
     psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
     fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
-    #: every client's rows stacked in client order, one block shared by the
-    #: clients of a run with more than two, which fit in lockstep; else None
-    block: ShardBlock | None = None
     expected_round: int = 0
 
 
@@ -177,17 +176,21 @@ def clients_round(
 ) -> list[CoefficientBundle]:
     """Every client's half of a round; the bundles come in client order.
 
-    Clients that share a row block fit in lockstep (logistic.fit_lockstep);
-    otherwise each runs client_round. Extraction is per client either way.
+    More than two clients fit in lockstep (logistic.fit_lockstep); fewer
+    each run client_round. Extraction is per client either way.
     """
-    block = clients[0].block
-    if block is None:
+    # Lockstep pays off only with more than two clients: two leave little
+    # per-call overhead to share, and its masking and segment sums then
+    # cost more than they save.
+    if len(clients) <= 2:
         return [client_round(c, bc, cfg) for c in clients]
     for c in clients:
         _check_round(c, bc)
     ths = [kernels.theta(c.kernel_matrix, bc.alpha) for c in clients]
     penalties = [_penalty_for(c, bc, cfg) for c in clients]
-    w_new = logistic.fit_lockstep(bc.w_avg, block, np.concatenate(ths), penalties, cfg.opt)
+    w_new = logistic.fit_lockstep(
+        bc.w_avg, [c.shard for c in clients], np.concatenate(ths), penalties, cfg.opt
+    )
     return [_bundle(c, th, w) for c, th, w in zip(clients, ths, w_new)]
 
 
@@ -238,9 +241,7 @@ def init_protocol(
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
     Initial weights are zero; initial alpha is the uniform vector solving
-    the sum-to-one row, alpha_m = 1 / sum_m psi_theta_m. With more than two
-    shards the clients share one ShardBlock of their stacked rows, so
-    clients_round fits them in lockstep.
+    the sum-to-one row, alpha_m = 1 / sum_m psi_theta_m.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -255,10 +256,6 @@ def init_protocol(
     dim = shards[0].features.shape[1]
     w0 = np.zeros(dim)
 
-    # Stacked rows pay off only with more than two clients: two leave
-    # little per-call overhead to share, and the block's masking and
-    # segment sums then cost more than they save.
-    block = ShardBlock.stack(shards) if len(shards) > 2 else None
     local = cfg.penalty_mode == PENALTY_LOCAL
     unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
     clients = [
@@ -273,7 +270,6 @@ def init_protocol(
             fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
             if unweighted
             else None,
-            block=block,
         )
         for s, km, col in zip(shards, kms, col_sums)
     ]

@@ -1,0 +1,43 @@
+"""The benchmark's hold on the program: every name it wraps exists, and
+the calls it intercepts keep the positional shapes its wrappers assume.
+
+bench/tracing.py times a run by replacing module attributes for the
+length of the run; a renamed function would break the benchmark, and a
+changed call shape would break its wrappers. The module is loaded from
+its file and left as it is.
+"""
+
+import importlib.util
+import inspect
+import pathlib
+
+import pytest
+
+from fedfair import engine, lp, protocol
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_exists(tracing):
+    wrapped = [*tracing.TIMED.values(), *tracing.COUNTED.values()]
+    wrapped += [(module, name) for module, name, _ in tracing.RunObserver().hooks()]
+    missing = [f"{m.__name__}.{n}" for m, n in wrapped if not callable(getattr(m, n, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("function, args", [
+    (protocol.init_protocol, ("shards", "basis", "cfg")),
+    (protocol.server_round, ("state", "bundles", "cfg")),
+    (lp.solve, ("problem",)),
+    (engine.run, ("spec", "train", "test", "shards")),
+])
+def test_intercepted_calls_take_positional_arguments(function, args):
+    inspect.signature(function).bind(*args)  # TypeError if the shape changed

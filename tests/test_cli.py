@@ -333,6 +333,52 @@ def test_grid_summary(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+BAD_GRID_VALUES = {
+    "unknown_algorithm": {"algorithms": ["FL", "Bogus"]},
+    "algorithms_not_a_list": {"algorithms": "FL"},
+    "no_algorithms": {"algorithms": []},
+    "zero_repetitions": {"repetitions": 0},
+    "fractional_repetitions": {"repetitions": 1.5},
+    "bool_repetitions": {"repetitions": True},
+    "text_base_seed": {"base_seed": "abc"},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRID_VALUES))
+def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
+    cfg = {"algorithms": ["FL"], "hyper": {"rounds": 1}, "dataset": {"n": 300}}
+    path = write_config(tmp_path, {**cfg, **BAD_GRID_VALUES[case]}, "grid.yaml")
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--config", str(path), "--output", str(out)]) == 2
+    assert not (out / "summary.csv").exists()
+
+
+BAD_HYPER_VALUES = {
+    "text_int": {"rounds": "abc"},
+    "fractional_int": {"local_epochs": 2.5},
+    "bool_int": {"seed": True},
+    "text_float": {"tau": "small"},
+    "bool_float": {"lambda": False},
+    "empty_float": {"sigma": None},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(BAD_HYPER_VALUES))
+def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, command, case):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    path = write_config(tmp_path, {"hyper": BAD_HYPER_VALUES[case], "dataset": {"n": 300}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+def test_hyper_takes_integers_for_float_fields():
+    hyper = engine.hyper_from_config({"hyper": {"lambda": 3, "tau": 0.1, "rounds": 4}})
+    assert (hyper.lam, hyper.tau, hyper.rounds) == (3, 0.1, 4)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -346,20 +346,33 @@ def drawn_indices(ds, sp):
     return np.array_split(pooled, sp.num_clients), test_idx
 
 
-@pytest.mark.parametrize("assignment, clients", [("by_group", 2), ("even", 20)])
+@pytest.mark.parametrize(
+    "assignment, clients", [("by_group", 2), ("even", 20), ("even_shards", 5)]
+)
 def test_shift_split_shards_are_views_of_train(assignment, clients):
+    """Both splitters give a train set that stacks the shards' rows in
+    client order, each shard a view of its rows: "even_shards" is
+    engine.even_shards, the others shift_split's client assignments."""
     ds = data.encode(engine.generate_census_like(engine.CensusSpec(n=1500, seed=4)))
-    sp = engine.census_split_spec(4, client_assignment=assignment, num_clients=clients)
-    train, test, shards = data.shift_split(ds, sp)
-    shard_idx, test_idx = drawn_indices(ds, sp)
+    if assignment == "even_shards":
+        train, shards = engine.even_shards(ds, clients, seed=4)
+        shard_idx = np.array_split(np.random.default_rng(4).permutation(ds.n), clients)
+    else:
+        sp = engine.census_split_spec(4, client_assignment=assignment, num_clients=clients)
+        train, test, shards = data.shift_split(ds, sp)
+        shard_idx, test_idx = drawn_indices(ds, sp)
+        for name in ("features", "labels", "sensitive"):
+            assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
     assert len(shards) == len(shard_idx) == clients
+    assert [s.client_id for s in shards] == list(range(clients))
+    starts = np.cumsum([0] + [s.n for s in shards[:-1]])
+    assert np.array_equal(data.shard_starts(train, shards), starts)
     for name in ("features", "labels", "sensitive"):
         for shard, idx in zip(shards, shard_idx):
             assert np.shares_memory(getattr(shard, name), getattr(train, name))
             assert np.array_equal(getattr(shard, name), getattr(ds, name)[idx])
         stacked = np.concatenate([getattr(shard, name) for shard in shards])
         assert np.array_equal(stacked, getattr(train, name))
-        assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
 
 
 # ---------------------------------------------------------------------------

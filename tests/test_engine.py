@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfair import engine, fairness, logistic
-from fedfair.data import ClientShard, EncodedDataset
+from fedfair.data import ClientShard, EncodedDataset, cut_shards
 from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
 
 from oracles import run_fedavg_reference
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
-    train = engine.generate_synthetic(engine.SyntheticSpec(n=n, seed=seed))
+    ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, seed=seed))
     test = engine.generate_synthetic(engine.SyntheticSpec(n=n, seed=seed + 1))
-    shards = engine.even_shards(train, num_clients, seed=seed)
+    train, shards = engine.even_shards(ds, num_clients, seed=seed)
     return train, test, shards
 
 
@@ -50,8 +50,7 @@ def test_penalized_variants_keep_lambda():
 
 def test_single_client_equals_centralized_descent():
     """With one client, federated training is exactly sequential descent."""
-    train, test, _ = synthetic_setup()
-    shards = engine.even_shards(train, 1, seed=0)
+    train, test, shards = synthetic_setup(num_clients=1)
     spec = engine.AlgorithmSpec(kind="FL", hyper=FAST)
     result = engine.run(spec, train, test, shards)
 
@@ -101,6 +100,48 @@ def test_zero_rounds_reports_initial_model():
     result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=hyper), train, test, shards)
     assert result.per_round == []
     assert np.allclose(result.w_final, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the row layout engine.run takes: train holds the shards' rows in client order
+# ---------------------------------------------------------------------------
+
+
+def test_run_rejects_shards_out_of_client_order():
+    train, test, shards = synthetic_setup(num_clients=3)
+    swapped = [ClientShard(k, s.features, s.labels, s.sensitive)
+               for k, s in enumerate([shards[1], shards[0], shards[2]])]
+    with pytest.raises(ConfigError, match="client order"):
+        engine.run(engine.AlgorithmSpec(kind="FL", hyper=FAST), train, test, swapped)
+
+
+def test_run_rejects_train_with_extra_rows():
+    train, test, shards = synthetic_setup(num_clients=3)
+    longer = train.subset(np.arange(train.n + 1) % train.n)  # row 0 again at the end
+    with pytest.raises(ConfigError, match="client order"):
+        engine.run(engine.AlgorithmSpec(kind="FL", hyper=FAST), longer, test, shards)
+
+
+@pytest.mark.parametrize("name", ["features", "labels", "sensitive"])
+def test_run_rejects_train_with_one_altered_row(name):
+    train, test, shards = synthetic_setup(num_clients=3)
+    altered = train.subset(np.arange(train.n))  # a copy: the shards still view train
+    column = getattr(altered, name)
+    column[17] = 1 - column[17]
+    with pytest.raises(ConfigError, match="client order"):
+        engine.run(engine.AlgorithmSpec(kind="FL", hyper=FAST), altered, test, shards)
+
+
+@pytest.mark.parametrize("num_clients", [2, 5])
+def test_per_client_rd_is_each_shards_own_risk_difference(num_clients):
+    train, test, shards = synthetic_setup(n=200, num_clients=num_clients)
+    result = engine.run(engine.AlgorithmSpec(kind="FairFL", hyper=FAST), train, test, shards)
+    want = [
+        fairness.risk_difference(logistic.predict_label(result.w_final, s.features), s.sensitive)
+        for s in shards
+    ]
+    assert result.final["per_client_rd"] == want
+    assert len(set(want)) == num_clients  # distinct figures, so a mix-up shows
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +241,7 @@ def test_run_returns_or_raises_documented_error(
         parts = [np.flatnonzero(group), np.flatnonzero(~group)]
     else:
         parts = np.array_split(rng.permutation(n), min(num_clients, n))
-    shards = [
-        ClientShard(k, train.features[idx], train.labels[idx], train.sensitive[idx])
-        for k, idx in enumerate(p for p in parts if p.size)
-    ]
+    train, shards = cut_shards(train, [p for p in parts if p.size])
     hyper = engine.HyperParams(rounds=2, local_epochs=2, num_bases=4, seed=seed)
     try:
         result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper), train, test, shards)
@@ -242,11 +280,13 @@ def test_synthetic_validation():
 
 def test_even_shards_partition():
     ds = engine.generate_synthetic(engine.SyntheticSpec(n=50))
-    shards = engine.even_shards(ds, 3, seed=1)
-    assert sum(s.n for s in shards) == 50
+    train, shards = engine.even_shards(ds, 3, seed=1)
+    assert sum(s.n for s in shards) == train.n == 50
     assert max(s.n for s in shards) - min(s.n for s in shards) <= 1
-    rows = np.vstack([s.features for s in shards])
-    assert rows.shape == ds.features.shape
+    # a permutation of the dataset's rows
+    assert np.array_equal(np.sort(train.features, axis=0), np.sort(ds.features, axis=0))
+    with pytest.raises(ConfigError, match="empty shard"):
+        engine.even_shards(ds, 51, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfair import fairness, logistic
-from fedfair.data import ShardBlock
 from fedfair.errors import ProtocolError
 
 from conftest import make_shard, random_shard
@@ -363,7 +362,7 @@ def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
     # is rejected by every client whose gradient is not zero
     shards, thetas, pens, w0 = lockstep_case(seed, p, mode, lam, scale)
     opt = logistic.OptimizerSpec(learning_rate=step[0], epochs=10, max_halvings=step[1])
-    got = logistic.fit_lockstep(w0, ShardBlock.stack(shards), np.concatenate(thetas), pens, opt)
+    got = logistic.fit_lockstep(w0, shards, np.concatenate(thetas), pens, opt)
     assert got.shape == (p, 4)
     for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
         assert_same_fit(got[k], logistic.fit_local(w0, shard, th, pen, opt), shard, th, pen)
@@ -371,10 +370,10 @@ def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
 
 def test_lockstep_stops_rejecting_clients_and_fits_the_rest():
     shards, thetas, pens, w0 = lockstep_case(5, 8, "global", 2.0, 1.0)
-    block, theta = ShardBlock.stack(shards), np.concatenate(thetas)
+    theta = np.concatenate(thetas)
     for lr, halvings in ((1e6, 0), (1e3, 3), (1.0, 20)):
         opt = logistic.OptimizerSpec(learning_rate=lr, epochs=5, max_halvings=halvings)
-        got = logistic.fit_lockstep(w0, block, theta, pens, opt)
+        got = logistic.fit_lockstep(w0, shards, theta, pens, opt)
         for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
             assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
         if lr == 1e6:
@@ -388,6 +387,6 @@ def test_lockstep_nonfinite_start_raises(rng):
     w0 = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ProtocolError):
         logistic.fit_lockstep(
-            w0, ShardBlock.stack(shards), np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
+            w0, shards, np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
             logistic.OptimizerSpec(epochs=1),
         )

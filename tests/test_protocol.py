@@ -296,13 +296,22 @@ def test_lambda_zero_disables_penalty(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_only_runs_with_more_than_two_clients_share_a_block(rng):
+def test_only_rounds_of_more_than_two_clients_fit_in_lockstep(rng, monkeypatch):
+    calls = []
+
+    def fit_lockstep(*args):
+        calls.append(len(args[1]))  # the shards it fits
+        return real_fit_lockstep(*args)
+
+    real_fit_lockstep = logistic.fit_lockstep
+    monkeypatch.setattr(logistic, "fit_lockstep", fit_lockstep)
     basis = kernels.constant_basis(3)
-    for p, shared in ((1, False), (2, False), (3, True)):
+    for p, lockstep in ((1, False), (2, False), (3, True)):
+        calls.clear()
         shards = [random_shard(rng, 5, 2, k) for k in range(p)]
-        _, clients, _ = setup_run(shards, basis, fast_cfg())
-        assert (clients[0].block is not None) == shared
-        assert all(c.block is clients[0].block for c in clients)
+        _, clients, bc = setup_run(shards, basis, fast_cfg())
+        assert len(protocol.clients_round(clients, bc, fast_cfg())) == p
+        assert calls == ([p] if lockstep else [])
 
 
 @pytest.mark.parametrize("mode", [
