@@ -84,8 +84,8 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_lp_oracle(seed: int, solver=lp.solve) -> tuple[float, list[str]]:
-    """Compare *solver* with the vertex-enumeration oracle on 100 random LPs.
+def check_lp_oracle(seed: int) -> tuple[float, list[str]]:
+    """Compare lp.solve with the vertex-enumeration oracle on 100 random LPs.
 
     Every fourth LP has no fairness row, and every fourth (offset by one) a
     row large enough to force relaxation; a row "binds" when it lowers the
@@ -104,7 +104,7 @@ def check_lp_oracle(seed: int, solver=lp.solve) -> tuple[float, list[str]]:
             tau=0.01 if scale == 5.0 else float(rng.uniform(0.01, 0.5)),
             box_upper=5.0,
         )
-        got, ref = solver(problem), lp.brute_force_oracle(problem)
+        got, ref = lp.solve(problem), lp.brute_force_oracle(problem)
         if got.status != ref.status:
             failures.append(f"LP {i}: status {got.status}, oracle {ref.status}")
         if got.status != ref.status or got.status == lp.STATUS_ERROR:
@@ -131,21 +131,10 @@ def check_lp_oracle(seed: int, solver=lp.solve) -> tuple[float, list[str]]:
     return worst, failures
 
 
-def _check_lp(inject_fault: bool) -> bool:
-    def faulty(problem):
-        sol = lp.solve(problem)
-        return dataclasses.replace(sol, objective_value=sol.objective_value + 0.01)
-
-    _, failures = check_lp_oracle(7, faulty if inject_fault else lp.solve)
-    return not failures
-
-
-def check_gradient_oracle(
-    seed: int, cases: int, n: int, lockstep_gradient=logistic.lockstep_gradient
-) -> float:
+def check_gradient_oracle(seed: int, cases: int, n: int) -> float:
     """Worst relative gap between central finite differences of the local
     objective and both gradients the fits use: loss_gradient on each of
-    *cases* random n-row shards, and *lockstep_gradient* on all of them
+    *cases* random n-row shards, and lockstep_gradient on all of them
     together, each client at its own weights and penalty vector; for each
     of lambda = 0, 2 and 100."""
     rng = np.random.default_rng(seed)
@@ -166,7 +155,7 @@ def check_gradient_oracle(
             logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
             for _ in range(cases)
         ]
-        stacked = lockstep_gradient(ws, shards, ths.ravel(), pens)
+        stacked = logistic.lockstep_gradient(ws, shards, ths.ravel(), pens)
         for shard, w, th, pen, got in zip(shards, ws, ths, pens, stacked):
             fd = np.array([
                 logistic.local_objective(w + e, shard, th, pen)
@@ -179,8 +168,7 @@ def check_gradient_oracle(
     return worst
 
 
-def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
-                             clients_round=protocol.clients_round) -> float:
+def check_aggregation_oracle(n: int, seeds: tuple[int, int, int]) -> float:
     """Largest gap between the server's sums of one round's bundles and a
     pooled recomputation of psi_L, psi_theta, psi_C and phi_C, on *n*
     synthetic rows in 3 even shards (so the clients fit in lockstep) with
@@ -193,7 +181,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
         penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, opt=logistic.OptimizerSpec(epochs=5)
     )
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    bundles = clients_round(clients, bc, cfg)
+    bundles = protocol.clients_round(clients, bc, cfg)
 
     stats = server.stats
     pooled = dict.fromkeys(("psi_L", "psi_theta", "psi_C", "phi_C"), 0.0)
@@ -211,29 +199,11 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int],
     )
 
 
-def _check_gradient(inject_fault: bool) -> bool:
-    def faulty(*args):
-        return logistic.lockstep_gradient(*args) + 1e-2
-
-    gradient = faulty if inject_fault else logistic.lockstep_gradient
-    return check_gradient_oracle(11, 10, 5, gradient) <= 1e-4
-
-
-def _check_aggregation(inject_fault: bool) -> bool:
-    def faulty(*args):
-        return [
-            dataclasses.replace(b, psi_theta=b.psi_theta + 1e-3)
-            for b in protocol.clients_round(*args)
-        ]
-
-    clients_round = faulty if inject_fault else protocol.clients_round
-    return check_aggregation_oracle(60, (3, 5, 9), clients_round) <= 1e-10
-
-
+#: each check of ``fedfair verify``: True when it passes
 CHECKS = {
-    "lp": _check_lp,
-    "gradient": _check_gradient,
-    "aggregation": _check_aggregation,
+    "lp": lambda: not check_lp_oracle(7)[1],
+    "gradient": lambda: check_gradient_oracle(11, 10, 5) <= 1e-4,
+    "aggregation": lambda: check_aggregation_oracle(60, (3, 5, 9)) <= 1e-10,
 }
 
 
@@ -245,7 +215,7 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     failed = False
     for name in names:
-        ok = CHECKS[name](args.inject_fault)
+        ok = CHECKS[name]()
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         failed = failed or not ok
     return EXIT_RUNTIME if failed else EXIT_OK
@@ -274,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the embedded oracle checks")
     p.add_argument("--only", default=None)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

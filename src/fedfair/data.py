@@ -75,6 +75,13 @@ class RawTable:
         return len(self.columns[self.schema.columns[0].name])
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Raise ConfigError unless *value* is an integer >= *least* (a bool
+    is not an integer)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ShiftSplitSpec:
     split_column: str
@@ -87,10 +94,11 @@ class ShiftSplitSpec:
 
     def __post_init__(self):
         for f in (self.train_fraction_group_a, self.train_fraction_group_b):
+            if isinstance(f, bool) or not isinstance(f, (int, float)):
+                raise ConfigError(f"train fraction must be a number, not {f!r}")
             if not 0.0 <= f <= 1.0:
                 raise ConfigError(f"train fraction {f} outside [0, 1]")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
+        require_int("num_clients", self.num_clients, 1)
         if self.client_assignment not in ("by_group", "even"):
             raise ConfigError(
                 f"unknown client_assignment {self.client_assignment!r}"
@@ -112,11 +120,6 @@ class EncodedDataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        """Feature dimension including the bias column."""
-        return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "EncodedDataset":
         """Rows *idx*, without ``aux``: the split-key columns serve only

@@ -37,6 +37,7 @@ from fedfair.data import (
     encode,
     load_csv,
     load_schema_file,
+    require_int,
     shard_starts,
     shift_split,
 )
@@ -76,6 +77,17 @@ class HyperParams:
     local_epochs: int = 20
     learning_rate: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        """ConfigError unless every field is >= 0, and the four scales
+        (num_bases, bound, sigma, learning_rate) are > 0."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            positive = f.name in ("num_bases", "bound", "sigma", "learning_rate")
+            if not (value > 0 if positive else value >= 0):
+                raise ConfigError(
+                    f"hyper {f.name} must be {'>' if positive else '>='} 0, not {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -439,14 +451,9 @@ def census_split_spec(
     )
 
 
-def prepare_census(
-    seed: int,
-    n: int = 6000,
-    split_kwargs: dict | None = None,
-    census_kwargs: dict | None = None,
-):
+def prepare_census(seed: int, n: int = 6000, split_kwargs: dict | None = None):
     """Generate, encode and split a census-like dataset in one call."""
-    table = generate_census_like(CensusSpec(n=n, seed=seed, **(census_kwargs or {})))
+    table = generate_census_like(CensusSpec(n=n, seed=seed))
     ds = encode(table)
     split = census_split_spec(seed=seed, **(split_kwargs or {}))
     return shift_split(ds, split)
@@ -461,13 +468,11 @@ _SPLIT_KEYS = ("train_fraction_group_a", "train_fraction_group_b",
                "client_assignment", "num_clients")
 
 #: top-level keys of a ``fedfair run`` and a ``fedfair grid`` config
-RUN_KEYS = ("algorithm", "hyper", "dataset", "split", "splits")
+RUN_KEYS = ("algorithm", "hyper", "dataset", "split")
 GRID_KEYS = ("algorithms", "splits", "repetitions", "base_seed", "hyper", "dataset")
 
 #: ``dataset`` keys of each dataset kind
-_DATASET_KEYS = {"census": ("kind", "n", "census"), "csv": ("kind", "path", "schema")}
-#: census draw parameters a config may set; ``n`` and the seed come from elsewhere
-_CENSUS_KEYS = tuple(f.name for f in fields(CensusSpec) if f.name not in ("n", "seed"))
+_DATASET_KEYS = {"census": ("kind", "n"), "csv": ("kind", "path", "schema")}
 
 
 def _check_keys(section: str, given, known) -> None:
@@ -487,8 +492,10 @@ def read_config(path, keys) -> dict:
     the top level against *keys* (RUN_KEYS or GRID_KEYS), then the
     ``hyper``, ``dataset`` and split sections against what their readers
     take. Raises ConfigError for a YAML error, an empty file, a document
-    that is not a mapping, a mistyped ``hyper`` value, and a grid's
-    unknown algorithm or non-integer repetitions or base seed."""
+    that is not a mapping, a mistyped or out-of-range ``hyper`` value, a
+    census ``n`` that is not an integer >= 1, a census split that
+    census_split_spec rejects, and a grid's unknown algorithm or
+    non-integer repetitions or base seed."""
     with open(path, encoding="utf-8") as fh:
         try:
             config = yaml.safe_load(fh)
@@ -504,11 +511,12 @@ def read_config(path, keys) -> dict:
     for kind in algorithms:
         AlgorithmSpec(kind=kind)  # ConfigError on an unknown name
     for key, least in (("repetitions", 1), ("base_seed", 0)):
-        value = config.get(key, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{key} must be an integer >= {least}, not {value!r}")
+        require_int(key, config.get(key, least), least)
+    data_cfg = config.get("dataset") or {}
     for split_cfg in config_splits(config):
-        _check_data_keys(config.get("dataset") or {}, split_cfg)
+        _check_data_keys(data_cfg, split_cfg)
+    if "n" in data_cfg:
+        require_int("dataset n", data_cfg["n"], 1)
     return config
 
 
@@ -516,7 +524,7 @@ def hyper_from_config(config: dict, **overrides) -> HyperParams:
     """HyperParams from a config's ``hyper`` section, which may spell
     ``lam`` as ``lambda``; *overrides* that are not None take precedence.
     Raises ConfigError unless each integer field holds an integer and each
-    float field a number (a bool is neither)."""
+    float field a number (a bool is neither), in HyperParams' ranges."""
     hyper_cfg = config.get("hyper") or {}
     _check_keys("hyper", hyper_cfg, ("lambda", *(f.name for f in fields(HyperParams))))
     hyper_cfg = dict(hyper_cfg)
@@ -534,7 +542,8 @@ def hyper_from_config(config: dict, **overrides) -> HyperParams:
 
 def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
     """Check a ``dataset`` section and one split against the keys
-    data_from_config reads; returns the dataset kind."""
+    data_from_config reads, and a census split's values by building its
+    spec; returns the dataset kind."""
     kind = data_cfg.get("kind", "census") if isinstance(data_cfg, dict) else "census"
     if kind not in ("census", "csv"):
         raise ConfigError(f"unknown dataset kind {kind!r}; valid: census, csv")
@@ -545,9 +554,14 @@ def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
         # a CSV is split as its schema file's split section says
         _check_keys("csv split", split_cfg, ("name",))
     else:
-        _check_keys("dataset.census", data_cfg.get("census") or {}, _CENSUS_KEYS)
         _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
+        census_split_spec(0, **_split_kwargs(split_cfg))
     return kind
+
+
+def _split_kwargs(split_cfg: dict) -> dict:
+    """The census_split_spec arguments that a census split section sets."""
+    return {k: split_cfg[k] for k in _SPLIT_KEYS if k in split_cfg}
 
 
 def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
@@ -562,10 +576,7 @@ def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
             raise ConfigError(f"{data_cfg['schema']}: schema file has no 'split' section")
         return shift_split(encode(load_csv(data_cfg["path"], schema)), split)
     return prepare_census(
-        seed=seed,
-        n=int(data_cfg.get("n", 6000)),
-        split_kwargs={k: split_cfg[k] for k in _SPLIT_KEYS if k in split_cfg},
-        census_kwargs=data_cfg.get("census"),
+        seed=seed, n=data_cfg.get("n", 6000), split_kwargs=_split_kwargs(split_cfg)
     )
 
 

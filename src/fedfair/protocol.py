@@ -12,7 +12,7 @@ when more than two fit in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,17 +55,6 @@ class CoefficientBundle:
     phi_C: np.ndarray  # (d+1,)
     w_local: np.ndarray  # (d+1,)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "bundle",
-            "client_id": self.client_id,
-            "psi_L": self.psi_L.tolist(),
-            "psi_theta": self.psi_theta.tolist(),
-            "psi_C": self.psi_C.tolist(),
-            "phi_C": self.phi_C.tolist(),
-            "w_local": self.w_local.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class ServerBroadcast:
@@ -73,15 +62,6 @@ class ServerBroadcast:
     w_avg: np.ndarray
     alpha: np.ndarray
     phi_C_global: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "broadcast",
-            "round": self.round,
-            "w_avg": self.w_avg.tolist(),
-            "alpha": self.alpha.tolist(),
-            "phi_C_global": self.phi_C_global.tolist(),
-        }
 
 
 @dataclass
@@ -126,6 +106,14 @@ def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
         )
 
 
+def _phi_C(state: ClientState, th: np.ndarray) -> np.ndarray:
+    """The client's covariance vector: its fixed one when the variant's
+    weights ignore alpha, else weighted by *th* = theta at alpha."""
+    if state.fixed_phi_C is not None:
+        return state.fixed_phi_C
+    return fairness.covariance_coeff_w(state.shard, th, state.stats)
+
+
 def _bundle(state: ClientState, th: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
     """Coefficient extraction at the client's new weights."""
     losses = logistic.per_sample_logloss(w_new, state.shard.features, state.shard.labels)
@@ -133,28 +121,18 @@ def _bundle(state: ClientState, th: np.ndarray, w_new: np.ndarray) -> Coefficien
     psi_C = fairness.covariance_coeff_alpha(
         state.shard, state.kernel_matrix, w_new, state.stats
     )
-    phi_C = state.fixed_phi_C
-    if phi_C is None:
-        phi_C = fairness.covariance_coeff_w(state.shard, th, state.stats)
-
     bundle = CoefficientBundle(
         client_id=state.shard.client_id,
         psi_L=psi_L,
         psi_theta=state.psi_theta,
         psi_C=psi_C,
-        phi_C=phi_C,
+        phi_C=_phi_C(state, th),
         w_local=w_new,
     )
-    for name, vec in (
-        ("psi_L", psi_L),
-        ("psi_theta", state.psi_theta),
-        ("psi_C", psi_C),
-        ("phi_C", phi_C),
-        ("w_local", w_new),
-    ):
-        if not np.isfinite(vec).all():
+    for f in fields(bundle):
+        if f.name != "client_id" and not np.isfinite(getattr(bundle, f.name)).all():
             raise ProtocolError(
-                f"client {state.shard.client_id}: non-finite {name} in bundle"
+                f"client {state.shard.client_id}: non-finite {f.name} in bundle"
             )
     state.expected_round += 1
     return bundle
@@ -274,14 +252,10 @@ def init_protocol(
         for s, km, col in zip(shards, kms, col_sums)
     ]
     # phi_C does not depend on w, so the stats round can already ship the
-    # exact alpha0-weighted covariance vector; otherwise the first local
-    # fit would run with a zero (disabled) penalty.
+    # covariance vector every later round ships, at alpha0; otherwise the
+    # first local fit would run with a zero (disabled) penalty.
     phi0 = np.sum(
-        [
-            fairness.covariance_coeff_w(s, kernels.theta(km, alpha0), stats)
-            for s, km in zip(shards, kms)
-        ],
-        axis=0,
+        [_phi_C(c, kernels.theta(c.kernel_matrix, alpha0)) for c in clients], axis=0
     )
     server = ServerState(
         round=0,

@@ -13,7 +13,7 @@ Property criteria (7-13) are self-contained and need no external data.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -294,7 +294,7 @@ def test_criterion_12_reductions():
     cfg = protocol.ProtocolConfig(
         penalty_mode=protocol.PENALTY_NONE, optimize_alpha=False, opt=opt
     )
-    basis = kernels.constant_basis(ds.dim)
+    basis = kernels.constant_basis(ds.features.shape[1])
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     reference = run_fedavg_reference(shards, 5, opt)
     worst_a = 0.0
@@ -321,8 +321,8 @@ def test_criterion_12_reductions():
     train, one = engine.even_shards(ds, 1, seed=0)
     hyper = engine.HyperParams(rounds=4, local_epochs=5, learning_rate=0.5, num_bases=4)
     result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=hyper), train, test, one)
-    w = np.zeros(train.dim)
-    pen = logistic.PenaltySpec.disabled(train.dim)
+    w = np.zeros(train.features.shape[1])
+    pen = logistic.PenaltySpec.disabled(train.features.shape[1])
     for _ in range(hyper.rounds):
         w = logistic.fit_local(
             w, one[0], np.ones(one[0].n), pen,
@@ -355,24 +355,16 @@ def test_criterion_13_message_shapes_hide_shard_sizes():
     assert shards[0].features.shape[1] not in shard_sizes
 
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    messages = [bc.to_dict()]
+    messages = [bc]
     for _ in range(3):
         bundles = [protocol.client_round(c, bc, cfg) for c in clients]
-        messages.extend(b.to_dict() for b in bundles)
+        messages.extend(bundles)
         bc = protocol.server_round(server, bundles, cfg)
-        messages.append(bc.to_dict())
+        messages.append(bc)
 
-    def lengths(value):
-        if isinstance(value, list):
-            yield len(value)
-            for v in value:
-                yield from lengths(v)
-        elif isinstance(value, dict):
-            for v in value.values():
-                yield from lengths(v)
-
+    arrays = [getattr(msg, f.name) for msg in messages for f in fields(msg)]
     leaks = sum(
-        1 for msg in messages for length in lengths(msg) if length in shard_sizes
+        1 for a in arrays if isinstance(a, np.ndarray) and len(a) in shard_sizes
     )
     report(
         13,

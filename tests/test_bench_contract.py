@@ -1,5 +1,7 @@
-"""The benchmark's hold on the program: every name it wraps exists, and
-the calls it intercepts keep the positional shapes its wrappers assume.
+"""The benchmark's hold on the program: every name it wraps exists, the
+calls it intercepts keep the positional shapes its wrappers assume, and
+the calls bench/run.py makes by keyword still take those keywords and
+values.
 
 bench/tracing.py times a run by replacing module attributes for the
 length of the run; a renamed function would break the benchmark, and a
@@ -10,6 +12,7 @@ its file and left as it is.
 import importlib.util
 import inspect
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -41,3 +44,18 @@ def test_every_wrapped_name_exists(tracing):
 ])
 def test_intercepted_calls_take_positional_arguments(function, args):
     inspect.signature(function).bind(*args)  # TypeError if the shape changed
+
+
+@pytest.mark.parametrize("function, kwargs", [
+    (engine.prepare_census, ("seed", "n", "split_kwargs")),
+    (engine.AlgorithmSpec, ("kind", "hyper")),
+])
+def test_bench_calls_take_keyword_arguments(function, kwargs):
+    inspect.signature(function).bind(**dict.fromkeys(kwargs))
+
+
+@pytest.mark.parametrize("rounds", [0, 300])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])  # bench/run.py draws uint32 seeds
+def test_bench_hyper_params_are_valid(rounds, seed):
+    hyper = replace(engine.HyperParams(), rounds=rounds, seed=seed)
+    assert engine.AlgorithmSpec(kind="AgnosticFair", hyper=hyper).hyper == hyper

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import pytest
 import yaml
 
-from fedfair import cli, data, engine
+from fedfair import cli, data, engine, logistic, lp, protocol
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -143,14 +144,30 @@ BAD_CONFIGS = {
     "csv_without_path": {"dataset": {"kind": "csv", "schema": "schema.yaml"}},
     "csv_with_split_keys": {
         "dataset": {"kind": "csv", "path": "census.csv", "schema": "schema.yaml"},
-        "splits": [{"name": "even", "num_clients": 4}],
+        "split": {"name": "even", "num_clients": 4},
     },
     "unknown_census_key": {"dataset": {"n": 300, "census": {"p_privat": 0.5}}},
+    "census_section": {"dataset": {"n": 300, "census": {"p_male_private": 1.0}}},
     "unknown_dataset_kind": {"dataset": {"kind": "parquet", "n": 300}},
     "unknown_dataset_key": {"dataset": {"n": 300, "rows": 300}},
     "misspelled_split_key": {
         "dataset": {"n": 300},
-        "splits": [{"name": "even", "client_assignment": "even", "num_client": 4}],
+        "split": {"name": "even", "client_assignment": "even", "num_client": 4},
+    },
+    "text_n": {"dataset": {"n": "abc"}},
+    "fractional_n": {"dataset": {"n": 300.7}},
+    "bool_n": {"dataset": {"n": True}},
+    "zero_n": {"dataset": {"n": 0}},
+    "text_num_clients": {
+        "dataset": {"n": 300},
+        "split": {"client_assignment": "even", "num_clients": "x"},
+    },
+    "fractional_num_clients": {
+        "dataset": {"n": 300},
+        "split": {"client_assignment": "even", "num_clients": 2.5},
+    },
+    "text_train_fraction": {
+        "dataset": {"n": 300}, "split": {"train_fraction_group_a": "x"},
     },
 }
 
@@ -158,6 +175,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
     bad = BAD_CONFIGS[case]
     path = tmp_path / "bad.yaml"
     if isinstance(bad, str):
@@ -165,7 +183,10 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
     else:
         write_census_inputs(tmp_path)  # census.csv and schema.yaml, for the csv cases
         monkeypatch.chdir(tmp_path)
-        path.write_text(yaml.safe_dump({"hyper": FAST_HYPER, **bad}))
+        cfg = {"hyper": FAST_HYPER, **bad}
+        if command == "grid" and "split" in cfg:  # a grid lists its splits
+            cfg["splits"] = [cfg.pop("split")]
+        path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
@@ -199,6 +220,14 @@ def test_schema_file_missing_key_is_usage_error(tmp_path, caplog, command, case)
 def test_grid_rejects_run_keys(tmp_path):
     path = write_config(tmp_path, {"algorithm": "FL", "hyper": FAST_HYPER})
     assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+
+
+def test_run_rejects_a_splits_list(tmp_path, monkeypatch):
+    # a run trains on one split; it reads a split section, never a list
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    path = write_config(tmp_path, {"hyper": FAST_HYPER, "dataset": {"n": 300},
+                                   "splits": [{"name": "a"}, {"name": "b"}]})
+    assert cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize(
@@ -264,18 +293,19 @@ def test_run_unknown_hyper_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_run_runtime_failure_exits_1(tmp_path):
-    # a draw with men only has one sensitive group, so the train set's risk
+def test_run_runtime_failure_exits_1(tmp_path, caplog):
+    # a CSV of men only has one sensitive group, so the train set's risk
     # difference is undefined after training
-    cfg = {
-        "algorithm": "FL",
-        "hyper": {"rounds": 2, "local_epochs": 2},
-        "dataset": {"n": 300, "census": {"p_male_private": 1.0, "p_male_other": 1.0}},
-    }
-    path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    csv_path, _, cfg = write_census_inputs(tmp_path)
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "gender": "male"} for row in rows)
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 1
+    assert "sensitive group 0 is empty" in caplog.text
 
 
 def test_run_one_group_shards_record_nan(tmp_path):
@@ -361,6 +391,15 @@ BAD_HYPER_VALUES = {
     "text_float": {"tau": "small"},
     "bool_float": {"lambda": False},
     "empty_float": {"sigma": None},
+    "negative_rounds": {"rounds": -3},
+    "negative_local_epochs": {"local_epochs": -1},
+    "negative_seed": {"seed": -1},
+    "negative_lambda": {"lambda": -5},
+    "negative_tau": {"tau": -1},
+    "zero_num_bases": {"num_bases": 0},
+    "zero_bound": {"bound": 0},
+    "negative_sigma": {"sigma": -1.0},
+    "zero_learning_rate": {"learning_rate": 0},
 }
 
 
@@ -391,9 +430,24 @@ def test_verify_all_checks_pass(capsys):
         assert f"{name}: PASS" in out
 
 
-def test_verify_inject_fault_fails(capsys):
-    assert cli.main(["verify", "--inject-fault"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+#: each check's subject and a small spoiling of its answer
+SPOILED = {
+    "lp": (lp, "solve",
+           lambda sol: dataclasses.replace(sol, objective_value=sol.objective_value + 0.01)),
+    "gradient": (logistic, "lockstep_gradient", lambda grad: grad + 1e-2),
+    "aggregation": (protocol, "clients_round", lambda bundles: [
+        dataclasses.replace(b, psi_theta=b.psi_theta + 1e-3) for b in bundles
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(SPOILED))
+def test_verify_check_fails_when_its_subject_is_spoiled(monkeypatch, capsys, name):
+    module, attr, spoil = SPOILED[name]
+    subject = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: spoil(subject(*args)))
+    assert cli.main(["verify", "--only", name]) == 1
+    assert f"{name}: FAIL" in capsys.readouterr().out
 
 
 def test_verify_only_filter(capsys):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fedfair import kernels, logistic, protocol
+from fedfair import fairness, kernels, logistic, protocol
 from fedfair.errors import ConfigError, ProtocolError
 
 from conftest import make_shard, random_shard
@@ -62,14 +64,35 @@ def test_round0_broadcast_carries_alpha0_covariance(rng):
     shards = [random_shard(rng, 8, 2, 0)]
     basis = kernels.select_basis(shards, 3, seed=0)
     server, clients, bc = setup_run(shards, basis, fast_cfg())
-    from fedfair import fairness
-
     stats = fairness.compute_stats(shards)
     km = kernels.kernel_matrix(shards[0], basis)
     expected = fairness.covariance_coeff_w(
         shards[0], kernels.theta(km, server.alpha), stats
     )
     assert np.allclose(bc.phi_C_global, expected)
+
+
+@pytest.mark.parametrize("mode", [protocol.PENALTY_GLOBAL, protocol.PENALTY_UNWEIGHTED])
+def test_round0_broadcast_ships_the_covariance_of_later_rounds(mode, rng):
+    # the unweighted variant's first fit must penalize the fixed theta == 1
+    # covariance it gets in every later round, not the alpha0-weighted one
+    shards = [random_shard(rng, 9, 2, 0), random_shard(rng, 7, 2, 1)]
+    basis = kernels.select_basis(shards, 4, seed=2)
+    cfg = fast_cfg(penalty_mode=mode, lam=2.0)
+    server, clients, bc0 = setup_run(shards, basis, cfg)
+    stats = fairness.compute_stats(shards)
+    weighted = np.sum([
+        fairness.covariance_coeff_w(
+            s, kernels.theta(kernels.kernel_matrix(s, basis), server.alpha), stats
+        )
+        for s in shards
+    ], axis=0)
+    bc1 = protocol.server_round(server, protocol.clients_round(clients, bc0, cfg), cfg)
+    if mode == protocol.PENALTY_UNWEIGHTED:
+        assert np.array_equal(bc0.phi_C_global, bc1.phi_C_global)
+        assert not np.allclose(bc0.phi_C_global, weighted)
+    else:
+        assert np.allclose(bc0.phi_C_global, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +261,18 @@ def test_message_array_lengths_never_match_shard_sizes(rng):
     basis = kernels.select_basis(shards, 4, seed=7)
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0)
     server, clients, bc = setup_run(shards, basis, cfg)
-    messages = [bc.to_dict()]
+    messages = [bc]
     for _ in range(3):
         bundles = [protocol.client_round(c, bc, cfg) for c in clients]
-        messages.extend(b.to_dict() for b in bundles)
+        messages.extend(bundles)
         bc = protocol.server_round(server, bundles, cfg)
-        messages.append(bc.to_dict())
-
-    def walk(value):
-        if isinstance(value, list):
-            yield len(value)
-            for v in value:
-                yield from walk(v)
-        elif isinstance(value, dict):
-            for v in value.values():
-                yield from walk(v)
+        messages.append(bc)
 
     for msg in messages:
-        for length in walk(msg):
-            assert length not in shard_sizes
+        for f in dataclasses.fields(msg):
+            value = getattr(msg, f.name)
+            if isinstance(value, np.ndarray):
+                assert len(value) not in shard_sizes
 
 
 # ---------------------------------------------------------------------------
