@@ -99,6 +99,7 @@ class ShiftSplitSpec:
             if not 0.0 <= f <= 1.0:
                 raise ConfigError(f"train fraction {f} outside [0, 1]")
         require_int("num_clients", self.num_clients, 1)
+        require_int("seed", self.seed, 0)
         if self.client_assignment not in ("by_group", "even"):
             raise ConfigError(
                 f"unknown client_assignment {self.client_assignment!r}"
@@ -343,7 +344,8 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
     """Read a YAML schema file declaring columns and an optional split spec.
 
     Raises SchemaError naming the file for a missing key or a value of
-    the wrong type.
+    the wrong type; the split values are checked as ShiftSplitSpec checks
+    a census split, and ``group_a_values`` must be a non-empty list.
     """
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -365,16 +367,20 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
         s = doc["split"]
         _require(s, ("split_column", "group_a_values", "train_fraction_group_a",
                      "train_fraction_group_b"), path, "split")
+        values = s["group_a_values"]
+        if not isinstance(values, list) or not values:
+            raise SchemaError(f"{path}: split: group_a_values must be a non-empty list, "
+                              f"not {values!r}")
         try:
             split = ShiftSplitSpec(
                 split_column=s["split_column"],
-                split_predicate=frozenset(s["group_a_values"]),
-                train_fraction_group_a=float(s["train_fraction_group_a"]),
-                train_fraction_group_b=float(s["train_fraction_group_b"]),
+                split_predicate=frozenset(values),
+                train_fraction_group_a=s["train_fraction_group_a"],
+                train_fraction_group_b=s["train_fraction_group_b"],
                 client_assignment=s.get("client_assignment", "by_group"),
-                num_clients=int(s.get("num_clients", 2)),
-                seed=int(s.get("seed", 0)),
+                num_clients=s.get("num_clients", 2),
+                seed=s.get("seed", 0),
             )
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError) as exc:
             raise SchemaError(f"{path}: split: {exc}") from None
     return schema, split

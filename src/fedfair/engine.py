@@ -474,6 +474,9 @@ GRID_KEYS = ("algorithms", "splits", "repetitions", "base_seed", "hyper", "datas
 #: ``dataset`` keys of each dataset kind
 _DATASET_KEYS = {"census": ("kind", "n"), "csv": ("kind", "path", "schema")}
 
+#: what a grid runs when its config has no ``algorithms`` key
+DEFAULT_ALGORITHMS = ["FL", "AgnosticFair"]
+
 
 def _check_keys(section: str, given, known) -> None:
     if not isinstance(given, dict):
@@ -483,8 +486,11 @@ def _check_keys(section: str, given, known) -> None:
 
 
 def config_splits(config: dict) -> list[dict]:
-    """A config's ``splits`` list, else its one ``split`` section."""
-    return config.get("splits") or [config.get("split") or {}]
+    """A grid config's ``splits`` list, else a run config's one ``split``
+    section; either defaults to one census split named "shift"."""
+    if "splits" in config:
+        return config["splits"]
+    return [config.get("split") or {"name": "shift"}]
 
 
 def read_config(path, keys) -> dict:
@@ -494,8 +500,9 @@ def read_config(path, keys) -> dict:
     take. Raises ConfigError for a YAML error, an empty file, a document
     that is not a mapping, a mistyped or out-of-range ``hyper`` value, a
     census ``n`` that is not an integer >= 1, a census split that
-    census_split_spec rejects, and a grid's unknown algorithm or
-    non-integer repetitions or base seed."""
+    census_split_spec rejects, and a grid's unknown algorithm, empty
+    ``algorithms`` or ``splits`` list, or non-integer repetitions or base
+    seed."""
     with open(path, encoding="utf-8") as fh:
         try:
             config = yaml.safe_load(fh)
@@ -505,15 +512,17 @@ def read_config(path, keys) -> dict:
         raise ConfigError(f"{path}: empty config")
     _check_keys("config", config, keys)
     hyper_from_config(config)
-    algorithms = config.get("algorithms", ["FL"])
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ConfigError(f"algorithms must be a non-empty list, not {algorithms!r}")
+    algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
+    splits = config_splits(config)
+    for key, listed in (("algorithms", algorithms), ("splits", splits)):
+        if not isinstance(listed, list) or not listed:
+            raise ConfigError(f"{key} must be a non-empty list, not {listed!r}")
     for kind in algorithms:
         AlgorithmSpec(kind=kind)  # ConfigError on an unknown name
     for key, least in (("repetitions", 1), ("base_seed", 0)):
         require_int(key, config.get(key, least), least)
     data_cfg = config.get("dataset") or {}
-    for split_cfg in config_splits(config):
+    for split_cfg in splits:
         _check_data_keys(data_cfg, split_cfg)
     if "n" in data_cfg:
         require_int("dataset n", data_cfg["n"], 1)
@@ -589,8 +598,8 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     a schema file or CSV that does not parse stops it, since every cell
     reads the same files.
     """
-    algorithms = config.get("algorithms", ["FL", "AgnosticFair"])
-    splits = config.get("splits", [{"name": "shift"}])
+    algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
+    splits = config_splits(config)
     reps = int(config.get("repetitions", 1))
     base_seed = int(config.get("base_seed", 0))
     hyper = hyper_from_config(config)

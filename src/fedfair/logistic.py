@@ -8,10 +8,12 @@ where phi_C is the (global) covariance coefficient vector of w in the
 decision-boundary fairness constraint. The first term is normalized by
 the local n_k while phi_C already carries the global 1/n.
 
-The log-loss at the margin z = x . w is the exact softplus(z) - y z, with
-softplus(z) = max(z, 0) + log1p(exp(-|z|)). It is finite for every logit,
-and its gradient sigmoid(z) - y is built from the same exp(-|z|), so the
-objective and its gradient agree even where the sigmoid saturates.
+With y in {0, 1} and the sign s = 1 - 2y, the log-loss at the margin
+z = x . w is softplus(m) of the signed margin m = s z, where
+softplus(m) = max(m, 0) + log1p(exp(-|m|)). Every term is nonnegative
+and finite for every logit, so a sum of losses never cancels; the
+gradient X^T (theta s sigmoid(m)) / n is built from the same exp(-|m|),
+so the objective and its gradient agree even where the sigmoid saturates.
 
 fit_local fits one client; fit_lockstep fits every client of a round at
 once, reading each client's features from its own shard and stacking
@@ -53,15 +55,15 @@ class OptimizerSpec:
     max_halvings: int = 20
 
 
-def _softplus(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(z) and e = exp(-|z|), which _gradient turns into sigmoid(z)."""
-    e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), e
+def _softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(m) and e = exp(-|m|), which _gradient turns into sigmoid(m)."""
+    e = np.exp(-np.abs(m))
+    return np.maximum(m, 0.0) + np.log1p(e), e
 
 
-def _gradient(features, labels, theta, z, e, gap, penalty) -> np.ndarray:
-    p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)  # sigmoid(z), exact at every z
-    grad = features.T @ (theta * (p - labels)) / len(labels)
+def _gradient(features, signs, theta, m, e, gap, penalty) -> np.ndarray:
+    p = np.where(m >= 0.0, 1.0, e) / (1.0 + e)  # sigmoid(m), exact at every m
+    grad = features.T @ (theta * signs * p) / len(signs)
     return grad + 2.0 * penalty.lam * gap * penalty.phi_c
 
 
@@ -77,8 +79,7 @@ def predict_label(w: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 def per_sample_logloss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    z = features @ w
-    return _softplus(z)[0] - labels * z
+    return _softplus((1.0 - 2.0 * labels) * (features @ w))[0]
 
 
 def local_objective(
@@ -93,9 +94,10 @@ def loss_gradient(
     w: np.ndarray, shard: ClientShard, theta: np.ndarray, penalty: PenaltySpec
 ) -> np.ndarray:
     """Analytic gradient of the local objective with respect to w."""
-    z = shard.features @ w
+    s = 1.0 - 2.0 * shard.labels
+    m = s * (shard.features @ w)
     gap = float(w @ penalty.phi_c) - penalty.tau
-    return _gradient(shard.features, shard.labels, theta, z, _softplus(z)[1], gap, penalty)
+    return _gradient(shard.features, s, theta, m, _softplus(m)[1], gap, penalty)
 
 
 def fit_local(
@@ -114,32 +116,33 @@ def fit_local(
     stops. Stateless per step: running r rounds of e epochs equals one
     run of r*e epochs.
 
-    The search runs on margins: with z = X w kept and dz = X g formed once
-    per step, the candidate w - t g has margins z - t dz and penalty gap
-    gap - t g . phi_C, so trying it takes no matrix product.
+    The search runs on signed margins: with m = s (X w) kept and
+    dm = s (X g) formed once per step, the candidate w - t g has signed
+    margins m - t dm and penalty gap gap - t g . phi_C, so trying it
+    takes no matrix product.
     """
-    x, y, lam = shard.features, shard.labels, penalty.lam
+    x, lam = shard.features, penalty.lam
+    s = 1.0 - 2.0 * shard.labels
     c = theta / shard.n
-    cy = c * y
     w = np.array(w_init, dtype=float)
-    z = x @ w
+    m = s * (x @ w)
     gap = float(w @ penalty.phi_c) - penalty.tau
-    sp, e = _softplus(z)
-    obj = float(c @ sp) - float(cy @ z) + lam * gap * gap
+    sp, e = _softplus(m)
+    obj = float(c @ sp) + lam * gap * gap
     if not np.isfinite(obj):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     for _ in range(opt.epochs):
-        grad = _gradient(x, y, theta, z, e, gap, penalty)
-        dz = x @ grad
-        cyz, cydz, gphi = float(cy @ z), float(cy @ dz), float(grad @ penalty.phi_c)
+        grad = _gradient(x, s, theta, m, e, gap, penalty)
+        dm = s * (x @ grad)
+        gphi = float(grad @ penalty.phi_c)
         rate = opt.learning_rate
         for _ in range(opt.max_halvings + 1):
-            cand_z, cand_gap = z - rate * dz, gap - rate * gphi
-            sp, cand_e = _softplus(cand_z)
-            cand_obj = float(c @ sp) - (cyz - rate * cydz) + lam * cand_gap * cand_gap
+            cand_m, cand_gap = m - rate * dm, gap - rate * gphi
+            sp, cand_e = _softplus(cand_m)
+            cand_obj = float(c @ sp) + lam * cand_gap * cand_gap
             if np.isfinite(cand_obj) and cand_obj <= obj:
-                # the accepted margins' exp(-|z|) feeds the next gradient
-                w, z, gap, e, obj = w - rate * grad, cand_z, cand_gap, cand_e, cand_obj
+                # the accepted margins' exp(-|m|) feeds the next gradient
+                w, m, gap, e, obj = w - rate * grad, cand_m, cand_gap, cand_e, cand_obj
                 break
             rate *= 0.5
         else:
@@ -149,31 +152,31 @@ def fit_local(
     return w
 
 
-def _stacked_softplus(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(z) and exp(-|z|), as _softplus forms them, kept apart so
+def _stacked_softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(m) and exp(-|m|), as _softplus forms them, kept apart so
     that fit_lockstep shares no code with its oracle fit_local."""
-    e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), e
+    e = np.exp(-np.abs(m))
+    return np.maximum(m, 0.0) + np.log1p(e), e
 
 
 def _layout(shards: list[ClientShard]):
-    """The clients' labels stacked in client order, and each client's row
-    count, first row and slice in that stacking."""
+    """The clients' signs s = 1 - 2y stacked in client order, and each
+    client's row count, first row and slice in that stacking."""
     counts = np.array([s.n for s in shards])
     starts = np.cumsum(counts) - counts
     rows = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
-    return np.concatenate([s.labels for s in shards]), counts, starts, rows
+    return 1.0 - 2.0 * np.concatenate([s.labels for s in shards]), counts, starts, rows
 
 
 def _stacked_gradient(
-    shards, rows, labels, counts, theta, z, e, gap, lam, phi, clients, raw
+    shards, rows, signs, counts, theta, m, e, gap, lam, phi, clients, raw
 ) -> np.ndarray:
-    """Every client's gradient, one row each, from the margins z and
-    e = exp(-|z|) of every row and each client's penalty gap, weight lam
-    and vector phi. Only the clients in *clients* get a fresh X_k^T r_k,
-    kept in raw[k]; the other rows are stale."""
-    sig = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-    r = theta * (sig - labels)
+    """Every client's gradient, one row each, from the signed margins m
+    and e = exp(-|m|) of every row and each client's penalty gap, weight
+    lam and vector phi. Only the clients in *clients* get a fresh
+    X_k^T r_k, kept in raw[k]; the other rows are stale."""
+    sig = np.where(m >= 0.0, 1.0, e) / (1.0 + e)
+    r = theta * signs * sig
     for k in clients:
         np.dot(shards[k].features.T, r[rows[k]], out=raw[k])
     return raw / counts[:, None] + (2.0 * lam * gap)[:, None] * phi
@@ -185,11 +188,11 @@ def _penalty_arrays(penalties: list[PenaltySpec]):
     return lam, tau, np.array([pen.phi_c for pen in penalties])
 
 
-def _margins(shards, w, phi, tau):
-    """Every row's margin under its client's weights w[k], and each
-    client's penalty gap w[k] . phi[k] - tau[k]."""
+def _margins(shards, signs, w, phi, tau):
+    """Every row's signed margin under its client's weights w[k], and
+    each client's penalty gap w[k] . phi[k] - tau[k]."""
     z = np.concatenate([s.features @ w[k] for k, s in enumerate(shards)])
-    return z, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
+    return signs * z, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
 
 
 def lockstep_gradient(
@@ -197,12 +200,12 @@ def lockstep_gradient(
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
     fit_lockstep forms it; theta covers every shard's rows in client order."""
-    labels, counts, _, rows = _layout(shards)
+    signs, counts, _, rows = _layout(shards)
     lam, tau, phi = _penalty_arrays(penalties)
-    z, gap = _margins(shards, w, phi, tau)
-    e = _stacked_softplus(z)[1]
+    m, gap = _margins(shards, signs, w, phi, tau)
+    e = _stacked_softplus(m)[1]
     return _stacked_gradient(
-        shards, rows, labels, counts, theta, z, e, gap, lam, phi, range(len(rows)),
+        shards, rows, signs, counts, theta, m, e, gap, lam, phi, range(len(rows)),
         np.empty(w.shape),
     )
 
@@ -219,51 +222,46 @@ def fit_lockstep(
     Row k of the result is client k's weights; theta covers every shard's
     rows in client order, and penalties[k] is client k's. Each epoch the
     sigmoid, the softplus and the first candidate, at the configured
-    learning rate, run once over every row, and the per-client sums are
-    np.add.reduceat segments; only the products X_k^T r_k and X_k g_k are
-    made client by client, on the shard's own features. A client that
-    rejects the first candidate halves on its own rows, and one that
-    rejects every halving stops while the others go on, so each client
-    keeps fit_local's accept test, halving limit and stop. The sums run
-    in another order than fit_local's dot products, so an objective tie
-    at rounding level can decide an accept differently; the weights are
-    otherwise the same.
+    learning rate, run once over every row, and the per-client sums of
+    the nonnegative losses are np.add.reduceat segments; only the
+    products X_k^T r_k and X_k g_k are made client by client, on the
+    shard's own features. A client that rejects the first candidate
+    halves on its own rows, and one that rejects every halving stops
+    while the others go on, so each client keeps fit_local's accept
+    test, halving limit and stop.
     """
-    labels, counts, starts, rows = _layout(shards)
+    signs, counts, starts, rows = _layout(shards)
     p = len(rows)
     lam, tau, phi = _penalty_arrays(penalties)
     c = theta / np.repeat(counts, counts)
-    cy = c * labels
     w = np.tile(np.asarray(w_init, dtype=float), (p, 1))
-    z, gap = _margins(shards, w, phi, tau)
-    sp, e = _stacked_softplus(z)
-    obj = np.add.reduceat(c * sp, starts) - np.add.reduceat(cy * z, starts) + lam * gap * gap
+    m, gap = _margins(shards, signs, w, phi, tau)
+    sp, e = _stacked_softplus(m)
+    obj = np.add.reduceat(c * sp, starts) + lam * gap * gap
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     live = np.ones(p, dtype=bool)  # clients still descending
     clients = list(range(p))
-    raw, dz, gphi = np.zeros_like(w), np.zeros_like(z), np.zeros(p)
+    raw, dz, gphi = np.zeros_like(w), np.zeros_like(m), np.zeros(p)
     for _ in range(opt.epochs):
         grad = _stacked_gradient(
-            shards, rows, labels, counts, theta, z, e, gap, lam, phi, clients, raw
+            shards, rows, signs, counts, theta, m, e, gap, lam, phi, clients, raw
         )
         for k in clients:
             np.dot(shards[k].features, grad[k], out=dz[rows[k]])
             gphi[k] = grad[k] @ phi[k]
-        cyz, cydz = np.add.reduceat(cy * z, starts), np.add.reduceat(cy * dz, starts)
+        dm = signs * dz
         rate = opt.learning_rate
-        cand_z, cand_gap = z - rate * dz, gap - rate * gphi
-        sp, cand_e = _stacked_softplus(cand_z)
-        cand_obj = (
-            np.add.reduceat(c * sp, starts) - (cyz - rate * cydz) + lam * cand_gap * cand_gap
-        )
+        cand_m, cand_gap = m - rate * dm, gap - rate * gphi
+        sp, cand_e = _stacked_softplus(cand_m)
+        cand_obj = np.add.reduceat(c * sp, starts) + lam * cand_gap * cand_gap
         accept = live & np.isfinite(cand_obj) & (cand_obj <= obj)
         if accept.all():
             w -= rate * grad
-            z, e, gap, obj = cand_z, cand_e, cand_gap, cand_obj
+            m, e, gap, obj = cand_m, cand_e, cand_gap, cand_obj
             continue
         taken = np.repeat(accept, counts)
-        z, e = np.where(taken, cand_z, z), np.where(taken, cand_e, e)
+        m, e = np.where(taken, cand_m, m), np.where(taken, cand_e, e)
         w[accept] -= rate * grad[accept]
         gap, obj = np.where(accept, cand_gap, gap), np.where(accept, cand_obj, obj)
         for k in [k for k in clients if not accept[k]]:
@@ -271,12 +269,12 @@ def fit_lockstep(
             rk, rate = rows[k], opt.learning_rate
             for _ in range(opt.max_halvings):
                 rate *= 0.5
-                cz, cg = z[rk] - rate * dz[rk], gap[k] - rate * gphi[k]
-                sp, ce = _stacked_softplus(cz)
-                co = float(c[rk] @ sp) - (cyz[k] - rate * cydz[k]) + lam[k] * cg * cg
+                cm, cg = m[rk] - rate * dm[rk], gap[k] - rate * gphi[k]
+                sp, ce = _stacked_softplus(cm)
+                co = float(c[rk] @ sp) + lam[k] * cg * cg
                 if np.isfinite(co) and co <= obj[k]:
                     w[k] -= rate * grad[k]
-                    z[rk], e[rk], gap[k], obj[k] = cz, ce, cg, co
+                    m[rk], e[rk], gap[k], obj[k] = cm, ce, cg, co
                     break
             else:
                 live[k] = False  # no halving lowered the objective: stop

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from fedfair import cli, data, engine, logistic, lp, protocol
+from fedfair.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -217,6 +218,36 @@ def test_schema_file_missing_key_is_usage_error(tmp_path, caplog, command, case)
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
+BAD_SCHEMA_SPLITS = {
+    "fractional_num_clients": {"client_assignment": "even", "num_clients": 2.5},
+    "text_num_clients": {"client_assignment": "even", "num_clients": "3"},
+    "text_train_fraction": {"train_fraction_group_a": "0.8"},
+    "negative_seed": {"seed": -1},
+    "fractional_seed": {"seed": 1.5},
+    "bare_group_a_value": {"group_a_values": "private"},
+    "no_group_a_values": {"group_a_values": []},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(BAD_SCHEMA_SPLITS))
+def test_schema_file_bad_split_value_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
+    # the values are taken as written, as in a census config's split,
+    # not coerced: 2.5 clients is not 2, and "private" is not {p, r, i, ...}
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    doc = yaml.safe_load(schema_path.read_text())
+    doc["split"].update(BAD_SCHEMA_SPLITS[case])
+    schema_path.write_text(yaml.safe_dump(doc))
+    cfg = {"hyper": FAST_HYPER,
+           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
+    path = write_config(tmp_path, cfg, name="bad.yaml")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert str(schema_path) in caplog.text
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
 def test_grid_rejects_run_keys(tmp_path):
     path = write_config(tmp_path, {"algorithm": "FL", "hyper": FAST_HYPER})
     assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
@@ -371,6 +402,9 @@ BAD_GRID_VALUES = {
     "fractional_repetitions": {"repetitions": 1.5},
     "bool_repetitions": {"repetitions": True},
     "text_base_seed": {"base_seed": "abc"},
+    "no_splits": {"splits": []},
+    "splits_not_a_list": {"splits": "shift"},
+    "split_not_a_mapping": {"splits": ["shift"]},
 }
 
 
@@ -382,6 +416,29 @@ def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, case):
     out = tmp_path / "out"
     assert cli.main(["grid", "--config", str(path), "--output", str(out)]) == 2
     assert not (out / "summary.csv").exists()
+
+
+def test_grid_checks_the_algorithms_it_runs_by_default(tmp_path, monkeypatch):
+    # read_config and experiment_grid read one default: what the grid
+    # would run is what was checked
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
+    monkeypatch.setattr(engine, "DEFAULT_ALGORITHMS", ["FL", "Bogus"])
+    path = write_config(tmp_path, {"hyper": {"rounds": 1}, "dataset": {"n": 300}}, "grid.yaml")
+    assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+
+
+def test_grid_runs_the_default_algorithms_and_split(tmp_path, monkeypatch):
+    cells = []
+
+    def record(spec, train, test, shards):
+        cells.append((spec.kind, len(shards)))
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(engine, "run", record)
+    path = write_config(tmp_path, {"hyper": {"rounds": 1}, "dataset": {"n": 300}}, "grid.yaml")
+    summary = engine.experiment_grid(engine.read_config(path, engine.GRID_KEYS))
+    assert cells == [(kind, 2) for kind in engine.DEFAULT_ALGORITHMS]
+    assert [row["split"] for row in summary] == ["shift"] * len(cells)
 
 
 BAD_HYPER_VALUES = {

@@ -261,30 +261,6 @@ def test_fit_nonfinite_start_raises(rng):
         )
 
 
-def logaddexp_objective(w, shard, theta, penalty):
-    z = shard.features @ w
-    loss = float(theta @ (np.logaddexp(0.0, z) - shard.labels * z)) / shard.n
-    return loss + penalty.lam * (float(w @ penalty.phi_c) - penalty.tau) ** 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    scale=st.floats(0.1, 1000.0),
-    lam=st.sampled_from([0.0, 2.0]),
-)
-def test_fit_never_raises_logaddexp_objective(seed, scale, lam):
-    r = np.random.default_rng(seed)
-    shard = random_shard(r, 12, 3)
-    th = r.uniform(0.1, 2.0, size=12)
-    pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=r.normal(size=4))
-    w0 = r.uniform(-1.0, 1.0, size=4) * scale
-    w = logistic.fit_local(w0, shard, th, pen, logistic.OptimizerSpec(learning_rate=1.0, epochs=10))
-    before = logaddexp_objective(w0, shard, th, pen)
-    after = logaddexp_objective(w, shard, th, pen)
-    assert after <= before + 1e-12 * max(1.0, abs(before))
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 1000.0))
 def test_no_nan_for_bounded_weights(seed, scale):
@@ -333,21 +309,6 @@ def lockstep_case(seed, p, mode, lam, scale):
     return shards, thetas, mode_penalties(mode, r, shards, thetas, lam), w0
 
 
-def assert_same_fit(got, want, shard, theta, penalty):
-    """*got* is *want* exactly, unless an accept test of fit_local was
-    decided by rounding: the two sum the objective in different orders,
-    and at saturated logits near the optimum the terms c*softplus(z) and
-    c*y*z cancel to below the error of their sums. The two then reach the
-    same exact objective to that error, a few 1e-16 of sum(c |z|)."""
-    if np.array_equal(got, want):
-        return
-    scale = float(theta @ np.abs(shard.features @ want)) / shard.n
-    gap = logaddexp_objective(got, shard, theta, penalty) - logaddexp_objective(
-        want, shard, theta, penalty
-    )
-    assert abs(gap) <= 1e-13 * max(1.0, scale)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -365,7 +326,61 @@ def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
     got = logistic.fit_lockstep(w0, shards, np.concatenate(thetas), pens, opt)
     assert got.shape == (p, 4)
     for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
-        assert_same_fit(got[k], logistic.fit_local(w0, shard, th, pen, opt), shard, th, pen)
+        assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+
+
+def logaddexp_objective(w, shard, theta, penalty):
+    """The local objective with each loss as logaddexp(0, s z), s = 1 - 2y:
+    a sum of nonnegative terms, which does not cancel."""
+    m = (1.0 - 2.0 * shard.labels) * (shard.features @ w)
+    loss = float(theta @ np.logaddexp(0.0, m)) / shard.n
+    return loss + penalty.lam * (float(w @ penalty.phi_c) - penalty.tau) ** 2
+
+
+def assert_step_never_raises(w_prev, w, shard, theta, penalty):
+    """The exact objective at *w* is at most that at *w_prev*, to 1e-10 of
+    itself and to the rounding of the penalty gap w . phi_C - tau, whose
+    terms cancel as the gap nears zero."""
+    before = logaddexp_objective(w_prev, shard, theta, penalty)
+    after = logaddexp_objective(w, shard, theta, penalty)
+    d = 1e-15 * max(
+        float(np.abs(v) @ np.abs(penalty.phi_c)) + abs(penalty.tau) for v in (w_prev, w)
+    )
+    gap = abs(float(w @ penalty.phi_c) - penalty.tau)
+    assert after - before <= 1e-10 * before + penalty.lam * d * (2.0 * gap + d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 8),
+    mode=st.sampled_from(["none", "global", "unweighted", "local"]),
+    lam=st.sampled_from([2.0, 100.0]),
+    reach=st.floats(0.1, 200.0),
+    step=st.sampled_from([(1.0, 20), (5.0, 2)]),
+)
+def test_fit_never_raises_logaddexp_objective(seed, p, mode, lam, reach, step):
+    # the start's largest |z| is *reach*: at 200 a right-side row's loss is
+    # below 1e-80, while the sums of c |z| that the old line search
+    # subtracted ran to hundreds. Each epoch of either fit is checked.
+    shards, thetas, pens, w0 = lockstep_case(seed, p, mode, lam, 1.0)
+    w0 = w0 * reach / max(np.max(np.abs(s.features @ w0)) for s in shards)
+    lr, halvings = step
+    lockstep = [
+        logistic.fit_lockstep(
+            w0, shards, np.concatenate(thetas), pens,
+            logistic.OptimizerSpec(learning_rate=lr, epochs=e, max_halvings=halvings),
+        )
+        for e in range(11)
+    ]
+    one_epoch = logistic.OptimizerSpec(learning_rate=lr, epochs=1, max_halvings=halvings)
+    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
+        w = w0
+        for e in range(10):
+            w_next = logistic.fit_local(w, shard, th, pen, one_epoch)
+            assert_step_never_raises(w, w_next, shard, th, pen)
+            assert_step_never_raises(lockstep[e][k], lockstep[e + 1][k], shard, th, pen)
+            w = w_next
 
 
 def test_lockstep_stops_rejecting_clients_and_fits_the_rest():
