@@ -309,7 +309,9 @@ def lockstep_case(seed, p, mode, lam, scale):
     return shards, thetas, mode_penalties(mode, r, shards, thetas, lam), w0
 
 
-@settings(max_examples=60, deadline=None)
+# derandomized: the two fits sum in different orders, so a one-ulp tie
+# in an accept test is possible in principle and must not make this flaky
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     p=st.integers(3, 25),
@@ -338,7 +340,7 @@ def logaddexp_objective(w, shard, theta, penalty):
 
 
 def assert_step_never_raises(w_prev, w, shard, theta, penalty):
-    """The exact objective at *w* is at most that at *w_prev*, to 1e-10 of
+    """The exact objective at *w* is at most that at *w_prev*, to 1e-12 of
     itself and to the rounding of the penalty gap w . phi_C - tau, whose
     terms cancel as the gap nears zero."""
     before = logaddexp_objective(w_prev, shard, theta, penalty)
@@ -347,7 +349,7 @@ def assert_step_never_raises(w_prev, w, shard, theta, penalty):
         float(np.abs(v) @ np.abs(penalty.phi_c)) + abs(penalty.tau) for v in (w_prev, w)
     )
     gap = abs(float(w @ penalty.phi_c) - penalty.tau)
-    assert after - before <= 1e-10 * before + penalty.lam * d * (2.0 * gap + d)
+    assert after - before <= 1e-12 * before + penalty.lam * d * (2.0 * gap + d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,13 +358,13 @@ def assert_step_never_raises(w_prev, w, shard, theta, penalty):
     p=st.integers(3, 8),
     mode=st.sampled_from(["none", "global", "unweighted", "local"]),
     lam=st.sampled_from([2.0, 100.0]),
-    reach=st.floats(0.1, 200.0),
+    reach=st.floats(0.1, 3000.0),
     step=st.sampled_from([(1.0, 20), (5.0, 2)]),
 )
 def test_fit_never_raises_logaddexp_objective(seed, p, mode, lam, reach, step):
-    # the start's largest |z| is *reach*: at 200 a right-side row's loss is
-    # below 1e-80, while the sums of c |z| that the old line search
-    # subtracted ran to hundreds. Each epoch of either fit is checked.
+    # the start's largest |z| is *reach*: past 200 a right-side row's loss
+    # is below 1e-80, while the sums of c |z| that the old line search
+    # subtracted ran to thousands. Each epoch of either fit is checked.
     shards, thetas, pens, w0 = lockstep_case(seed, p, mode, lam, 1.0)
     w0 = w0 * reach / max(np.max(np.abs(s.features @ w0)) for s in shards)
     lr, halvings = step
