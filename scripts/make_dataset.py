@@ -3,12 +3,14 @@
 
 The public survey dataset the experiments were originally calibrated on
 cannot be redistributed here, so this writes the built-in synthetic
-substitute instead (stated substitution, not silent).
+substitute instead (stated substitution, not silent). The schema file's
+split is the census split that ``fedfair run`` uses by default.
 
 Usage: python3 scripts/make_dataset.py --out data/ --n 6000 --seed 0
 """
 
 import argparse
+import dataclasses
 import os
 
 import yaml
@@ -19,29 +21,20 @@ from fedfair import engine
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="data")
-    ap.add_argument("--n", type=int, default=6000)
+    ap.add_argument("--n", type=int, default=engine.CENSUS_N)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    table = engine.generate_census_like(engine.CensusSpec(n=args.n, seed=args.seed))
+    table = engine.generate_census_like(args.n, args.seed)
     csv_path = os.path.join(args.out, "census.csv")
     engine.write_census_csv(csv_path, table)
 
+    split = dataclasses.asdict(engine.census_split_spec(args.seed))
+    split["group_a_values"] = sorted(split.pop("split_predicate"))
     schema = {
-        "columns": [
-            {"name": c.name, "kind": c.kind, "split_key": c.split_key}
-            for c in engine.CENSUS_SCHEMA.columns
-        ],
-        "split": {
-            "split_column": "sector",
-            "group_a_values": ["private"],
-            "train_fraction_group_a": 0.8,
-            "train_fraction_group_b": 0.2,
-            "client_assignment": "by_group",
-            "num_clients": 2,
-            "seed": args.seed,
-        },
+        "columns": [dataclasses.asdict(c) for c in engine.CENSUS_SCHEMA.columns],
+        "split": split,
     }
     schema_path = os.path.join(args.out, "schema.yaml")
     with open(schema_path, "w", encoding="utf-8") as fh:

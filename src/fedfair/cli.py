@@ -174,7 +174,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int, int]) -> float:
     synthetic rows in 3 even shards (so the clients fit in lockstep) with
     6 Gaussian bases; *seeds* draw the data, the shards and the basis."""
     data_seed, shard_seed, basis_seed = seeds
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, d=3, seed=data_seed))
+    ds = engine.generate_synthetic(n, 3, data_seed)
     _, shards = engine.even_shards(ds, 3, seed=shard_seed)
     basis = kernels.select_basis(shards, 6, seed=basis_seed)
     cfg = protocol.ProtocolConfig(

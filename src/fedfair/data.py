@@ -36,7 +36,6 @@ MISSING_VALUES = ("", "?", "NA")
 class ColumnSpec:
     name: str
     kind: str
-    split_key: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ class EncodedDataset:
         return self.features.shape[0]
 
     def subset(self, idx: np.ndarray) -> "EncodedDataset":
-        """Rows *idx*, without ``aux``: the split-key columns serve only
-        the split, so its train and test sets do not copy them."""
+        """Rows *idx*, without ``aux``: the raw columns serve only the
+        split, so its train and test sets do not copy them."""
         return EncodedDataset(
             features=self.features[idx],
             labels=self.labels[idx],
@@ -223,8 +222,8 @@ def encode(raw: RawTable) -> EncodedDataset:
     one-hot expanded over their sorted levels. Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
-    non-sensitive attributes only; split-key columns are kept verbatim in
-    ``aux``.
+    non-sensitive attributes only. Every raw column is kept, by reference,
+    in ``aux`` for shift_split to find its split column.
     """
     n = raw.n
     blocks, names = [], []
@@ -251,7 +250,7 @@ def encode(raw: RawTable) -> EncodedDataset:
         labels=_majority_indicator(raw.columns[raw.schema.label_column]),
         sensitive=_majority_indicator(raw.columns[raw.schema.sensitive_column]),
         feature_names=names,
-        aux={c.name: raw.columns[c.name] for c in raw.schema.columns if c.split_key},
+        aux=raw.columns,
     )
 
 
@@ -264,14 +263,17 @@ def shift_split(
     split column matches the predicate (group A) and
     ``train_fraction_group_b`` of the rest; the test set is the
     complement. Train and shards are laid out by cut_shards.
-    Deterministic given the spec seed.
+    Deterministic given the spec seed. Raises ConfigError when the split
+    column is not a schema column or no row's value is in the predicate.
     """
     if spec.split_column not in data.aux:
+        raise ConfigError(f"split column {spec.split_column!r} is not a schema column")
+    mask_a = np.isin(data.aux[spec.split_column], list(spec.split_predicate))
+    if not mask_a.any():
         raise ConfigError(
-            f"split column {spec.split_column!r} not tracked; mark it split_key"
+            f"split column {spec.split_column!r} has no row with a value in "
+            f"{sorted(spec.split_predicate, key=str)}"
         )
-    values = data.aux[spec.split_column]
-    mask_a = np.isin(values, list(spec.split_predicate))
     idx_a = np.flatnonzero(mask_a)
     idx_b = np.flatnonzero(~mask_a)
 
@@ -345,7 +347,8 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
 
     Raises SchemaError naming the file for a missing key or a value of
     the wrong type; the split values are checked as ShiftSplitSpec checks
-    a census split, and ``group_a_values`` must be a non-empty list.
+    a census split, and ``group_a_values`` must be a non-empty list. A
+    column entry's keys other than ``name`` and ``kind`` are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -353,15 +356,7 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
         raise SchemaError(f"{path}: expected a mapping with a 'columns' list")
     for j, c in enumerate(doc["columns"]):
         _require(c, ("name", "kind"), path, f"columns[{j}]")
-    columns = tuple(
-        ColumnSpec(
-            name=c["name"],
-            kind=c["kind"],
-            split_key=bool(c.get("split_key", False)),
-        )
-        for c in doc["columns"]
-    )
-    schema = Schema(columns)
+    schema = Schema(tuple(ColumnSpec(c["name"], c["kind"]) for c in doc["columns"]))
     split = None
     if "split" in doc:
         s = doc["split"]

@@ -244,40 +244,26 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Two-Gaussian-blob binary task used as a self-contained test fixture."""
-
-    n: int = 200
-    d: int = 2
-    group_gap: float = 2.0  # distance between the label blobs
-    sensitive_correlation: float = 0.0  # corr between sensitive bit and label
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ConfigError("synthetic spec needs n >= 4")
-        if not -1.0 <= self.sensitive_correlation <= 1.0:
-            raise ConfigError("sensitive_correlation outside [-1, 1]")
-
-
-def generate_synthetic(spec: SyntheticSpec) -> EncodedDataset:
-    """Deterministic blob dataset with both labels and both groups present."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n
+def generate_synthetic(n: int = 200, d: int = 2, seed: int = 0) -> EncodedDataset:
+    """Deterministic two-Gaussian-blob binary task, a self-contained test
+    fixture: the sensitive bit is independent of the label, and both
+    labels and both groups are present (ConfigError otherwise, or for
+    n < 4)."""
+    if n < 4:
+        raise ConfigError("synthetic data needs n >= 4")
+    rng = np.random.default_rng(seed)
     y = (np.arange(n) % 2).astype(int)  # exact class balance
-    flip = rng.random(n) < (0.5 + 0.5 * spec.sensitive_correlation)
+    flip = rng.random(n) < 0.5
     s = np.where(flip, y, 1 - y)
-    means = np.zeros((2, spec.d))
-    means[1, 0] = spec.group_gap
-    x = rng.normal(size=(n, spec.d)) + means[y]
+    x = rng.normal(size=(n, d))
+    x[:, 0] += 2.0 * y  # the label blobs sit 2 apart along x0
     # min-max scale columns into [0, 1] like the real pipeline
     lo, hi = x.min(axis=0), x.max(axis=0)
     x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
     features = np.hstack([x, s[:, None].astype(float), np.ones((n, 1))])
-    names = [f"x{j}" for j in range(spec.d)] + ["sensitive", "__bias__"]
+    names = [f"x{j}" for j in range(d)] + ["sensitive", "__bias__"]
     if len(set(s.tolist())) < 2 or len(set(y.tolist())) < 2:
-        raise ConfigError("degenerate synthetic spec: one group or label missing")
+        raise ConfigError("degenerate synthetic data: one group or label missing")
     return EncodedDataset(
         features=features, labels=y, sensitive=s.astype(int), feature_names=names
     )
@@ -292,47 +278,6 @@ def even_shards(
     return cut_shards(ds, np.array_split(rng.permutation(ds.n), num_clients))
 
 
-@dataclass(frozen=True)
-class CensusSpec:
-    """Census-like generator standing in for restricted survey data.
-
-    Two sectors with different feature distributions and different
-    sector-conditional label rules (so a single linear model is
-    misspecified and sample reweighing matters), and a gender term in
-    the label logit (so the unconstrained fit is demographically unfair).
-    """
-
-    n: int = 6000
-    seed: int = 0
-    p_private: float = 0.72
-    p_male_private: float = 0.67
-    p_male_other: float = 0.67
-    gender_logit_private: float = 0.0  # direct label bias toward men (private)
-    gender_logit_other: float = 0.0  # direct label bias toward men (other)
-    skill_shift_private: float = 0.0  # male skill-score inflation, private
-    skill_shift_other: float = 0.15  # male skill-score inflation, other
-    latent_mean_private: float = 0.58
-    latent_mean_other: float = 0.38
-    latent_sd_private: float = 0.18  # skill varies (and matters) in private
-    latent_sd_other: float = 0.06  # near-constant skill in the other sector
-    hours_mean_private: float = 0.45
-    hours_mean_other: float = 0.55
-    hours_sd_private: float = 0.15  # hours vary in private too, but carry
-    # no private-sector signal; this keeps the hours direction well
-    # conditioned while the two sectors still disagree on its slope
-    hours_sd_other: float = 0.18  # hours vary (and matter) in other
-    private_coef: tuple = (-14.0, 24.0, 0.0)  # skill-driven sector
-    other_coef: tuple = (-11.2, 1.0, 20.0)  # hours-driven sector
-    # occupation effect on the other-sector logit (manual, service,
-    # clerical, technical): spreads the other-sector rule over more
-    # coordinates -- including two rare categories -- so it takes a
-    # sizeable sample to estimate well
-    occ_coef_other: tuple = (-1.4, 1.4, -1.6, 1.8)
-    label_flip_other: float = 0.2  # label flip probability, other sector
-    pension_p_private: float = 0.90  # enrollment rates control how far the
-    pension_p_other: float = 0.10  # sectors sit apart in kernel space
-
-
 CENSUS_SCHEMA = Schema(
     (
         ColumnSpec("skill", "numeric"),
@@ -341,12 +286,36 @@ CENSUS_SCHEMA = Schema(
         ColumnSpec("occupation", "categorical"),
         ColumnSpec("schedule", "categorical"),
         ColumnSpec("pension", "categorical"),
-        ColumnSpec("sector", "categorical", split_key=True),
+        ColumnSpec("sector", "categorical"),
         ColumnSpec("gender", "sensitive"),
         ColumnSpec("income", "label"),
     )
 )
 
+#: rows in a census draw when a config or caller names no ``n``
+CENSUS_N = 6000
+
+_P_PRIVATE = 0.72
+_P_MALE = 0.67  # in both sectors
+_SKILL_SHIFT_OTHER = 0.15  # male skill-score inflation, other sector
+_LATENT_PRIVATE = (0.58, 0.18)  # (mean, sd): skill varies (and matters)
+_LATENT_OTHER = (0.38, 0.06)  # near-constant skill in the other sector
+# hours vary in private too, but carry no private-sector signal; this
+# keeps the hours direction well conditioned while the two sectors still
+# disagree on its slope
+_HOURS_PRIVATE = (0.45, 0.15)  # (mean, sd)
+_HOURS_OTHER = (0.55, 0.18)  # hours vary (and matter) in other
+_PRIVATE_COEF = (-14.0, 24.0)  # intercept, latent skill: skill-driven
+_OTHER_COEF = (-11.2, 1.0, 20.0)  # intercept, latent skill, hours: hours-driven
+# occupation effect on the other-sector logit (manual, service, clerical,
+# technical): spreads the other-sector rule over more coordinates --
+# including two rare categories -- so it takes a sizeable sample to
+# estimate well
+_OCC_COEF_OTHER = (-1.4, 1.4, -1.6, 1.8)
+_LABEL_FLIP_OTHER = 0.2  # label flip probability, other sector
+# enrollment rates control how far the sectors sit apart in kernel space
+_PENSION_P_PRIVATE = 0.90
+_PENSION_P_OTHER = 0.10
 _EDU_LEVELS = ("basic", "highschool", "college", "bachelor", "advanced")
 # bin edges bracket the private-sector decision threshold so the coarse
 # credential alone supports an accurate (and unbiased) private-sector rule
@@ -358,46 +327,47 @@ _OCC_P_PRIVATE = (0.05, 0.05, 0.35, 0.55)
 _OCC_P_OTHER = (0.50, 0.40, 0.05, 0.05)
 
 
-def generate_census_like(spec: CensusSpec) -> RawTable:
-    """Sample a raw census-like table (float and string columns, pre-encoding)."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n
-    private = rng.random(n) < spec.p_private
-    male = rng.random(n) < np.where(
-        private, spec.p_male_private, spec.p_male_other
-    )
+def generate_census_like(n: int, seed: int) -> RawTable:
+    """Sample a raw census-like table (float and string columns, pre-encoding).
+
+    A generator standing in for restricted survey data: two sectors with
+    different feature distributions and different sector-conditional
+    label rules (so a single linear model is misspecified and sample
+    reweighing matters), and a skill score that overstates men's ability
+    in one sector (so the unconstrained fit is demographically unfair).
+    """
+    rng = np.random.default_rng(seed)
+    private = rng.random(n) < _P_PRIVATE
+    male = rng.random(n) < _P_MALE
 
     latent = np.where(
         private,
-        rng.normal(spec.latent_mean_private, spec.latent_sd_private, n),
-        rng.normal(spec.latent_mean_other, spec.latent_sd_other, n),
+        rng.normal(*_LATENT_PRIVATE, n),
+        rng.normal(*_LATENT_OTHER, n),
     )
     # the recorded skill score overstates men's ability (sector-dependent
     # measurement bias); labels are driven by the latent value
-    skill = latent + np.where(
-        private, spec.skill_shift_private, spec.skill_shift_other
-    ) * male
+    skill = latent + _SKILL_SHIFT_OTHER * (male & ~private)
     hours = np.where(
         private,
-        rng.normal(spec.hours_mean_private, spec.hours_sd_private, n),
-        rng.normal(spec.hours_mean_other, spec.hours_sd_other, n),
+        rng.normal(*_HOURS_PRIVATE, n),
+        rng.normal(*_HOURS_OTHER, n),
     )
     occ_private = rng.choice(len(_OCC_LEVELS), size=n, p=_OCC_P_PRIVATE)
     occ_other = rng.choice(len(_OCC_LEVELS), size=n, p=_OCC_P_OTHER)
     occ_idx = np.where(private, occ_private, occ_other)
-    c0p, c1p, c2p = spec.private_coef
-    c0o, c1o, c2o = spec.other_coef
-    occ_term = np.asarray(spec.occ_coef_other, dtype=float)[occ_idx]
+    c0p, c1p = _PRIVATE_COEF
+    c0o, c1o, c2o = _OTHER_COEF
+    occ_term = np.asarray(_OCC_COEF_OTHER)[occ_idx]
     logit = np.where(
         private,
-        c0p + c1p * latent + c2p * hours + spec.gender_logit_private * male,
-        c0o + c1o * latent + c2o * hours + occ_term
-        + spec.gender_logit_other * male,
+        c0p + c1p * latent,
+        c0o + c1o * latent + c2o * hours + occ_term,
     )
     y = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
     # uniform label flips keep the optimal decision boundary intact but
     # put a floor under the sector's log-loss
-    flips = (~private) & (rng.random(n) < spec.label_flip_other)
+    flips = (~private) & (rng.random(n) < _LABEL_FLIP_OTHER)
     y = np.where(flips, ~y, y)
 
     edu_latent = latent + rng.normal(0.0, 0.06, n)
@@ -407,8 +377,8 @@ def generate_census_like(spec: CensusSpec) -> RawTable:
     regular = np.where(private, rng.random(n) < 0.92, rng.random(n) < 0.08)
     pension = np.where(
         private,
-        rng.random(n) < spec.pension_p_private,
-        rng.random(n) < spec.pension_p_other,
+        rng.random(n) < _PENSION_P_PRIVATE,
+        rng.random(n) < _PENSION_P_OTHER,
     )
     columns = {
         "skill": skill,
@@ -451,9 +421,9 @@ def census_split_spec(
     )
 
 
-def prepare_census(seed: int, n: int = 6000, split_kwargs: dict | None = None):
+def prepare_census(seed: int, n: int = CENSUS_N, split_kwargs: dict | None = None):
     """Generate, encode and split a census-like dataset in one call."""
-    table = generate_census_like(CensusSpec(n=n, seed=seed))
+    table = generate_census_like(n, seed)
     ds = encode(table)
     split = census_split_spec(seed=seed, **(split_kwargs or {}))
     return shift_split(ds, split)
@@ -585,7 +555,7 @@ def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
             raise ConfigError(f"{data_cfg['schema']}: schema file has no 'split' section")
         return shift_split(encode(load_csv(data_cfg["path"], schema)), split)
     return prepare_census(
-        seed=seed, n=data_cfg.get("n", 6000), split_kwargs=_split_kwargs(split_cfg)
+        seed=seed, n=data_cfg.get("n", CENSUS_N), split_kwargs=_split_kwargs(split_cfg)
     )
 
 

@@ -288,7 +288,7 @@ def test_criterion_11_adversary_ascent():
 
 def test_criterion_12_reductions():
     # (a) constant-basis federated path equals the direct FedAvg loop per round
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=90, d=2, seed=8))
+    ds = engine.generate_synthetic(90, 2, 8)
     _, shards = engine.even_shards(ds, 3, seed=2)
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
     cfg = protocol.ProtocolConfig(
@@ -316,8 +316,8 @@ def test_criterion_12_reductions():
         ok_b = ok_b and (rw == plain)
 
     # (c) single-client federated run equals the centralized fit
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=80, seed=5))
-    test = engine.generate_synthetic(engine.SyntheticSpec(n=80, seed=6))
+    ds = engine.generate_synthetic(80, seed=5)
+    test = engine.generate_synthetic(80, seed=6)
     train, one = engine.even_shards(ds, 1, seed=0)
     hyper = engine.HyperParams(rounds=4, local_epochs=5, learning_rate=0.5, num_bases=4)
     result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=hyper), train, test, one)

@@ -59,3 +59,26 @@ def test_bench_calls_take_keyword_arguments(function, kwargs):
 def test_bench_hyper_params_are_valid(rounds, seed):
     hyper = replace(engine.HyperParams(), rounds=rounds, seed=seed)
     assert engine.AlgorithmSpec(kind="AgnosticFair", hyper=hyper).hyper == hyper
+
+
+def test_prepare_census_calls_each_data_span_once(tracing, monkeypatch):
+    """The benchmark's data spans time the engine attributes that
+    prepare_census calls; a call that bypasses them reads zero."""
+    data_spans = {span: target for span, target in tracing.TIMED.items()
+                  if span.startswith("data.")}
+    assert [name for _, name in data_spans.values()] == [
+        "generate_census_like", "encode", "shift_split"
+    ]
+    calls = dict.fromkeys(data_spans, 0)
+
+    def counted(span, original):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for span, (module, name) in data_spans.items():
+        monkeypatch.setattr(module, name, counted(span, getattr(module, name)))
+    engine.prepare_census(seed=0, n=300)
+    assert calls == dict.fromkeys(data_spans, 1)

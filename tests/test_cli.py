@@ -18,14 +18,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def write_census_inputs(tmp_path, n=300, with_split=True):
     """Small raw CSV, its schema YAML and a run config that trains on them."""
-    table = engine.generate_census_like(engine.CensusSpec(n=n, seed=0))
+    table = engine.generate_census_like(n, 0)
     csv_path = tmp_path / "census.csv"
     engine.write_census_csv(csv_path, table)
     doc = {
-        "columns": [
-            {"name": c.name, "kind": c.kind, "split_key": c.split_key}
-            for c in engine.CENSUS_SCHEMA.columns
-        ]
+        "columns": [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
     }
     if with_split:
         doc["split"] = {
@@ -112,6 +109,7 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     hyper = {"rounds": 1, "local_epochs": 2, "num_bases": 4}
     raw = data.load_csv(data_dir / "census.csv", engine.CENSUS_SCHEMA)
     _, split = data.load_schema_file(data_dir / "schema.yaml")
+    assert split == engine.census_split_spec(0)  # the census split a run uses by default
     train, test, shards = data.shift_split(data.encode(raw), split)
     assert train.n + test.n == 200
     spec = engine.AlgorithmSpec(kind="FL", hyper=engine.HyperParams(**hyper))
@@ -246,6 +244,32 @@ def test_schema_file_bad_split_value_is_usage_error(tmp_path, monkeypatch, caplo
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
     assert str(schema_path) in caplog.text
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_schema_file_group_a_matching_no_row_is_not_trained(
+    tmp_path, monkeypatch, caplog, command
+):
+    # no sector is "privat", so group A is empty and an even split would
+    # train with no shift: a run is a usage error, a grid's cells fail
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    doc = yaml.safe_load(schema_path.read_text())
+    doc["split"].update(group_a_values=["privat"], client_assignment="even")
+    schema_path.write_text(yaml.safe_dump(doc))
+    cfg = {"hyper": FAST_HYPER,
+           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
+    path = write_config(tmp_path, cfg, name="bad.yaml")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(path), "--output", str(out)])
+    assert "'sector' has no row with a value in ['privat']" in caplog.text
+    if command == "run":
+        assert rc == 2 and not (out / "result.yaml").exists()
+    else:
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert rc == 1 and [row["algorithm"] for row in summary] == engine.DEFAULT_ALGORITHMS
+        assert all(row["repetitions_ok"] == 0 and row["repetitions_failed"] == 1
+                   for row in summary)
 
 
 def test_grid_rejects_run_keys(tmp_path):

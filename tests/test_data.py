@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from fedfair.errors import ConfigError, RowParseError, SchemaError
 SCHEMA = data.Schema(
     (
         data.ColumnSpec("age", "numeric"),
-        data.ColumnSpec("job", "categorical", split_key=True),
+        data.ColumnSpec("job", "categorical"),
         data.ColumnSpec("gender", "sensitive"),
         data.ColumnSpec("income", "label"),
     )
@@ -253,9 +255,12 @@ def test_shift_split_counts_by_group():
 
 
 def test_shift_split_leaves_split_keys_behind():
-    ds = data.encode(make_split_table())
+    table = make_split_table()
+    ds = data.encode(table)
     train, test, _ = data.shift_split(ds, spec())
-    assert "job" in ds.aux and train.aux == {} and test.aux == {}
+    # encode keeps every raw column, uncopied, for the split to find
+    assert all(ds.aux[name] is table.columns[name] for name in table.columns)
+    assert train.aux == {} and test.aux == {}
 
 
 def test_shift_split_partition_no_overlap():
@@ -293,16 +298,20 @@ def test_shift_split_empty_shard_errors():
         data.shift_split(ds, spec(fb=0.0))
 
 
-def test_shift_split_missing_split_key_errors():
-    table = make_table([row(1, "a", "male", "high"), row(2, "a", "female", "low")])
-    schema_no_key = data.Schema(
-        tuple(
-            data.ColumnSpec(c.name, c.kind, split_key=False) for c in SCHEMA.columns
-        )
-    )
-    ds = data.encode(data.RawTable(schema=schema_no_key, columns=table.columns))
-    with pytest.raises(ConfigError):
-        data.shift_split(ds, spec())
+def test_shift_split_unknown_split_column_errors():
+    ds = data.encode(make_split_table())
+    bad = dataclasses.replace(spec(), split_column="sector")
+    with pytest.raises(ConfigError, match="'sector' is not a schema column"):
+        data.shift_split(ds, bad)
+
+
+def test_shift_split_empty_group_a_errors():
+    # an even split would otherwise train on group B's fraction alone,
+    # with no shift
+    ds = data.encode(make_split_table())
+    bad = dataclasses.replace(spec(assignment="even"), split_predicate=frozenset({"privat"}))
+    with pytest.raises(ConfigError, match=r"'job' has no row with a value in \['privat'\]"):
+        data.shift_split(ds, bad)
 
 
 def test_split_spec_validation():
@@ -353,7 +362,7 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
     """Both splitters give a train set that stacks the shards' rows in
     client order, each shard a view of its rows: "even_shards" is
     engine.even_shards, the others shift_split's client assignments."""
-    ds = data.encode(engine.generate_census_like(engine.CensusSpec(n=1500, seed=4)))
+    ds = data.encode(engine.generate_census_like(1500, 4))
     if assignment == "even_shards":
         train, shards = engine.even_shards(ds, clients, seed=4)
         shard_idx = np.array_split(np.random.default_rng(4).permutation(ds.n), clients)
@@ -386,7 +395,7 @@ def test_load_schema_file(tmp_path):
         """
 columns:
   - {name: age, kind: numeric}
-  - {name: job, kind: categorical, split_key: true}
+  - {name: job, kind: categorical, split_key: true}  # an old key, ignored
   - {name: gender, kind: sensitive}
   - {name: income, kind: label}
 split:
@@ -399,6 +408,7 @@ split:
     )
     schema, split = data.load_schema_file(p)
     assert schema.label_column == "income"
+    assert schema.columns[1] == data.ColumnSpec("job", "categorical")
     assert split.split_predicate == frozenset({"private"})
     assert split.client_assignment == "by_group"
 

@@ -14,8 +14,8 @@ from oracles import run_fedavg_reference
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=n, seed=seed))
-    test = engine.generate_synthetic(engine.SyntheticSpec(n=n, seed=seed + 1))
+    ds = engine.generate_synthetic(n, seed=seed)
+    test = engine.generate_synthetic(n, seed=seed + 1)
     train, shards = engine.even_shards(ds, num_clients, seed=seed)
     return train, test, shards
 
@@ -257,14 +257,14 @@ def test_run_returns_or_raises_documented_error(
 
 
 def test_synthetic_deterministic():
-    a = engine.generate_synthetic(engine.SyntheticSpec(seed=3))
-    b = engine.generate_synthetic(engine.SyntheticSpec(seed=3))
+    a = engine.generate_synthetic(seed=3)
+    b = engine.generate_synthetic(seed=3)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_synthetic_shapes_and_scaling():
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=50, d=3))
+    ds = engine.generate_synthetic(50, 3)
     assert ds.features.shape == (50, 5)  # d + sensitive + bias
     assert ds.features[:, :3].min() >= 0.0 and ds.features[:, :3].max() <= 1.0
     assert np.all(ds.features[:, -1] == 1.0)
@@ -273,14 +273,12 @@ def test_synthetic_shapes_and_scaling():
 
 
 def test_synthetic_validation():
-    with pytest.raises(ConfigError):
-        engine.SyntheticSpec(n=2)
-    with pytest.raises(ConfigError):
-        engine.SyntheticSpec(sensitive_correlation=1.5)
+    with pytest.raises(ConfigError, match="n >= 4"):
+        engine.generate_synthetic(n=2)
 
 
 def test_even_shards_partition():
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=50))
+    ds = engine.generate_synthetic(50)
     train, shards = engine.even_shards(ds, 3, seed=1)
     assert sum(s.n for s in shards) == train.n == 50
     assert max(s.n for s in shards) - min(s.n for s in shards) <= 1
@@ -296,15 +294,15 @@ def test_even_shards_partition():
 
 
 def test_census_deterministic():
-    a = engine.generate_census_like(engine.CensusSpec(n=200, seed=5))
-    b = engine.generate_census_like(engine.CensusSpec(n=200, seed=5))
+    a = engine.generate_census_like(200, 5)
+    b = engine.generate_census_like(200, 5)
     assert a.columns.keys() == b.columns.keys()
     for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name])
 
 
 def test_census_rows_match_schema():
-    table = engine.generate_census_like(engine.CensusSpec(n=100, seed=0))
+    table = engine.generate_census_like(100, 0)
     assert list(table.columns) == [c.name for c in table.schema.columns]
     assert table.n == 100
     for c in table.schema.columns:
@@ -328,12 +326,12 @@ def _sha256(arrays) -> str:
 def test_census_output_is_pinned(n, seed, digest):
     """The census draws are the data every criterion is measured on: a
     change to the generator's code must leave its tables byte-identical."""
-    table = engine.generate_census_like(engine.CensusSpec(n=n, seed=seed))
+    table = engine.generate_census_like(n, seed)
     assert _sha256([table.columns[c.name] for c in table.schema.columns]) == digest
 
 
 def test_synthetic_output_is_pinned():
-    ds = engine.generate_synthetic(engine.SyntheticSpec(n=90, d=2, seed=8))
+    ds = engine.generate_synthetic(90, 2, 8)
     assert _sha256([ds.features, ds.labels, ds.sensitive]) == (
         "41a37ec4e6fbdce60ebcd032447ee7345a63256b7bca02f7351d56f5d017fe02"
     )
@@ -351,7 +349,7 @@ def test_prepare_census_default_split():
 def test_write_census_csv_roundtrip(tmp_path):
     from fedfair.data import encode, load_csv
 
-    table = engine.generate_census_like(engine.CensusSpec(n=50, seed=1))
+    table = engine.generate_census_like(50, 1)
     path = tmp_path / "census.csv"
     engine.write_census_csv(path, table)
     loaded = load_csv(path, engine.CENSUS_SCHEMA)
