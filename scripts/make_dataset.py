@@ -24,6 +24,8 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=engine.CENSUS_N)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.n < 1:
+        ap.error(f"--n must be at least 1, not {args.n}")
 
     os.makedirs(args.out, exist_ok=True)
     table = engine.generate_census_like(args.n, args.seed)

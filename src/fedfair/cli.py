@@ -26,9 +26,7 @@ EXIT_USAGE = 2
 
 
 def _output_dir(args) -> str:
-    out = args.output or os.environ.get("FEDFAIR_OUTPUT", "fedfair-out")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.output or os.environ.get("FEDFAIR_OUTPUT", "fedfair-out")
 
 
 def cmd_run(args) -> int:
@@ -38,23 +36,14 @@ def cmd_run(args) -> int:
     algorithm = args.algorithm or cfg.get("algorithm", "AgnosticFair")
     spec = engine.AlgorithmSpec(kind=algorithm, hyper=hyper)  # ConfigError if unknown
     train, test, shards = engine.data_from_config(
-        cfg.get("dataset") or {}, engine.config_splits(cfg)[0], hyper.seed
+        cfg.get("dataset") or {}, cfg.get("split") or {"name": "shift"}, hyper.seed
     )
     out = _output_dir(args)
+    os.makedirs(out, exist_ok=True)
     result = engine.run(spec, train, test, shards)
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     with open(os.path.join(out, "result.yaml"), "w") as fh:
-        yaml.safe_dump(
-            {
-                "algorithm": algorithm,
-                "final": {
-                    k: (v if not isinstance(v, list) else [float(x) for x in v])
-                    for k, v in result.final.items()
-                },
-            },
-            fh,
-            sort_keys=False,
-        )
+        yaml.safe_dump({"algorithm": algorithm, "final": result.final}, fh, sort_keys=False)
     print(
         f"{algorithm}: test_acc={result.final['test_acc']:.4f} "
         f"test_rd={result.final['test_rd']:.4f}"
@@ -64,8 +53,7 @@ def cmd_run(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = engine.read_config(args.config, engine.GRID_KEYS)
-    out = _output_dir(args)
-    summary = engine.experiment_grid(cfg, output_dir=out)
+    summary = engine.experiment_grid(cfg, output_dir=_output_dir(args))
     for row in summary:
         acc = row.get("test_acc")
         rd = row.get("test_rd")

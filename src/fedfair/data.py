@@ -347,7 +347,8 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
 
     Raises SchemaError naming the file for a missing key or a value of
     the wrong type; the split values are checked as ShiftSplitSpec checks
-    a census split, and ``group_a_values`` must be a non-empty list. A
+    a census split, ``group_a_values`` must be a non-empty list, and
+    ``split_column`` must name one of the file's columns. A
     column entry's keys other than ``name`` and ``kind`` are ignored.
     """
     with open(path, encoding="utf-8") as fh:
@@ -378,4 +379,7 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
             )
         except (ConfigError, TypeError) as exc:
             raise SchemaError(f"{path}: split: {exc}") from None
+        if split.split_column not in {c.name for c in schema.columns}:
+            raise SchemaError(f"{path}: split: split_column {split.split_column!r} "
+                              f"is not one of the file's columns")
     return schema, split

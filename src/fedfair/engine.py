@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -79,10 +80,15 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        """ConfigError unless every field is >= 0, and the four scales
-        (num_bases, bound, sigma, learning_rate) are > 0."""
+        """ConfigError unless each integer field holds an integer and each
+        float field a number (a bool is neither), every field is >= 0, and
+        the four scales (num_bases, bound, sigma, learning_rate) are > 0."""
         for f in fields(self):
             value = getattr(self, f.name)
+            integral = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                what = "an integer" if integral else "a number"
+                raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
             positive = f.name in ("num_bases", "bound", "sigma", "learning_rate")
             if not (value > 0 if positive else value >= 0):
                 raise ConfigError(
@@ -100,8 +106,6 @@ class AlgorithmSpec:
             raise ConfigError(
                 f"unknown algorithm {self.kind!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if VARIANTS[self.kind].penalty == protocol.PENALTY_NONE and self.hyper.lam != 0.0:
-            object.__setattr__(self, "hyper", replace(self.hyper, lam=0.0))
 
 
 @dataclass
@@ -455,24 +459,13 @@ def _check_keys(section: str, given, known) -> None:
         raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
 
 
-def config_splits(config: dict) -> list[dict]:
-    """A grid config's ``splits`` list, else a run config's one ``split``
-    section; either defaults to one census split named "shift"."""
-    if "splits" in config:
-        return config["splits"]
-    return [config.get("split") or {"name": "shift"}]
-
-
 def read_config(path, keys) -> dict:
-    """The mapping in the YAML file at *path*, every key name checked:
-    the top level against *keys* (RUN_KEYS or GRID_KEYS), then the
-    ``hyper``, ``dataset`` and split sections against what their readers
-    take. Raises ConfigError for a YAML error, an empty file, a document
-    that is not a mapping, a mistyped or out-of-range ``hyper`` value, a
-    census ``n`` that is not an integer >= 1, a census split that
-    census_split_spec rejects, and a grid's unknown algorithm, empty
-    ``algorithms`` or ``splits`` list, or non-integer repetitions or base
-    seed."""
+    """The mapping in the YAML file at *path*, its top-level key names
+    checked against *keys* (RUN_KEYS or GRID_KEYS). Raises ConfigError
+    for a YAML error, an empty file, a document that is not a mapping and
+    an unknown key; the sections' values are checked by the readers that
+    use them (hyper_from_config, AlgorithmSpec, data_from_config and
+    experiment_grid)."""
     with open(path, encoding="utf-8") as fh:
         try:
             config = yaml.safe_load(fh)
@@ -481,48 +474,27 @@ def read_config(path, keys) -> dict:
     if config is None:
         raise ConfigError(f"{path}: empty config")
     _check_keys("config", config, keys)
-    hyper_from_config(config)
-    algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
-    splits = config_splits(config)
-    for key, listed in (("algorithms", algorithms), ("splits", splits)):
-        if not isinstance(listed, list) or not listed:
-            raise ConfigError(f"{key} must be a non-empty list, not {listed!r}")
-    for kind in algorithms:
-        AlgorithmSpec(kind=kind)  # ConfigError on an unknown name
-    for key, least in (("repetitions", 1), ("base_seed", 0)):
-        require_int(key, config.get(key, least), least)
-    data_cfg = config.get("dataset") or {}
-    for split_cfg in splits:
-        _check_data_keys(data_cfg, split_cfg)
-    if "n" in data_cfg:
-        require_int("dataset n", data_cfg["n"], 1)
     return config
 
 
 def hyper_from_config(config: dict, **overrides) -> HyperParams:
     """HyperParams from a config's ``hyper`` section, which may spell
     ``lam`` as ``lambda``; *overrides* that are not None take precedence.
-    Raises ConfigError unless each integer field holds an integer and each
-    float field a number (a bool is neither), in HyperParams' ranges."""
+    Raises ConfigError on an unknown key and on a value HyperParams
+    rejects."""
     hyper_cfg = config.get("hyper") or {}
     _check_keys("hyper", hyper_cfg, ("lambda", *(f.name for f in fields(HyperParams))))
     hyper_cfg = dict(hyper_cfg)
     if "lambda" in hyper_cfg:
         hyper_cfg["lam"] = hyper_cfg.pop("lambda")
     hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
-    for f in fields(HyperParams):
-        value = hyper_cfg.get(f.name, f.default)
-        integral = isinstance(f.default, int)
-        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-            what = "an integer" if integral else "a number"
-            raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
     return HyperParams(**hyper_cfg)
 
 
 def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
     """Check a ``dataset`` section and one split against the keys
-    data_from_config reads, and a census split's values by building its
-    spec; returns the dataset kind."""
+    data_from_config reads, a census ``n`` (an integer >= 1) and a census
+    split's values by building its spec; returns the dataset kind."""
     kind = data_cfg.get("kind", "census") if isinstance(data_cfg, dict) else "census"
     if kind not in ("census", "csv"):
         raise ConfigError(f"unknown dataset kind {kind!r}; valid: census, csv")
@@ -535,6 +507,7 @@ def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
     else:
         _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
         census_split_spec(0, **_split_kwargs(split_cfg))
+        require_int("dataset n", data_cfg.get("n", CENSUS_N), 1)
     return kind
 
 
@@ -564,16 +537,30 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
 
     Repetition r uses seed base_seed + r. Each (split, repetition) dataset
     is built once and every algorithm runs on it; no run writes to its
-    data. Partial failures are recorded per cell and the grid continues;
-    a schema file or CSV that does not parse stops it, since every cell
-    reads the same files.
+    data. Before any cell runs, ConfigError is raised for an empty or
+    non-list ``algorithms`` or ``splits``, an unknown algorithm, a
+    ``repetitions`` or ``base_seed`` that is not an integer >= 1 or >= 0,
+    a ``hyper`` section that hyper_from_config rejects, and a split that
+    _check_data_keys rejects. Failures that only the data shows are
+    recorded per cell and the grid continues; a schema file or CSV that
+    does not parse stops it, since every cell reads the same files.
     """
     algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
-    splits = config_splits(config)
-    reps = int(config.get("repetitions", 1))
-    base_seed = int(config.get("base_seed", 0))
+    splits = config.get("splits", [{"name": "shift"}])
+    for key, listed in (("algorithms", algorithms), ("splits", splits)):
+        if not isinstance(listed, list) or not listed:
+            raise ConfigError(f"{key} must be a non-empty list, not {listed!r}")
+    for kind in algorithms:
+        AlgorithmSpec(kind=kind)  # ConfigError on an unknown name
+    reps, base_seed = config.get("repetitions", 1), config.get("base_seed", 0)
+    require_int("repetitions", reps, 1)
+    require_int("base_seed", base_seed, 0)
     hyper = hyper_from_config(config)
     data_cfg = config.get("dataset") or {}
+    for split_cfg in splits:
+        _check_data_keys(data_cfg, split_cfg)
+    if output_dir is not None:
+        os.makedirs(output_dir, exist_ok=True)
 
     finals = {(a, i): [] for a in algorithms for i in range(len(splits))}
     errors = {cell: [] for cell in finals}
@@ -623,9 +610,6 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
 
 
 def _write_summary(output_dir, summary: list[dict]) -> None:
-    import os
-
-    os.makedirs(output_dir, exist_ok=True)
     cols = ["algorithm", "split", "repetitions_ok", "repetitions_failed",
             "train_acc", "test_acc", "test_acc_sd", "test_rd"]
     with open(os.path.join(output_dir, "summary.csv"), "w", newline="") as fh:
@@ -640,14 +624,13 @@ def _write_summary(output_dir, summary: list[dict]) -> None:
 def write_round_csv(path, result: RunResult) -> None:
     """Per-round metric CSV: round, accuracies, risk differences and, for
     the alpha-optimizing variants, the LP's status, slack and adversary loss.
-    A client with one sensitive group has an empty risk-difference cell."""
-    if not result.per_round:
-        return
+    A client with one sensitive group has an empty risk-difference cell. A
+    run of 0 rounds writes the header alone."""
+    first = result.per_round[0] if result.per_round else {}
     base_cols = ["round", "train_acc", "test_acc", "train_rd", "test_rd"]
     base_cols += [c for c in ("lp_status", "lp_slack", "adversary_loss_before",
-                              "adversary_loss_after") if c in result.per_round[0]]
-    n_clients = len(result.per_round[0]["per_client_rd"])
-    client_cols = [f"client{k}_rd" for k in range(n_clients)]
+                              "adversary_loss_after") if c in first]
+    client_cols = [f"client{k}_rd" for k in range(len(result.final["per_client_rd"]))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(base_cols + client_cols)

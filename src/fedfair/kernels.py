@@ -56,7 +56,10 @@ def proportional_quotas(sizes: list[int], total: int) -> list[int]:
     """Split *total* across shards proportionally to their sizes.
 
     Floors the exact quotas, then hands the remainder to the largest
-    shards (ties broken by lower index).
+    shards (ties broken by lower index). No quota exceeds its shard's
+    size when *total* <= sum(sizes): below the sum every exact quota lies
+    below its size, so its floor plus one does not exceed it; at the sum
+    the quotas are the sizes.
     """
     n = sum(sizes)
     exact = [total * s / n for s in sizes]
@@ -90,10 +93,6 @@ def select_basis(
     rng = np.random.default_rng(seed)
     picked = []
     for shard, quota in zip(shards, quotas):
-        if quota > shard.n:
-            raise ConfigError(
-                f"client {shard.client_id} quota {quota} exceeds its {shard.n} rows"
-            )
         idx = rng.choice(shard.n, size=quota, replace=False)
         picked.append(shard.features[np.sort(idx)])
     centers = np.vstack(picked)

@@ -93,17 +93,21 @@ def test_prepare_truncated_row_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_make_dataset_script_feeds_run_and_grid(tmp_path):
-    data_dir = tmp_path / "data"
+def make_dataset(*args):
+    """Run scripts/make_dataset.py with *args*; its CompletedProcess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "make_dataset.py"),
-         "--n", "200", "--out", str(data_dir)],
-        check=True, env=env, capture_output=True,
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_dataset.py"), *args],
+        env=env, capture_output=True, text=True,
     )
+
+
+def test_make_dataset_script_feeds_run_and_grid(tmp_path):
+    data_dir = tmp_path / "data"
+    make_dataset("--n", "200", "--out", str(data_dir)).check_returncode()
     dataset = {"kind": "csv", "path": str(data_dir / "census.csv"),
                "schema": str(data_dir / "schema.yaml")}
     hyper = {"rounds": 1, "local_epochs": 2, "num_bases": 4}
@@ -127,6 +131,13 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     assert cli.main(["grid", "--config", str(grid_cfg), "--output", str(grid_out)]) == 0
     [row] = yaml.safe_load((grid_out / "summary.yaml").read_text())
     assert (row["test_acc"], row["test_rd"]) == (want["test_acc"], want["test_rd"])
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_make_dataset_script_rejects_n_below_1(tmp_path, n):
+    done = make_dataset("--n", n, "--out", str(tmp_path / "data"))
+    assert done.returncode == 2 and "--n must be at least 1" in done.stderr
+    assert not (tmp_path / "data").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +283,52 @@ def test_schema_file_group_a_matching_no_row_is_not_trained(
                    for row in summary)
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_schema_file_unknown_split_column_is_usage_error(tmp_path, monkeypatch, caplog, command):
+    # found when the schema file is read, before the CSV is
+    loads = []
+    load = engine.load_csv
+    monkeypatch.setattr(engine, "load_csv", lambda *args: loads.append(args) or load(*args))
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    doc = yaml.safe_load(schema_path.read_text())
+    doc["split"]["split_column"] = "sectr"
+    schema_path.write_text(yaml.safe_dump(doc))
+    cfg = {"hyper": FAST_HYPER,
+           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
+    if command == "grid":
+        cfg.update(splits=[{"name": "a"}, {"name": "b"}], repetitions=2)
+    path = write_config(tmp_path, cfg, name="bad.yaml")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert str(schema_path) in caplog.text and "'sectr'" in caplog.text
+    assert loads == []
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_usage_error_creates_no_output_directory(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    write_census_inputs(tmp_path)  # census.csv and schema.yaml, for the csv cases
+    monkeypatch.chdir(tmp_path)
+    cases = list(BAD_CONFIGS.values())
+    cases += [{"hyper": bad, "dataset": {"n": 300}} for bad in BAD_HYPER_VALUES.values()]
+    if command == "grid":
+        cases += [{"dataset": {"n": 300}, **bad} for bad in BAD_GRID_VALUES.values()]
+    for j, bad in enumerate(cases):
+        path = tmp_path / f"bad{j}.yaml"
+        if isinstance(bad, str):
+            path.write_text(bad)
+        else:
+            cfg = {"hyper": FAST_HYPER, **bad}
+            if command == "grid" and "split" in cfg:
+                cfg["splits"] = [cfg.pop("split")]
+            path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / f"out{j}"
+        assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2, bad
+        assert not out.exists(), bad
+
+
 def test_grid_rejects_run_keys(tmp_path):
     path = write_config(tmp_path, {"algorithm": "FL", "hyper": FAST_HYPER})
     assert cli.main(["grid", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
@@ -288,12 +345,21 @@ def test_run_rejects_a_splits_list(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "path", sorted((ROOT / "scripts" / "configs").glob("*.yaml")), ids=lambda p: p.name
 )
-def test_shipped_configs_pass_the_reader(path):
+def test_shipped_configs_pass_the_reader(path, tmp_path, monkeypatch):
     text = path.read_text()
     # each config names the command that reads it in its "Run with:" line
     command = re.search(r"fedfair (run|grid) --config", text).group(1)
     keys = engine.RUN_KEYS if command == "run" else engine.GRID_KEYS
     assert engine.read_config(path, keys) == yaml.safe_load(text)
+
+    # and its sections pass the checks its command makes before the data
+    # is built, which stops here (a runtime failure, exit 1, not 2)
+    def checked(data_cfg, split_cfg, seed):
+        engine._check_data_keys(data_cfg, split_cfg)
+        raise RuntimeError("checked")
+
+    monkeypatch.setattr(engine, "data_from_config", checked)
+    assert cli.main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +386,21 @@ def test_run_zero_rounds_evaluates_initial_model(tmp_path):
         ["run", "--config", str(cfg), "--rounds", "0", "--output", str(out)]
     )
     assert rc == 0
-    assert not (out / "rounds.csv").exists()
+    assert (out / "rounds.csv").read_text().splitlines() == [
+        "round,train_acc,test_acc,train_rd,test_rd,client0_rd,client1_rd"
+    ]
     assert (out / "result.yaml").exists()
+
+
+def test_run_zero_rounds_replaces_an_earlier_runs_rounds(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_run_config(tmp_path, algorithm="FL", rounds=2)
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    assert len((out / "rounds.csv").read_text().splitlines()) == 3
+    cfg = small_run_config(tmp_path, algorithm="AgnosticFair", rounds=0)
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    assert yaml.safe_load((out / "result.yaml").read_text())["algorithm"] == "AgnosticFair"
+    assert len((out / "rounds.csv").read_text().splitlines()) == 1  # the header alone
 
 
 def test_run_unknown_algorithm_is_usage_error(tmp_path):
@@ -443,8 +522,7 @@ def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, case):
 
 
 def test_grid_checks_the_algorithms_it_runs_by_default(tmp_path, monkeypatch):
-    # read_config and experiment_grid read one default: what the grid
-    # would run is what was checked
+    # experiment_grid checks the default it runs
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
     monkeypatch.setattr(engine, "DEFAULT_ALGORITHMS", ["FL", "Bogus"])
     path = write_config(tmp_path, {"hyper": {"rounds": 1}, "dataset": {"n": 300}}, "grid.yaml")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,10 +34,23 @@ def test_unknown_algorithm_rejected():
         engine.AlgorithmSpec(kind="Bogus")
 
 
-def test_penalty_free_variants_force_lambda_zero():
-    for kind in ("FL", "AFL", "AgnosticFair-a"):
-        spec = engine.AlgorithmSpec(kind=kind, hyper=engine.HyperParams(lam=7.0))
-        assert spec.hyper.lam == 0.0
+@pytest.mark.parametrize("num_clients", [2, 3])  # per-client and lockstep fits
+@pytest.mark.parametrize("kind", ["FL", "AFL", "AgnosticFair-a"])
+def test_penalty_free_variants_ignore_lambda(kind, num_clients):
+    train, test, shards = synthetic_setup(num_clients=num_clients)
+    runs = [
+        engine.run(engine.AlgorithmSpec(kind=kind, hyper=replace(FAST, lam=lam)),
+                   train, test, shards)
+        for lam in (0.0, 7.0)
+    ]
+    assert runs[0].w_final.tobytes() == runs[1].w_final.tobytes()
+    assert repr(runs[0].per_round) == repr(runs[1].per_round)  # repr: exact floats
+
+
+@pytest.mark.parametrize("field, value", [("rounds", "3"), ("lam", True)])
+def test_hyper_params_reject_mistyped_values(field, value):
+    with pytest.raises(ConfigError, match=f"hyper {field} must be"):
+        engine.HyperParams(**{field: value})
 
 
 def test_penalized_variants_keep_lambda():
@@ -389,20 +403,41 @@ def test_experiment_grid_runs_and_summarizes(tmp_path):
     assert (tmp_path / "summary.yaml").exists()
 
 
-def test_experiment_grid_records_cell_failures(tmp_path, caplog):
+def test_experiment_grid_records_cell_failures(tmp_path):
+    # a schema file whose group_a_values match no row: the config is
+    # valid, and the split fails only once the CSV is loaded
+    engine.write_census_csv(tmp_path / "census.csv", engine.generate_census_like(400, 0))
+    split = {"split_column": "sector", "group_a_values": ["privat"],
+             "train_fraction_group_a": 0.8, "train_fraction_group_b": 0.2}
+    columns = [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
+    (tmp_path / "schema.yaml").write_text(yaml.safe_dump({"columns": columns, "split": split}))
     config = {
         "algorithms": ["FL", "AFL"],
-        "splits": [{"name": "bad", "client_assignment": "by_group", "num_clients": 3}],
+        "splits": [{"name": "bad"}],
         "repetitions": 1,
         "hyper": {"rounds": 1, "local_epochs": 1, "num_bases": 4},
-        "dataset": {"n": 400},
+        "dataset": {"kind": "csv", "path": str(tmp_path / "census.csv"),
+                    "schema": str(tmp_path / "schema.yaml")},
     }
     summary = engine.experiment_grid(config)
     # the split cannot be built, so every algorithm's cell fails
     assert [row["algorithm"] for row in summary] == ["FL", "AFL"]
     for row in summary:
         assert row["repetitions_failed"] == 1
-        assert "errors" in row
+        assert "has no row with a value in ['privat']" in row["errors"][0]
+
+
+def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
+    config = {
+        "algorithms": ["FL"],
+        "splits": [{"name": "ok"},
+                   {"name": "bad", "client_assignment": "by_group", "num_clients": 3}],
+        "hyper": {"rounds": 1},
+        "dataset": {"n": 400},
+    }
+    with pytest.raises(ConfigError, match="exactly 2 clients"):
+        engine.experiment_grid(config)
 
 
 def test_experiment_grid_builds_each_dataset_once(monkeypatch):

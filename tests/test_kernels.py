@@ -47,6 +47,17 @@ def test_proportional_quotas_remainder_to_largest():
     assert sum(kernels.proportional_quotas([30, 50, 20], 7)) == 7
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 500), min_size=1, max_size=25))
+def test_proportional_quotas_sum_to_total_within_each_shard(data, sizes):
+    """What select_basis relies on: for any total up to the rows there
+    are, the quotas sum to it and none exceeds its shard's rows."""
+    total = data.draw(st.integers(1, sum(sizes)))
+    quotas = kernels.proportional_quotas(sizes, total)
+    assert sum(quotas) == total
+    assert all(0 <= q <= s for q, s in zip(quotas, sizes))
+
+
 def test_select_basis_deterministic_and_sampled_from_data(rng):
     shards = [random_shard(rng, 80, 3, 0), random_shard(rng, 20, 3, 1)]
     a = kernels.select_basis(shards, 10, seed=4)
