@@ -4,7 +4,9 @@
 The public survey dataset the experiments were originally calibrated on
 cannot be redistributed here, so this writes the built-in synthetic
 substitute instead (stated substitution, not silent). The schema file's
-split is the census split that ``fedfair run`` uses by default.
+split section names the census's shift column and its group-A values
+(``engine.CENSUS_SHIFT``); how the rows are split, and at what seed, is
+set by the config that reads the CSV, as for the census itself.
 
 Usage: python3 scripts/make_dataset.py --out data/ --n 6000 --seed 0
 """
@@ -32,11 +34,10 @@ def main() -> None:
     csv_path = os.path.join(args.out, "census.csv")
     engine.write_census_csv(csv_path, table)
 
-    split = dataclasses.asdict(engine.census_split_spec(args.seed))
-    split["group_a_values"] = sorted(split.pop("split_predicate"))
+    column, group_a = engine.CENSUS_SHIFT
     schema = {
         "columns": [dataclasses.asdict(c) for c in engine.CENSUS_SCHEMA.columns],
-        "split": split,
+        "split": {"split_column": column, "group_a_values": sorted(group_a)},
     }
     schema_path = os.path.join(args.out, "schema.yaml")
     with open(schema_path, "w", encoding="utf-8") as fh:

@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fedfair",
         description="Fairness-aware agnostic federated learning simulator",
     )
-    parser.add_argument("--log-level", default="INFO")
+    parser.add_argument("--log-level", default="INFO", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("run", help="run one training experiment")
@@ -239,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=getattr(logging, str(args.log_level).upper(), logging.INFO),
+        level=args.log_level,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         return args.func(args)
-    except (ConfigError, SchemaError, RowParseError, FileNotFoundError) as exc:
+    except (ConfigError, SchemaError, RowParseError, FileNotFoundError,
+            IsADirectoryError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - ProtocolError, MetricUndefinedError, bugs

@@ -83,13 +83,16 @@ def require_int(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class ShiftSplitSpec:
+    """How shift_split cuts a table: the split column and its group-A
+    values, the seed, and the defaults of a config's split section."""
+
     split_column: str
     split_predicate: frozenset
-    train_fraction_group_a: float
-    train_fraction_group_b: float
-    client_assignment: str  # "by_group" | "even"
-    num_clients: int
     seed: int
+    train_fraction_group_a: float = 0.8
+    train_fraction_group_b: float = 0.2
+    client_assignment: str = "by_group"  # "by_group" | "even"
+    num_clients: int = 2
 
     def __post_init__(self):
         for f in (self.train_fraction_group_a, self.train_fraction_group_b):
@@ -342,15 +345,15 @@ def _require(section, keys, path, where: str) -> None:
         raise SchemaError(f"{path}: {where} lacks the key(s) {', '.join(missing)}")
 
 
-def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
-    """Read a YAML schema file declaring columns and an optional split spec.
-
-    Raises SchemaError naming the file for a missing key or a value of
-    the wrong type; the split values are checked as ShiftSplitSpec checks
-    a census split, ``group_a_values`` must be a non-empty list, and
-    ``split_column`` must name one of the file's columns. A
-    column entry's keys other than ``name`` and ``kind`` are ignored.
-    """
+def load_schema_file(path) -> tuple[Schema, str, frozenset]:
+    """Read a YAML schema file: its columns, and the split column and
+    group-A values that its ``split`` section names (how the rows are
+    split is set by the config's split section). Raises SchemaError
+    naming the file for a missing key, any other split key,
+    ``group_a_values`` that is not a non-empty list of strings or
+    numbers, and a ``split_column`` that is not one of the file's
+    columns. A column entry's keys other than ``name`` and ``kind`` are
+    ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
@@ -358,28 +361,18 @@ def load_schema_file(path) -> tuple[Schema, ShiftSplitSpec | None]:
     for j, c in enumerate(doc["columns"]):
         _require(c, ("name", "kind"), path, f"columns[{j}]")
     schema = Schema(tuple(ColumnSpec(c["name"], c["kind"]) for c in doc["columns"]))
-    split = None
-    if "split" in doc:
-        s = doc["split"]
-        _require(s, ("split_column", "group_a_values", "train_fraction_group_a",
-                     "train_fraction_group_b"), path, "split")
-        values = s["group_a_values"]
-        if not isinstance(values, list) or not values:
-            raise SchemaError(f"{path}: split: group_a_values must be a non-empty list, "
-                              f"not {values!r}")
-        try:
-            split = ShiftSplitSpec(
-                split_column=s["split_column"],
-                split_predicate=frozenset(values),
-                train_fraction_group_a=s["train_fraction_group_a"],
-                train_fraction_group_b=s["train_fraction_group_b"],
-                client_assignment=s.get("client_assignment", "by_group"),
-                num_clients=s.get("num_clients", 2),
-                seed=s.get("seed", 0),
-            )
-        except (ConfigError, TypeError) as exc:
-            raise SchemaError(f"{path}: split: {exc}") from None
-        if split.split_column not in {c.name for c in schema.columns}:
-            raise SchemaError(f"{path}: split: split_column {split.split_column!r} "
-                              f"is not one of the file's columns")
-    return schema, split
+    split = doc.get("split")
+    _require(split, ("split_column", "group_a_values"), path, "split")
+    if moved := sorted(map(str, set(split) - {"split_column", "group_a_values"})):
+        raise SchemaError(f"{path}: split: unknown key(s) {', '.join(moved)}; "
+                          f"how rows are split is set by the config's split section")
+    column, values = split["split_column"], split["group_a_values"]
+    if not isinstance(values, list) or not values or not all(
+        isinstance(v, (str, int, float)) for v in values
+    ):
+        raise SchemaError(f"{path}: split: group_a_values must be a non-empty list, "
+                          f"not {values!r}")
+    if column not in [c.name for c in schema.columns]:
+        raise SchemaError(f"{path}: split: split_column {column!r} "
+                          f"is not one of the file's columns")
+    return schema, column, frozenset(values)

@@ -407,30 +407,15 @@ def write_census_csv(path, table: RawTable) -> None:
         w.writerows(zip(*(table.columns[k].tolist() for k in names)))
 
 
-def census_split_spec(
-    seed: int,
-    train_fraction_group_a: float = 0.8,
-    train_fraction_group_b: float = 0.2,
-    client_assignment: str = "by_group",
-    num_clients: int = 2,
-) -> ShiftSplitSpec:
-    return ShiftSplitSpec(
-        split_column="sector",
-        split_predicate=frozenset({"private"}),
-        train_fraction_group_a=train_fraction_group_a,
-        train_fraction_group_b=train_fraction_group_b,
-        client_assignment=client_assignment,
-        num_clients=num_clients,
-        seed=seed,
-    )
+#: the census's shift column and its group-A values
+CENSUS_SHIFT = ("sector", frozenset({"private"}))
 
 
 def prepare_census(seed: int, n: int = CENSUS_N, split_kwargs: dict | None = None):
     """Generate, encode and split a census-like dataset in one call."""
     table = generate_census_like(n, seed)
     ds = encode(table)
-    split = census_split_spec(seed=seed, **(split_kwargs or {}))
-    return shift_split(ds, split)
+    return shift_split(ds, ShiftSplitSpec(*CENSUS_SHIFT, seed, **(split_kwargs or {})))
 
 
 # ---------------------------------------------------------------------------
@@ -493,40 +478,40 @@ def hyper_from_config(config: dict, **overrides) -> HyperParams:
 
 def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
     """Check a ``dataset`` section and one split against the keys
-    data_from_config reads, a census ``n`` (an integer >= 1) and a census
-    split's values by building its spec; returns the dataset kind."""
+    data_from_config reads, a census ``n`` (an integer >= 1), the split's
+    ``name`` (a string) and its values, by building a spec from them;
+    returns the dataset kind."""
     kind = data_cfg.get("kind", "census") if isinstance(data_cfg, dict) else "census"
     if kind not in ("census", "csv"):
         raise ConfigError(f"unknown dataset kind {kind!r}; valid: census, csv")
     _check_keys("dataset", data_cfg, _DATASET_KEYS[kind])
+    _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
+    if not isinstance(name := split_cfg.get("name", ""), str):
+        raise ConfigError(f"split name must be a string, not {name!r}")
+    ShiftSplitSpec(*CENSUS_SHIFT, 0, **_split_kwargs(split_cfg))
     if kind == "csv":
         if missing := {"path", "schema"} - set(data_cfg):
             raise ConfigError(f"csv dataset needs key(s): {', '.join(sorted(missing))}")
-        # a CSV is split as its schema file's split section says
-        _check_keys("csv split", split_cfg, ("name",))
     else:
-        _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
-        census_split_spec(0, **_split_kwargs(split_cfg))
         require_int("dataset n", data_cfg.get("n", CENSUS_N), 1)
     return kind
 
 
 def _split_kwargs(split_cfg: dict) -> dict:
-    """The census_split_spec arguments that a census split section sets."""
+    """The ShiftSplitSpec arguments that a split section sets."""
     return {k: split_cfg[k] for k in _SPLIT_KEYS if k in split_cfg}
 
 
 def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
     """The (train, test, shards) that a config's ``dataset`` section and
-    one of its splits describe. ``kind: census`` (the default) draws the
-    census-like generator at *seed*; ``kind: csv`` loads ``path`` against
-    the schema file ``schema`` and splits it as that file's ``split``
-    section says."""
+    one of its splits describe, split at *seed*. ``kind: census`` (the
+    default) draws the census-like generator at *seed*; ``kind: csv``
+    loads ``path`` against the schema file ``schema``, whose split
+    column and group-A values take the census's place."""
     if _check_data_keys(data_cfg, split_cfg) == "csv":
-        schema, split = load_schema_file(data_cfg["schema"])
-        if split is None:
-            raise ConfigError(f"{data_cfg['schema']}: schema file has no 'split' section")
-        return shift_split(encode(load_csv(data_cfg["path"], schema)), split)
+        schema, column, group_a = load_schema_file(data_cfg["schema"])
+        spec = ShiftSplitSpec(column, group_a, seed, **_split_kwargs(split_cfg))
+        return shift_split(encode(load_csv(data_cfg["path"], schema)), spec)
     return prepare_census(
         seed=seed, n=data_cfg.get("n", CENSUS_N), split_kwargs=_split_kwargs(split_cfg)
     )

@@ -25,15 +25,7 @@ def write_census_inputs(tmp_path, n=300, with_split=True):
         "columns": [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
     }
     if with_split:
-        doc["split"] = {
-            "split_column": "sector",
-            "group_a_values": ["private"],
-            "train_fraction_group_a": 0.8,
-            "train_fraction_group_b": 0.2,
-            "client_assignment": "by_group",
-            "num_clients": 2,
-            "seed": 0,
-        }
+        doc["split"] = {"split_column": "sector", "group_a_values": ["private"]}
     schema_path = tmp_path / "schema.yaml"
     schema_path.write_text(yaml.safe_dump(doc))
     cfg_path = write_config(tmp_path, {
@@ -63,34 +55,38 @@ def small_run_config(tmp_path, algorithm="FL", rounds=2):
 # ---------------------------------------------------------------------------
 
 
-def test_prepare_without_split_section_is_usage_error(tmp_path):
-    _, _, cfg = write_census_inputs(tmp_path, with_split=False)
+def test_prepare_without_split_section_is_usage_error(tmp_path, caplog):
+    _, schema_path, cfg = write_census_inputs(tmp_path, with_split=False)
     rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
+    assert f"{schema_path}: split lacks the key(s) split_column, group_a_values" in caplog.text
 
 
-def test_prepare_missing_data_file_is_usage_error(tmp_path):
+def test_prepare_missing_data_file_is_usage_error(tmp_path, caplog):
     csv_path, _, cfg = write_census_inputs(tmp_path)
     csv_path.unlink()
     rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
+    assert "No such file" in caplog.text and str(csv_path) in caplog.text
 
 
-def test_prepare_header_only_csv_is_usage_error(tmp_path):
+def test_prepare_header_only_csv_is_usage_error(tmp_path, caplog):
     csv_path, _, cfg = write_census_inputs(tmp_path)
     header = csv_path.read_text().splitlines()[0]
     csv_path.write_text(header + "\n")
     rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
+    assert f"{csv_path}: no complete data rows" in caplog.text
 
 
-def test_prepare_truncated_row_is_usage_error(tmp_path):
+def test_prepare_truncated_row_is_usage_error(tmp_path, caplog):
     csv_path, _, cfg = write_census_inputs(tmp_path)
     lines = csv_path.read_text().splitlines()
     lines[5] = ",".join(lines[5].split(",")[:4])
     csv_path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
+    assert "line 6: 4 cells where the header has" in caplog.text
 
 
 def make_dataset(*args):
@@ -112,8 +108,10 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
                "schema": str(data_dir / "schema.yaml")}
     hyper = {"rounds": 1, "local_epochs": 2, "num_bases": 4}
     raw = data.load_csv(data_dir / "census.csv", engine.CENSUS_SCHEMA)
-    _, split = data.load_schema_file(data_dir / "schema.yaml")
-    assert split == engine.census_split_spec(0)  # the census split a run uses by default
+    schema, *shift = data.load_schema_file(data_dir / "schema.yaml")
+    assert (schema, tuple(shift)) == (engine.CENSUS_SCHEMA, engine.CENSUS_SHIFT)
+    # a run at seed 0 splits the rows as a census run at seed 0 does
+    split = data.ShiftSplitSpec(*shift, seed=0)
     train, test, shards = data.shift_split(data.encode(raw), split)
     assert train.n + test.n == 200
     spec = engine.AlgorithmSpec(kind="FL", hyper=engine.HyperParams(**hyper))
@@ -131,6 +129,45 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     assert cli.main(["grid", "--config", str(grid_cfg), "--output", str(grid_out)]) == 0
     [row] = yaml.safe_load((grid_out / "summary.yaml").read_text())
     assert (row["test_acc"], row["test_rd"]) == (want["test_acc"], want["test_rd"])
+
+
+def test_csv_grid_splits_and_repetitions_draw_their_own_rows(tmp_path, monkeypatch):
+    # a CSV is split as its config's split says, at the run seed, as a
+    # census is: splits that differ only in their sharding give different
+    # cells, and FL's repetitions train on different rows
+    data_dir = tmp_path / "data"
+    make_dataset("--n", "600", "--out", str(data_dir)).check_returncode()
+    shard_counts = []
+    run = engine.run
+    monkeypatch.setattr(engine, "run", lambda spec, train, test, shards: (
+        shard_counts.append(len(shards)) or run(spec, train, test, shards)))
+    cfg = {
+        "algorithms": ["FL"],
+        "splits": [{"name": "a"},
+                   {"name": "b", "client_assignment": "even", "num_clients": 4}],
+        "repetitions": 3,
+        "hyper": {"rounds": 2, "local_epochs": 2, "num_bases": 4},
+        "dataset": {"kind": "csv", "path": str(data_dir / "census.csv"),
+                    "schema": str(data_dir / "schema.yaml")},
+    }
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg, "grid.yaml")
+    assert cli.main(["grid", "--config", str(path), "--output", str(out)]) == 0
+    a, b = yaml.safe_load((out / "summary.yaml").read_text())
+    assert shard_counts == [2] * 3 + [4] * 3
+    assert (a["test_acc"], a["test_rd"]) != (b["test_acc"], b["test_rd"])
+    assert a["test_acc_sd"] > 0 and b["test_acc_sd"] > 0
+
+
+def test_csv_run_takes_the_configs_split(tmp_path):
+    _, _, cfg_path = write_census_inputs(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["split"] = {"name": "even", "client_assignment": "even", "num_clients": 4}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 0
+    final = yaml.safe_load((out / "result.yaml").read_text())["final"]
+    assert len(final["per_client_rd"]) == 4
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -152,10 +189,6 @@ BAD_CONFIGS = {
     "not_a_mapping": "- FL\n- AFL\n",
     "csv_without_schema": {"dataset": {"kind": "csv", "path": "census.csv"}},
     "csv_without_path": {"dataset": {"kind": "csv", "schema": "schema.yaml"}},
-    "csv_with_split_keys": {
-        "dataset": {"kind": "csv", "path": "census.csv", "schema": "schema.yaml"},
-        "split": {"name": "even", "num_clients": 4},
-    },
     "unknown_census_key": {"dataset": {"n": 300, "census": {"p_privat": 0.5}}},
     "census_section": {"dataset": {"n": 300, "census": {"p_male_private": 1.0}}},
     "unknown_dataset_kind": {"dataset": {"kind": "parquet", "n": 300}},
@@ -179,6 +212,7 @@ BAD_CONFIGS = {
     "text_train_fraction": {
         "dataset": {"n": 300}, "split": {"train_fraction_group_a": "x"},
     },
+    "split_name_not_text": {"dataset": {"n": 300}, "split": {"name": 2}},
 }
 
 
@@ -202,58 +236,119 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
+def csv_config(tmp_path, monkeypatch, command, split=None, **grid):
+    """A run or grid config file over write_census_inputs' files, with
+    *split* as its split; engine.run fails the test, and the list that
+    is returned records each engine.load_csv call."""
+    loads = []
+    load = engine.load_csv
+    monkeypatch.setattr(engine, "load_csv", lambda *args: loads.append(args) or load(*args))
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    cfg = {"hyper": FAST_HYPER,
+           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
+    if command == "grid":
+        cfg.update({"splits": [split or {"name": "a"}], **grid})
+    elif split is not None:
+        cfg["split"] = split
+    return write_config(tmp_path, cfg, name="bad.yaml"), loads
+
+
 BAD_SCHEMAS = {
     "split_without_split_column": ("split", "split_column"),
+    "split_without_group_a_values": ("split", "group_a_values"),
     "column_without_kind": ("columns", "kind"),
 }
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_SCHEMAS))
-def test_schema_file_missing_key_is_usage_error(tmp_path, caplog, command, case):
-    _, schema_path, _ = write_census_inputs(tmp_path)
+def test_schema_file_missing_key_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
+    path, loads = csv_config(tmp_path, monkeypatch, command)
+    schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
     section, key = BAD_SCHEMAS[case]
     target = doc["split"] if section == "split" else doc["columns"][0]
     del target[key]
     schema_path.write_text(yaml.safe_dump(doc))
-    cfg = {"hyper": FAST_HYPER,
-           "dataset": {"kind": "csv", "path": str(tmp_path / "census.csv"),
-                       "schema": str(schema_path)}}
-    path = write_config(tmp_path, cfg, name="bad.yaml")
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
-    assert str(schema_path) in caplog.text and key in caplog.text
+    assert f"{schema_path}: " in caplog.text and f"lacks the key(s) {key}" in caplog.text
+    assert loads == []
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
 BAD_SCHEMA_SPLITS = {
-    "fractional_num_clients": {"client_assignment": "even", "num_clients": 2.5},
-    "text_num_clients": {"client_assignment": "even", "num_clients": "3"},
-    "text_train_fraction": {"train_fraction_group_a": "0.8"},
-    "negative_seed": {"seed": -1},
-    "fractional_seed": {"seed": 1.5},
-    "bare_group_a_value": {"group_a_values": "private"},
-    "no_group_a_values": {"group_a_values": []},
+    "bare_group_a_value": ({"group_a_values": "private"}, "group_a_values must be"),
+    "no_group_a_values": ({"group_a_values": []}, "group_a_values must be"),
+    "nested_group_a_value": ({"group_a_values": [["private"]]}, "group_a_values must be"),
 }
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_SCHEMA_SPLITS))
 def test_schema_file_bad_split_value_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
-    # the values are taken as written, as in a census config's split,
-    # not coerced: 2.5 clients is not 2, and "private" is not {p, r, i, ...}
-    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
-    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    # found when the schema file is read, before the CSV is; the values
+    # are taken as written: "private" is not {p, r, i, ...}
+    path, loads = csv_config(tmp_path, monkeypatch, command)
+    schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
-    doc["split"].update(BAD_SCHEMA_SPLITS[case])
+    values, message = BAD_SCHEMA_SPLITS[case]
+    doc["split"].update(values)
     schema_path.write_text(yaml.safe_dump(doc))
-    cfg = {"hyper": FAST_HYPER,
-           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
-    path = write_config(tmp_path, cfg, name="bad.yaml")
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
-    assert str(schema_path) in caplog.text
+    assert f"{schema_path}: split: " in caplog.text and message in caplog.text
+    assert loads == []
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("key, value", [
+    ("train_fraction_group_a", 0.8), ("train_fraction_group_b", 0.2),
+    ("client_assignment", "even"), ("num_clients", 2), ("seed", 0),
+])
+def test_schema_file_split_setting_is_usage_error(
+    tmp_path, monkeypatch, caplog, command, key, value
+):
+    # how rows are split is the config's split section: a schema file
+    # that still sets it is never split another way without a word
+    path, loads = csv_config(tmp_path, monkeypatch, command)
+    schema_path = tmp_path / "schema.yaml"
+    doc = yaml.safe_load(schema_path.read_text())
+    doc["split"][key] = value
+    schema_path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert f"{schema_path}: split: unknown key(s) {key}; " in caplog.text
+    assert "the config's split section" in caplog.text
+    assert loads == []
+    assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+BAD_CSV_SPLITS = {
+    "fractional_num_clients": (
+        {"client_assignment": "even", "num_clients": 2.5}, "num_clients must be an integer"
+    ),
+    "text_num_clients": (
+        {"client_assignment": "even", "num_clients": "3"}, "num_clients must be an integer"
+    ),
+    "text_train_fraction": (
+        {"train_fraction_group_a": "0.8"}, "train fraction must be a number"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(BAD_CSV_SPLITS))
+def test_csv_split_bad_value_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
+    # a CSV config's split is checked as a census config's is, its values
+    # taken as written: 2.5 clients is not 2, and "0.8" is not 0.8
+    split, message = BAD_CSV_SPLITS[case]
+    path, loads = csv_config(tmp_path, monkeypatch, command, split)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert message in caplog.text and loads == []
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
@@ -263,14 +358,11 @@ def test_schema_file_group_a_matching_no_row_is_not_trained(
 ):
     # no sector is "privat", so group A is empty and an even split would
     # train with no shift: a run is a usage error, a grid's cells fail
-    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
-    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    path, _ = csv_config(tmp_path, monkeypatch, command, {"client_assignment": "even"})
+    schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
-    doc["split"].update(group_a_values=["privat"], client_assignment="even")
+    doc["split"]["group_a_values"] = ["privat"]
     schema_path.write_text(yaml.safe_dump(doc))
-    cfg = {"hyper": FAST_HYPER,
-           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
-    path = write_config(tmp_path, cfg, name="bad.yaml")
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(path), "--output", str(out)])
     assert "'sector' has no row with a value in ['privat']" in caplog.text
@@ -286,22 +378,15 @@ def test_schema_file_group_a_matching_no_row_is_not_trained(
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_schema_file_unknown_split_column_is_usage_error(tmp_path, monkeypatch, caplog, command):
     # found when the schema file is read, before the CSV is
-    loads = []
-    load = engine.load_csv
-    monkeypatch.setattr(engine, "load_csv", lambda *args: loads.append(args) or load(*args))
-    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
-    csv_path, schema_path, _ = write_census_inputs(tmp_path)
+    path, loads = csv_config(tmp_path, monkeypatch, command,
+                             splits=[{"name": "a"}, {"name": "b"}], repetitions=2)
+    schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
     doc["split"]["split_column"] = "sectr"
     schema_path.write_text(yaml.safe_dump(doc))
-    cfg = {"hyper": FAST_HYPER,
-           "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}}
-    if command == "grid":
-        cfg.update(splits=[{"name": "a"}, {"name": "b"}], repetitions=2)
-    path = write_config(tmp_path, cfg, name="bad.yaml")
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
-    assert str(schema_path) in caplog.text and "'sectr'" in caplog.text
+    assert f"{schema_path}: split: split_column 'sectr' is not one of" in caplog.text
     assert loads == []
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
@@ -420,6 +505,31 @@ def test_run_missing_config_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("what", ["config", "dataset path"])
+def test_path_naming_a_directory_is_usage_error(tmp_path, monkeypatch, caplog, what):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    csv_path, _, cfg = write_census_inputs(tmp_path)
+    if what == "config":
+        cfg = tmp_path
+    else:
+        csv_path.unlink()
+        csv_path.mkdir()
+    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+    assert rc == 2 and "Is a directory" in caplog.text
+
+
+@pytest.mark.parametrize("level", ["bogus", "warn ", ""])
+def test_unknown_log_level_is_usage_error(capsys, level):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--log-level", level, "verify", "--only", "lp"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+
+
+def test_log_level_is_case_insensitive(capsys):
+    assert cli.main(["--log-level", "warning", "verify", "--only", "lp"]) == 0
+    assert "lp: PASS" in capsys.readouterr().out
+
+
 def test_run_unknown_hyper_key_is_usage_error(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"hyper": {"rounds": 1, "bogus": 3}}))
@@ -508,6 +618,7 @@ BAD_GRID_VALUES = {
     "no_splits": {"splits": []},
     "splits_not_a_list": {"splits": "shift"},
     "split_not_a_mapping": {"splits": ["shift"]},
+    "split_name_not_text": {"splits": [{"name": "a"}, {"name": 2}]},
 }
 
 

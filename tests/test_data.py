@@ -367,7 +367,9 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
         train, shards = engine.even_shards(ds, clients, seed=4)
         shard_idx = np.array_split(np.random.default_rng(4).permutation(ds.n), clients)
     else:
-        sp = engine.census_split_spec(4, client_assignment=assignment, num_clients=clients)
+        sp = data.ShiftSplitSpec(
+            *engine.CENSUS_SHIFT, 4, client_assignment=assignment, num_clients=clients
+        )
         train, test, shards = data.shift_split(ds, sp)
         shard_idx, test_idx = drawn_indices(ds, sp)
         for name in ("features", "labels", "sensitive"):
@@ -400,17 +402,34 @@ columns:
   - {name: income, kind: label}
 split:
   split_column: job
-  group_a_values: [private]
-  train_fraction_group_a: 0.8
-  train_fraction_group_b: 0.2
+  group_a_values: [private, self]
 """,
         encoding="utf-8",
     )
-    schema, split = data.load_schema_file(p)
+    schema, column, group_a = data.load_schema_file(p)
     assert schema.label_column == "income"
     assert schema.columns[1] == data.ColumnSpec("job", "categorical")
-    assert split.split_predicate == frozenset({"private"})
-    assert split.client_assignment == "by_group"
+    assert (column, group_a) == ("job", frozenset({"private", "self"}))
+
+
+def test_load_schema_file_names_the_split_settings_it_does_not_take(tmp_path):
+    p = tmp_path / "schema.yaml"
+    p.write_text(
+        """
+columns:
+  - {name: job, kind: categorical}
+  - {name: gender, kind: sensitive}
+  - {name: income, kind: label}
+split:
+  split_column: job
+  group_a_values: [private]
+  train_fraction_group_a: 0.8
+  num_clients: 2
+""",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match="unknown key.s. num_clients, train_fraction_group_a;"):
+        data.load_schema_file(p)
 
 
 def test_load_schema_file_rejects_garbage(tmp_path):

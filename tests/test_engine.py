@@ -407,8 +407,7 @@ def test_experiment_grid_records_cell_failures(tmp_path):
     # a schema file whose group_a_values match no row: the config is
     # valid, and the split fails only once the CSV is loaded
     engine.write_census_csv(tmp_path / "census.csv", engine.generate_census_like(400, 0))
-    split = {"split_column": "sector", "group_a_values": ["privat"],
-             "train_fraction_group_a": 0.8, "train_fraction_group_b": 0.2}
+    split = {"split_column": "sector", "group_a_values": ["privat"]}
     columns = [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
     (tmp_path / "schema.yaml").write_text(yaml.safe_dump({"columns": columns, "split": split}))
     config = {
