@@ -11,11 +11,12 @@ import dataclasses
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 import yaml
 
-from fedfair import data, engine, fairness, kernels, logistic, lp, protocol
+from fedfair import __version__, data, engine, fairness, kernels, logistic, lp, protocol
 from fedfair.errors import ConfigError, RowParseError, SchemaError
 
 log = logging.getLogger("fedfair")
@@ -40,10 +41,20 @@ def cmd_run(args) -> int:
     )
     out = _output_dir(args)
     os.makedirs(out, exist_ok=True)
+    start = time.perf_counter()
     result = engine.run(spec, train, test, shards)
+    wall_s = time.perf_counter() - start
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
+    record = {
+        "algorithm": algorithm,
+        "hyper": dataclasses.asdict(hyper),
+        "seed": hyper.seed,
+        "version": __version__,
+        "wall_s": wall_s,
+        "final": result.final,
+    }
     with open(os.path.join(out, "result.yaml"), "w") as fh:
-        yaml.safe_dump({"algorithm": algorithm, "final": result.final}, fh, sort_keys=False)
+        yaml.safe_dump(record, fh, sort_keys=False)
     print(
         f"{algorithm}: test_acc={result.final['test_acc']:.4f} "
         f"test_rd={result.final['test_rd']:.4f}"

@@ -214,6 +214,9 @@ def run(
             row["adversary_loss_after"] = float(psi_L @ server.alpha)
             row["lp_status"] = server.last_lp.status
             row["lp_slack"] = server.last_lp.slack_used
+            row["alpha_nnz"] = int(np.count_nonzero(server.alpha))
+            row["alpha_at_bound"] = int(np.count_nonzero(server.alpha == basis.bound))
+            row["alpha_move_l1"] = float(np.abs(server.alpha - alpha_old).sum())
             if server.last_lp.status == protocol.lp.STATUS_RELAXED:
                 log.warning(
                     "round %d: fairness row relaxed by %.3g",
@@ -608,13 +611,15 @@ def _write_summary(output_dir, summary: list[dict]) -> None:
 
 def write_round_csv(path, result: RunResult) -> None:
     """Per-round metric CSV: round, accuracies, risk differences and, for
-    the alpha-optimizing variants, the LP's status, slack and adversary loss.
-    A client with one sensitive group has an empty risk-difference cell. A
-    run of 0 rounds writes the header alone."""
+    the alpha-optimizing variants, the LP's status, slack and adversary
+    loss, and alpha's nonzeros, entries at the bound B and L1 move since
+    the previous round. A client with one sensitive group has an empty
+    risk-difference cell. A run of 0 rounds writes the header alone."""
     first = result.per_round[0] if result.per_round else {}
     base_cols = ["round", "train_acc", "test_acc", "train_rd", "test_rd"]
     base_cols += [c for c in ("lp_status", "lp_slack", "adversary_loss_before",
-                              "adversary_loss_after") if c in first]
+                              "adversary_loss_after", "alpha_nnz", "alpha_at_bound",
+                              "alpha_move_l1") if c in first]
     client_cols = [f"client{k}_rd" for k in range(len(result.final["per_client_rd"]))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

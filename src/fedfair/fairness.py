@@ -7,6 +7,13 @@ and in the mixture coefficients alpha:
     cov = (1/n) sum_i (s_i - s_bar) * theta_i * (w . x_i)
         = w . phi_C            with phi_C  = (1/n) sum_i (s_i - s_bar) theta_i x_i
         = alpha . psi_C        with psi_C,m = (1/n) sum_i (s_i - s_bar) K_m(x_i) (w . x_i)
+
+With theta = K alpha it is the bilinear form
+
+    cov = alpha . C w          with C = K^T diag(s - s_bar) X / n,
+
+an M x (d+1) matrix fixed by the data: psi_C = C w and phi_C = C^T alpha.
+Each client builds its own C once (covariance_form) and keeps it.
 """
 
 from __future__ import annotations
@@ -83,3 +90,17 @@ def covariance_coeff_alpha(
     margins = shard.features @ w
     weights = (shard.sensitive - stats.s_bar) * margins
     return km.T @ weights / stats.n_total
+
+
+def covariance_form(
+    shard: ClientShard, km: np.ndarray, stats: FairnessStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """psi_theta,k = (1/n) K^T 1 and C_k = (1/n) K^T diag(s - s_bar) X,
+    from one product over the shard's kernel matrix *km*."""
+    left = np.empty((shard.n, shard.features.shape[1] + 1))
+    left[:, 0] = 1.0
+    np.multiply(
+        shard.features, (shard.sensitive - stats.s_bar)[:, None], out=left[:, 1:]
+    )
+    form = km.T @ left / stats.n_total
+    return form[:, 0], form[:, 1:]

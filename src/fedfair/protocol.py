@@ -8,6 +8,10 @@ weights and emits the next broadcast. Messages carry only length-M and
 length-(d+1) vectors plus scalars -- never raw samples. clients_round
 runs every client's half; each client reads only its own shard, also
 when more than two fit in lockstep.
+
+A client reads its whole kernel matrix once a round, for psi_L; psi_C
+and the kernel-weighted phi_C come from its covariance form C_k
+(fairness.covariance_form), which stays on the client.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ class ClientState:
     kernel_matrix: np.ndarray
     stats: fairness.FairnessStats
     psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
+    cov_form: np.ndarray  # C_k, (M, d+1): psi_C = C_k w, phi_C = C_k^T alpha
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
     fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
     expected_round: int = 0
@@ -106,27 +111,24 @@ def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
         )
 
 
-def _phi_C(state: ClientState, th: np.ndarray) -> np.ndarray:
+def _phi_C(state: ClientState, alpha: np.ndarray) -> np.ndarray:
     """The client's covariance vector: its fixed one when the variant's
-    weights ignore alpha, else weighted by *th* = theta at alpha."""
+    weights ignore alpha, else weighted by theta = K alpha."""
     if state.fixed_phi_C is not None:
         return state.fixed_phi_C
-    return fairness.covariance_coeff_w(state.shard, th, state.stats)
+    return state.cov_form.T @ alpha
 
 
-def _bundle(state: ClientState, th: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
-    """Coefficient extraction at the client's new weights."""
+def _bundle(state: ClientState, alpha: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
+    """Coefficient extraction at the client's new weights and the
+    round's alpha."""
     losses = logistic.per_sample_logloss(w_new, state.shard.features, state.shard.labels)
-    psi_L = state.kernel_matrix.T @ losses / state.stats.n_total
-    psi_C = fairness.covariance_coeff_alpha(
-        state.shard, state.kernel_matrix, w_new, state.stats
-    )
     bundle = CoefficientBundle(
         client_id=state.shard.client_id,
-        psi_L=psi_L,
+        psi_L=state.kernel_matrix.T @ losses / state.stats.n_total,
         psi_theta=state.psi_theta,
-        psi_C=psi_C,
-        phi_C=_phi_C(state, th),
+        psi_C=state.cov_form @ w_new,
+        phi_C=_phi_C(state, alpha),
         w_local=w_new,
     )
     for f in fields(bundle):
@@ -146,7 +148,7 @@ def client_round(
     th = kernels.theta(state.kernel_matrix, bc.alpha)
     penalty = _penalty_for(state, bc, cfg)
     w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
-    return _bundle(state, th, w_new)
+    return _bundle(state, bc.alpha, w_new)
 
 
 def clients_round(
@@ -169,7 +171,7 @@ def clients_round(
     w_new = logistic.fit_lockstep(
         bc.w_avg, [c.shard for c in clients], np.concatenate(ths), penalties, cfg.opt
     )
-    return [_bundle(c, th, w) for c, th, w in zip(clients, ths, w_new)]
+    return [_bundle(c, bc.alpha, w) for c, w in zip(clients, w_new)]
 
 
 def server_round(
@@ -218,16 +220,17 @@ def init_protocol(
 ) -> tuple[ServerState, list[ClientState], ServerBroadcast]:
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
-    Initial weights are zero; initial alpha is the uniform vector solving
-    the sum-to-one row, alpha_m = 1 / sum_m psi_theta_m.
+    Each client builds its kernel matrix and, from it, psi_theta and its
+    covariance form (fairness.covariance_form). Initial weights are zero;
+    initial alpha is the uniform vector solving the sum-to-one row,
+    alpha_m = 1 / sum_m psi_theta_m.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
     stats = fairness.compute_stats(shards)
     kms = [kernels.kernel_matrix(s, basis) for s in shards]
-    col_sums = [km.sum(axis=0) for km in kms]
-    psi_theta = np.sum(col_sums, axis=0) / stats.n_total
-    total = float(psi_theta.sum())
+    forms = [fairness.covariance_form(s, km, stats) for s, km in zip(shards, kms)]
+    total = float(np.sum([psi_theta for psi_theta, _ in forms], axis=0).sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
     alpha0 = np.full(basis.num_bases, 1.0 / total)
@@ -241,7 +244,8 @@ def init_protocol(
             shard=s,
             kernel_matrix=km,
             stats=stats,
-            psi_theta=col / stats.n_total,
+            psi_theta=psi_theta,
+            cov_form=form,
             local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
             if local
             else None,
@@ -249,14 +253,12 @@ def init_protocol(
             if unweighted
             else None,
         )
-        for s, km, col in zip(shards, kms, col_sums)
+        for s, km, (psi_theta, form) in zip(shards, kms, forms)
     ]
     # phi_C does not depend on w, so the stats round can already ship the
     # covariance vector every later round ships, at alpha0; otherwise the
     # first local fit would run with a zero (disabled) penalty.
-    phi0 = np.sum(
-        [_phi_C(c, kernels.theta(c.kernel_matrix, alpha0)) for c in clients], axis=0
-    )
+    phi0 = np.sum([_phi_C(c, alpha0) for c in clients], axis=0)
     server = ServerState(
         round=0,
         alpha=alpha0,

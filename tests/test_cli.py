@@ -10,6 +10,7 @@ import sys
 import pytest
 import yaml
 
+import fedfair
 from fedfair import cli, data, engine, logistic, lp, protocol
 from fedfair.errors import ConfigError
 
@@ -464,6 +465,19 @@ def test_run_writes_result_and_rounds(tmp_path, capsys):
     assert "test_acc=" in capsys.readouterr().out
 
 
+def test_result_yaml_records_the_run(tmp_path):
+    cfg = small_run_config(tmp_path, algorithm="AFL", rounds=3)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--seed", "4", "--output", str(out)]) == 0
+    record = yaml.safe_load((out / "result.yaml").read_text())
+    assert list(record) == ["algorithm", "hyper", "seed", "version", "wall_s", "final"]
+    spec = engine.hyper_from_config(yaml.safe_load(cfg.read_text()), seed=4)
+    assert engine.HyperParams(**record["hyper"]) == spec
+    assert record["seed"] == 4
+    assert record["version"] == fedfair.__version__
+    assert isinstance(record["wall_s"], float) and record["wall_s"] > 0.0
+
+
 def test_run_zero_rounds_evaluates_initial_model(tmp_path):
     cfg = small_run_config(tmp_path)
     out = tmp_path / "out"
@@ -582,6 +596,8 @@ def test_run_deterministic_across_invocations(tmp_path):
             ["run", "--config", str(cfg), "--seed", "3", "--output", str(out)]
         ) == 0
         outs.append(yaml.safe_load((out / "result.yaml").read_text()))
+    for record in outs:  # the one field that differs between runs
+        assert record.pop("wall_s") > 0.0
     assert outs[0] == outs[1]
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import engine, fairness, logistic
+from fedfair import engine, fairness, logistic, protocol
 from fedfair.data import ClientShard, EncodedDataset, cut_shards
 from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
 
@@ -505,7 +506,8 @@ def test_write_round_csv(tmp_path, kind):
     assert len(lines) == 1 + FAST.rounds
     header = "round,train_acc,test_acc,train_rd,test_rd,"
     if kind == "AFL":
-        header += "lp_status,lp_slack,adversary_loss_before,adversary_loss_after,"
+        header += ("lp_status,lp_slack,adversary_loss_before,adversary_loss_after,"
+                   "alpha_nnz,alpha_at_bound,alpha_move_l1,")
     assert lines[0] == header + "client0_rd,client1_rd"
     if kind == "AFL":
         status, slack, before, after = lines[1].split(",")[5:9]
@@ -513,3 +515,39 @@ def test_write_round_csv(tmp_path, kind):
         assert float(slack) == 0.0
         assert float(before) == result.per_round[0]["adversary_loss_before"]
         assert float(after) == result.per_round[0]["adversary_loss_after"]
+
+
+@pytest.mark.parametrize("num_clients", [2, 4])  # per-client and lockstep fits
+@pytest.mark.parametrize("kind", ["AFL", "AgnosticFair", "AgnosticFair-a", "AgnosticFair-b"])
+def test_round_csv_records_alpha_support(tmp_path, monkeypatch, kind, num_clients):
+    # alpha after each LP, caught at the server; the uniform alpha0 first
+    alphas = []
+    init, server_round = protocol.init_protocol, protocol.server_round
+
+    def record_init(shards, basis, cfg):
+        out = init(shards, basis, cfg)
+        alphas.append((out[0].alpha.copy(), basis.bound))
+        return out
+
+    def record_round(state, bundles, cfg):
+        out = server_round(state, bundles, cfg)
+        alphas.append((state.alpha.copy(), state.basis.bound))
+        return out
+
+    monkeypatch.setattr(protocol, "init_protocol", record_init)
+    monkeypatch.setattr(protocol, "server_round", record_round)
+    train, test, shards = synthetic_setup(num_clients=num_clients)
+    hyper = replace(FAST, rounds=5, num_bases=30)
+    result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper), train, test, shards)
+    path = tmp_path / "rounds.csv"
+    engine.write_round_csv(path, result)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == hyper.rounds
+    for row, (old, _), (new, bound) in zip(rows, alphas, alphas[1:]):
+        assert int(row["alpha_nnz"]) == sum(a != 0.0 for a in new)
+        assert int(row["alpha_at_bound"]) == sum(a == bound for a in new)
+        assert float(row["alpha_move_l1"]) == pytest.approx(
+            sum(abs(a - b) for a, b in zip(new, old)), rel=1e-12, abs=1e-15
+        )
+    assert float(rows[0]["alpha_move_l1"]) > 0.0  # the LP leaves the uniform start

@@ -272,3 +272,62 @@ def test_theta_linearity_and_bounds(seed, n, m):
     th = kernels.theta(km, a1)
     assert np.all(th >= 0.0)
     assert np.all(th <= 5.0 * km.sum(axis=1) + 1e-12)
+
+
+def theta_matrix(kind, r, n, m):
+    """An n-row kernel matrix of *kind*: constant (M = 1), indicator (one
+    column of ones) or Gaussian (M = m)."""
+    if kind == "constant":
+        return np.ones((n, 1))
+    if kind == "indicator":
+        km = np.zeros((n, m))
+        km[:, r.integers(m)] = 1.0
+        return km
+    shard = random_shard(r, n, 4)
+    centers = r.normal(size=(m, 5))
+    return kernels.kernel_matrix(shard, gaussian_basis(centers, sigma=1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    m=st.integers(1, 200),
+    kind=st.sampled_from(["constant", "indicator", "gaussian"]),
+    alpha_kind=st.sampled_from(["zero", "sparse", "dense"]),
+)
+def test_theta_equals_matrix_product(seed, n, m, kind, alpha_kind):
+    # sparse: 1 to M nonzeros, so both the column sum (up to M / 10) and
+    # the whole-matrix pass are reached
+    r = np.random.default_rng(seed)
+    km = theta_matrix(kind, r, n, m)
+    m = km.shape[1]
+    alpha = np.zeros(m)
+    if alpha_kind == "dense":
+        alpha[:] = r.uniform(0.01, 5.0, size=m)
+    elif alpha_kind == "sparse":
+        support = r.choice(m, size=r.integers(1, m + 1), replace=False)
+        alpha[support] = r.uniform(0.01, 5.0, size=len(support))
+    expected = km @ alpha
+    got = kernels.theta(km, alpha)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("nonzeros", [200, 20])
+def test_theta_allocates_a_few_n_vectors(nonzeros):
+    # a dense alpha (the uniform round-0 one) and the most nonzeros the
+    # column sum takes; gathering the support's columns would cost
+    # n x |support| floats
+    n = 20_000
+    shard, basis = shard_and_basis(n, 1.0, m=195, d=10)
+    km = kernels.kernel_matrix(shard, basis)
+    alpha = np.zeros(km.shape[1])
+    alpha[:: km.shape[1] // nonzeros] = 0.01
+    assert np.count_nonzero(alpha) == nonzeros
+    tracemalloc.start()
+    try:
+        kernels.theta(km, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * 8

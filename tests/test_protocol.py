@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedfair import fairness, kernels, logistic, protocol
+from fedfair import engine, fairness, kernels, logistic, protocol
+from fedfair.data import cut_shards, encode
 from fedfair.errors import ConfigError, ProtocolError
 
 from conftest import make_shard, random_shard
@@ -359,3 +360,74 @@ def test_lockstep_round_mismatch_raises(rng):
     protocol.clients_round(clients, bc, cfg)
     with pytest.raises(ProtocolError):
         protocol.clients_round(clients, bc, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the covariance form: psi_C, phi_C and psi_theta against the direct formulas
+# ---------------------------------------------------------------------------
+
+
+def form_splits():
+    """Census shards of a by-group split (two clients, fit one by one) and
+    of four even shards, the first holding one sensitive group (fit in
+    lockstep)."""
+    _, _, by_group = engine.prepare_census(seed=0, n=600)
+    ds = encode(engine.generate_census_like(600, 1))
+    ones = np.flatnonzero(ds.sensitive == 1)[:40]
+    rest = np.setdiff1d(np.arange(ds.n), ones)
+    _, even = cut_shards(ds, [ones, *np.array_split(rest, 3)])
+    return {"by_group": by_group, "even_one_group": even}
+
+
+FORM_SPLITS = form_splits()
+
+
+def assert_close(got, expected):
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("split", list(FORM_SPLITS))
+@pytest.mark.parametrize("kind", engine.ALGORITHMS)
+def test_bundles_match_direct_covariance_formulas(kind, split):
+    # every variant's penalty mode and basis kind; round 1 runs at the
+    # uniform alpha0, later rounds at the LP's sparse vertices
+    shards = FORM_SPLITS[split]
+    spec = engine.AlgorithmSpec(
+        kind=kind, hyper=engine.HyperParams(num_bases=60, local_epochs=3)
+    )
+    cfg = engine._protocol_config(spec)
+    basis = engine._make_basis(spec, shards)
+    server, clients, bc = protocol.init_protocol(shards, basis, cfg)
+    stats = server.stats
+    kms = [kernels.kernel_matrix(s, basis) for s in shards]
+    kernel_weighted = cfg.penalty_mode in (protocol.PENALTY_GLOBAL, protocol.PENALTY_NONE)
+    for _ in range(4):
+        phis = [
+            fairness.covariance_coeff_w(s, km @ bc.alpha if kernel_weighted else np.ones(s.n), stats)
+            for s, km in zip(shards, kms)
+        ]
+        if bc.round == 0:
+            assert_close(bc.phi_C_global, np.sum(phis, axis=0))
+        bundles = protocol.clients_round(clients, bc, cfg)
+        for s, km, phi, b in zip(shards, kms, phis, bundles):
+            assert_close(b.psi_C, fairness.covariance_coeff_alpha(s, km, b.w_local, stats))
+            assert_close(b.phi_C, phi)
+            assert_close(b.psi_theta, km.sum(axis=0) / stats.n_total)
+        bc = protocol.server_round(server, bundles, cfg)
+
+
+@pytest.mark.parametrize("split", list(FORM_SPLITS))
+def test_round_reads_no_per_sample_covariance(split, monkeypatch):
+    # after set-up, psi_C and phi_C come from the covariance form alone
+    shards = FORM_SPLITS[split]
+    basis = kernels.select_basis(shards, 30, seed=0)
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, fairness_row_in_lp=True)
+    server, clients, bc = setup_run(shards, basis, cfg)
+
+    def refuse(*args):
+        raise AssertionError("a round called a per-sample covariance formula")
+
+    monkeypatch.setattr(fairness, "covariance_coeff_alpha", refuse)
+    monkeypatch.setattr(fairness, "covariance_coeff_w", refuse)
+    for _ in range(2):
+        bc = protocol.server_round(server, protocol.clients_round(clients, bc, cfg), cfg)
