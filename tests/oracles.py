@@ -7,7 +7,7 @@ production path it checks.
 import numpy as np
 
 from fedfair import logistic
-from fedfair.data import ClientShard
+from fedfair.data import ClientShard, RawTable
 from fedfair.errors import MetricUndefinedError
 
 
@@ -48,3 +48,52 @@ def reweighted_risk_difference(
             raise MetricUndefinedError(f"group {g} has zero total weight")
         rates[g] = float(theta[mask & (predictions == 1)].sum()) / denom
     return abs(rates[1] - rates[0])
+
+
+def risk_difference_reference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
+    """|P(yhat=1 | s=1) - P(yhat=1 | s=0)|, each rate the mean prediction
+    over its group's mask."""
+    predictions = np.asarray(predictions)
+    sensitive = np.asarray(sensitive)
+    rates = {}
+    for g in (0, 1):
+        mask = sensitive == g
+        if not mask.any():
+            raise MetricUndefinedError(f"sensitive group {g} is empty")
+        rates[g] = float(predictions[mask].mean())
+    return abs(rates[1] - rates[0])
+
+
+def encode_reference(raw: RawTable):
+    """The encoding by its definition, each column's sorted levels found by
+    np.unique: (features, labels, sensitive, feature names). Numeric
+    columns are min-max scaled (a constant one becomes 0.0), categorical
+    ones one-hot expanded over their sorted levels, and a bias column of
+    ones comes last. Label and sensitive map their most frequent value to
+    1, a tie going to the larger str(value)."""
+
+    def majority(values):
+        levels, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+        top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
+        return (codes == top).astype(int)
+
+    blocks, names = [], []
+    for col in raw.schema.columns:
+        vals = raw.columns[col.name]
+        if col.kind == "numeric":
+            lo, hi = vals.min(), vals.max()
+            scaled = np.zeros(raw.n) if lo == hi else (vals - lo) / (hi - lo)
+            blocks.append(scaled[:, None])
+            names.append(col.name)
+        elif col.kind == "categorical":
+            levels, codes = np.unique(vals, return_inverse=True)
+            blocks.append((codes[:, None] == np.arange(levels.size)).astype(float))
+            names.extend(f"{col.name}={v}" for v in levels)
+    blocks.append(np.ones((raw.n, 1)))
+    names.append("__bias__")
+    return (
+        np.hstack(blocks),
+        majority(raw.columns[raw.schema.label_column]),
+        majority(raw.columns[raw.schema.sensitive_column]),
+        names,
+    )

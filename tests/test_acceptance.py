@@ -21,7 +21,11 @@ import pytest
 
 from fedfair import cli, engine, fairness, kernels, logistic, lp, protocol
 
-from oracles import reweighted_risk_difference, run_fedavg_reference
+from oracles import (
+    reweighted_risk_difference,
+    risk_difference_reference,
+    run_fedavg_reference,
+)
 
 SHIFT_SEEDS = range(20)
 IID_SEEDS = range(6)
@@ -313,7 +317,7 @@ def test_criterion_12_reductions():
         sens = np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
         plain = fairness.risk_difference(preds, sens)
         rw = reweighted_risk_difference(preds, sens, np.ones(n))
-        ok_b = ok_b and (rw == plain)
+        ok_b = ok_b and (rw == plain == risk_difference_reference(preds, sens))
 
     # (c) single-client federated run equals the centralized fit
     ds = engine.generate_synthetic(80, seed=5)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fedfair import data, engine
 from fedfair.errors import ConfigError, RowParseError, SchemaError
 
+from oracles import encode_reference
+
 SCHEMA = data.Schema(
     (
         data.ColumnSpec("age", "numeric"),
@@ -219,6 +221,66 @@ def test_encode_constant_numeric_warns_and_zeroes():
     with pytest.warns(UserWarning):
         ds = data.encode(table)
     assert np.all(ds.features[:, ds.feature_names.index("age")] == 0.0)
+
+
+PROPERTY_SCHEMA = data.Schema(
+    (
+        data.ColumnSpec("x", "numeric"),
+        data.ColumnSpec("a", "categorical"),
+        data.ColumnSpec("s", "sensitive"),
+        data.ColumnSpec("one", "categorical"),
+        data.ColumnSpec("b", "categorical"),
+        data.ColumnSpec("y", "label"),
+    )
+)
+
+
+@st.composite
+def raw_tables(draw):
+    """Tables of 1-40 rows: categorical columns of 1-12 levels, first seen
+    in any order, a one-level column, a numeric column that may be
+    constant, and label and sensitive columns that may tie exactly."""
+    n = draw(st.integers(1, 40))
+    text = st.text("abcXY=-9 ", min_size=1, max_size=4)
+
+    def levels(k):
+        return np.asarray(draw(st.lists(text, min_size=k, max_size=k, unique=True)))
+
+    def categorical(most):
+        k = draw(st.integers(1, most))
+        return levels(k)[draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))]
+
+    def binary():
+        if not draw(st.booleans()):
+            return categorical(3)
+        half = n // 2  # two levels of half the rows each; a third for an odd row
+        codes = [0] * half + [1] * half + [2] * (n - 2 * half)
+        return levels(3)[draw(st.permutations(codes))]
+
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
+    x = draw(st.one_of(floats.map(lambda v: [v] * n), st.lists(floats, min_size=n, max_size=n)))
+    columns = {
+        "x": np.asarray(x, dtype=float),
+        "a": categorical(12),
+        "s": binary(),
+        "one": levels(1)[np.zeros(n, dtype=int)],
+        "b": categorical(12),
+        "y": binary(),
+    }
+    return data.RawTable(schema=PROPERTY_SCHEMA, columns=columns)
+
+
+@pytest.mark.filterwarnings("ignore:numeric column")
+@settings(max_examples=200, deadline=None)
+@given(table=raw_tables())
+def test_encode_equals_the_unique_reference(table):
+    ds = data.encode(table)
+    features, labels, sensitive, names = encode_reference(table)
+    for got, want in ((ds.features, features), (ds.labels, labels), (ds.sensitive, sensitive)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert ds.feature_names == names
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import engine, fairness, logistic, protocol
+from fedfair import engine, logistic, protocol
 from fedfair.data import ClientShard, EncodedDataset, cut_shards
 from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
 
-from oracles import run_fedavg_reference
+from oracles import risk_difference_reference, run_fedavg_reference
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
@@ -153,7 +153,7 @@ def test_per_client_rd_is_each_shards_own_risk_difference(num_clients):
     train, test, shards = synthetic_setup(n=200, num_clients=num_clients)
     result = engine.run(engine.AlgorithmSpec(kind="FairFL", hyper=FAST), train, test, shards)
     want = [
-        fairness.risk_difference(logistic.predict_label(result.w_final, s.features), s.sensitive)
+        risk_difference_reference(logistic.predict_label(result.w_final, s.features), s.sensitive)
         for s in shards
     ]
     assert result.final["per_client_rd"] == want
@@ -220,7 +220,7 @@ def test_one_group_shards_get_nan_risk_difference(kind):
     for k, shard in enumerate(shards):
         if k not in one_group:
             pred = logistic.predict_label(result.w_final, shard.features)
-            assert last[k] == fairness.risk_difference(pred, shard.sensitive)
+            assert last[k] == risk_difference_reference(pred, shard.sensitive)
 
 
 def random_dataset(rng, n, p_sensitive):
@@ -343,6 +343,19 @@ def test_census_output_is_pinned(n, seed, digest):
     change to the generator's code must leave its tables byte-identical."""
     table = engine.generate_census_like(n, seed)
     assert _sha256([table.columns[c.name] for c in table.schema.columns]) == digest
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (600, 0, "5593312cddb24986a97bef4c2325ef7561d9d98daf5e4509334d385bad2212e8"),
+    (50, 19, "561bbc832c7de4605a13f58a62782a7e4cd2654c7f1d8095affb762e2ff7a10e"),
+])
+def test_encoded_census_is_pinned(n, seed, digest):
+    """Every run trains on encode's output: a change to encode's code must
+    leave its arrays, their dtypes and the feature names byte-identical."""
+    ds = engine.encode(engine.generate_census_like(n, seed))
+    assert ds.features.flags.c_contiguous
+    names = np.asarray(ds.feature_names)
+    assert _sha256([ds.features, ds.labels, ds.sensitive, names]) == digest
 
 
 def test_synthetic_output_is_pinned():
@@ -515,6 +528,29 @@ def test_write_round_csv(tmp_path, kind):
         assert float(slack) == 0.0
         assert float(before) == result.per_round[0]["adversary_loss_before"]
         assert float(after) == result.per_round[0]["adversary_loss_after"]
+
+
+ROUND_CSV_DIGESTS = {
+    "FL": "97b016b365c84957d978f213b16b064d9cb626744e18dea66bc82ea2ec606c28",
+    "FairFL": "1c54aab8571172bcd2e2a246755ef31c34ca3bcddf9f1a65a8bb38379c4ecdb2",
+    "AFL": "cff702d043a4cb28d6fa63516c80e90048816714e55fe0b26665c1ab17459a0e",
+    "AgnosticFair": "e5d7ce19220ea09ceae703105db80b3f26c6ba6b45ff4490afc85a07b0a65cc3",
+    "AgnosticFair-a": "445e9fee76b0b24053fcb48f2eb10c8cdbdcb9767be8fc12ac8ba8179c2dc66f",
+    "AgnosticFair-b": "170409898e7b4bef4491da69cfc10c61d685c678ac1a34d9b4da6a50793ee9f3",
+    "LocalFair": "44681067bb366beef69236ffd9843277c1c0b455d6d286c3d0374a548f35c37a",
+}
+
+
+@pytest.mark.parametrize("kind", engine.ALGORITHMS)
+def test_round_csv_is_pinned(tmp_path, kind):
+    """rounds.csv is what a run leaves to be read: its columns, their
+    order and every value's text are held byte for byte."""
+    hyper = engine.HyperParams(rounds=4, local_epochs=3, learning_rate=0.5, num_bases=20)
+    result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper),
+                        *engine.prepare_census(seed=3, n=600))
+    path = tmp_path / "rounds.csv"
+    engine.write_round_csv(path, result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ROUND_CSV_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("num_clients", [2, 4])  # per-client and lockstep fits
