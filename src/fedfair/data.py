@@ -207,14 +207,32 @@ def load_csv(path, schema: Schema) -> RawTable:
     return RawTable(schema=schema, columns=columns)
 
 
+def _level_masks(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct values of *values*, sorted, and for each the mask of
+    the rows that hold it. Each pass takes the first row left and masks
+    its value's rows, so the cost is O(levels * n) with no sort of n
+    values; that row leaves even when its value does not equal itself
+    (NaN), so the loop ends."""
+    levels, masks = [], []
+    left = np.ones(values.shape, dtype=bool)
+    while left.any():
+        i = left.argmax()
+        levels.append(values[i])
+        masks.append(values == values[i])
+        left &= ~masks[-1]
+        left[i] = False
+    levels = np.asarray(levels, dtype=values.dtype)
+    order = np.argsort(levels)
+    return levels[order], [masks[j] for j in order]
+
+
 def _majority_indicator(values: np.ndarray) -> np.ndarray:
     """1 where *values* holds its most frequent value, else 0; a tie goes
     to the larger ``str(value)``."""
-    levels, codes, counts = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
+    levels, masks = _level_masks(values)
+    counts = [np.count_nonzero(m) for m in masks]
     top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
-    return (codes == top).astype(int)
+    return masks[top].astype(int)
 
 
 def encode(raw: RawTable) -> EncodedDataset:
@@ -228,8 +246,7 @@ def encode(raw: RawTable) -> EncodedDataset:
     non-sensitive attributes only. Every raw column is kept, by reference,
     in ``aux`` for shift_split to find its split column.
     """
-    n = raw.n
-    blocks, names = [], []
+    columns, names = [], []  # each feature's values, written once below
     for col in raw.schema.columns:
         vals = raw.columns[col.name]
         if col.kind == "numeric":
@@ -238,18 +255,19 @@ def encode(raw: RawTable) -> EncodedDataset:
                 warnings.warn(
                     f"numeric column {col.name!r} is constant; scaled to 0.0"
                 )
-                blocks.append(np.zeros((n, 1)))
-            else:
-                blocks.append(((vals - lo) / (hi - lo))[:, None])
+            columns.append(0.0 if lo == hi else (vals - lo) / (hi - lo))
             names.append(col.name)
         elif col.kind == "categorical":
-            levels, codes = np.unique(vals, return_inverse=True)
-            blocks.append((codes[:, None] == np.arange(levels.size)).astype(float))
+            levels, masks = _level_masks(vals)
+            columns.extend(masks)
             names.extend(f"{col.name}={v}" for v in levels)
-    blocks.append(np.ones((n, 1)))
+    columns.append(1.0)
     names.append("__bias__")
+    features = np.empty((raw.n, len(columns)))
+    for j, values in enumerate(columns):
+        features[:, j] = values
     return EncodedDataset(
-        features=np.hstack(blocks),
+        features=features,
         labels=_majority_indicator(raw.columns[raw.schema.label_column]),
         sensitive=_majority_indicator(raw.columns[raw.schema.sensitive_column]),
         feature_names=names,

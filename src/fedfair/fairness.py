@@ -45,16 +45,14 @@ def compute_stats(shards: list[ClientShard]) -> FairnessStats:
 
 
 def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
-    """|P(yhat=1 | s=1) - P(yhat=1 | s=0)| over the given samples."""
-    predictions = np.asarray(predictions)
-    sensitive = np.asarray(sensitive)
-    rates = {}
-    for g in (0, 1):
-        mask = sensitive == g
-        if not mask.any():
-            raise MetricUndefinedError(f"sensitive group {g} is empty")
-        rates[g] = float(predictions[mask].mean())
-    return abs(rates[1] - rates[0])
+    """|P(yhat=1 | s=1) - P(yhat=1 | s=0)| over the given samples: the
+    one-segment count of client_risk_differences. Raises
+    MetricUndefinedError when a sensitive group is empty."""
+    rd = client_risk_differences(predictions, sensitive, [0])[0] if len(sensitive) else np.nan
+    if np.isnan(rd):
+        group = int(np.any(np.asarray(sensitive) == 0))  # 0 unless a row holds 0
+        raise MetricUndefinedError(f"sensitive group {group} is empty")
+    return float(rd)
 
 
 def client_risk_differences(

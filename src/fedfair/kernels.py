@@ -25,9 +25,10 @@ GAUSSIAN = "gaussian"
 CONSTANT = "constant"
 INDICATOR = "indicator"
 
-#: rows of the Gaussian kernel matrix finished per step; a step's two
-#: (rows, M) temporaries stay a few MB at M = 200
-KERNEL_BLOCK_ROWS = 2048
+#: rows of the Gaussian kernel matrix finished per step, through one
+#: (rows, M) buffer a call; at M = 200 the buffer and the block it
+#: finishes (400 KB each) stay in L2
+KERNEL_BLOCK_ROWS = 256
 
 #: theta sums alpha's support column by column up to M / SPARSE_THETA_RATIO
 #: nonzeros; at n = 34.5k, M = 200 the two ways cost the same near 18
@@ -144,17 +145,19 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
     # squared distances via the (x - b)^2 expansion, finished block by
     # block inside the cross-product matrix, which becomes the result; every
     # entry takes the steps of exp(-max(x2 + b2 - 2 cross, 0) / (2 sigma^2))
-    # in that order, so the block height cannot change a bit of it
+    # in that order, so the block height cannot change a bit of it (doubling
+    # is exact, and dividing by -(2 sigma^2) negates the quotient exactly)
     x2 = np.sum(shard.features**2, axis=1)[:, None]
     b2 = np.sum(basis.centers**2, axis=1)[None, :]
     out = shard.features @ basis.centers.T
+    buf = np.empty((min(shard.n, KERNEL_BLOCK_ROWS), basis.num_bases))
     for lo in range(0, shard.n, KERNEL_BLOCK_ROWS):
         blk = out[lo : lo + KERNEL_BLOCK_ROWS]
-        sq = x2[lo : lo + KERNEL_BLOCK_ROWS] + b2
-        sq -= 2.0 * blk
+        sq = np.add(x2[lo : lo + KERNEL_BLOCK_ROWS], b2, out=buf[: len(blk)])
+        blk *= 2.0
+        sq -= blk
         np.maximum(sq, 0.0, out=sq)
-        np.negative(sq, out=sq)
-        sq /= 2.0 * basis.sigma**2
+        sq /= -(2.0 * basis.sigma**2)
         np.exp(sq, out=blk)
     return out
 

@@ -223,6 +223,14 @@ def test_encode_constant_numeric_warns_and_zeroes():
     assert np.all(ds.features[:, ds.feature_names.index("age")] == 0.0)
 
 
+def test_encode_ends_on_a_level_that_does_not_equal_itself():
+    # a direct caller's float categorical column holding NaN
+    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
+    table.columns["job"] = np.array([1.0, np.nan])
+    ds = data.encode(table)
+    assert ds.features[:, ds.feature_names.index("job=1.0")].tolist() == [1.0, 0.0]
+
+
 PROPERTY_SCHEMA = data.Schema(
     (
         data.ColumnSpec("x", "numeric"),

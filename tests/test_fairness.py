@@ -7,7 +7,7 @@ from fedfair import fairness, kernels
 from fedfair.errors import MetricUndefinedError
 
 from conftest import make_shard, random_shard
-from oracles import reweighted_risk_difference
+from oracles import reweighted_risk_difference, risk_difference_reference
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,9 @@ def test_rd_constant_classifier_is_zero():
 
 
 def test_rd_empty_group_errors():
-    with pytest.raises(MetricUndefinedError):
-        fairness.risk_difference(np.array([1, 0]), np.array([1, 1]))
+    for sens, group in (([1, 1], 0), ([0, 0], 1), ([], 0)):
+        with pytest.raises(MetricUndefinedError, match=f"group {group} is empty"):
+            fairness.risk_difference(np.array([1, 0][: len(sens)]), np.array(sens, dtype=int))
 
 
 @settings(max_examples=50, deadline=None)
@@ -73,6 +74,7 @@ def test_rd_in_unit_interval(seed, n):
     sens = np.concatenate([[0, 1], r.integers(0, 2, size=n - 2)])
     rd = fairness.risk_difference(preds, sens)
     assert 0.0 <= rd <= 1.0
+    assert rd == risk_difference_reference(preds, sens)
 
 
 # ---------------------------------------------------------------------------

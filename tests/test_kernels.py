@@ -178,7 +178,9 @@ BLOCK = kernels.KERNEL_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.7])
-@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+# the edges of the first block and of a block after many
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5,
+                               8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1, 24 * BLOCK + 5])
 def test_kernel_matrix_equals_whole_matrix_expansion(n, sigma):
     shard, basis = shard_and_basis(n, sigma)
     assert np.array_equal(
@@ -195,15 +197,17 @@ def test_kernel_matrix_matches_direct_distances(sigma):
 
 
 def test_kernel_matrix_allocates_little_beyond_its_result():
-    # the whole-matrix expression peaks at about 4x the result
-    shard, basis = shard_and_basis(20_000, 1.0, m=200, d=10)
-    tracemalloc.start()
-    try:
-        km = kernels.kernel_matrix(shard, basis)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * km.nbytes
+    # the whole-matrix expression peaks at about 4x the result; 3,469 rows
+    # is the flagship's larger client, where a block is a larger share
+    for n in (20_000, 3_469):
+        shard, basis = shard_and_basis(n, 1.0, m=200, d=10)
+        tracemalloc.start()
+        try:
+            km = kernels.kernel_matrix(shard, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * km.nbytes, n
 
 
 def test_kernel_matrix_dimension_mismatch(rng):
