@@ -18,6 +18,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -142,6 +143,15 @@ class ClientShard:
     labels: np.ndarray
     sensitive: np.ndarray
 
+    @cached_property
+    def signed_xt(self) -> np.ndarray:
+        """The local fit's signed, transposed design matrix
+        ((1 - 2y)[:, None] * X).T, C-contiguous (d+1, n): the fit's
+        products with it run as d+1 long dots or axpys with the label
+        signs folded in. Built at the first fit, after set-up has freed
+        its temporaries, so it does not raise a run's peak memory."""
+        return np.multiply(self.features.T, 1.0 - 2.0 * self.labels, order="C")
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -240,7 +250,8 @@ def encode(raw: RawTable) -> EncodedDataset:
 
     Numeric columns are min-max scaled by their own min and max (a
     constant column becomes 0.0, with a warning); categorical columns are
-    one-hot expanded over their sorted levels. Label and sensitive values
+    one-hot expanded over their sorted levels (SchemaError on a float
+    one holding NaN or an infinity). Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
     non-sensitive attributes only. Every raw column is kept, by reference,
@@ -258,6 +269,8 @@ def encode(raw: RawTable) -> EncodedDataset:
             columns.append(0.0 if lo == hi else (vals - lo) / (hi - lo))
             names.append(col.name)
         elif col.kind == "categorical":
+            if vals.dtype.kind == "f" and not np.isfinite(vals).all():
+                raise SchemaError(f"categorical column {col.name!r} holds a non-finite value")
             levels, masks = _level_masks(vals)
             columns.extend(masks)
             names.extend(f"{col.name}={v}" for v in levels)

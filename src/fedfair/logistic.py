@@ -12,14 +12,23 @@ With y in {0, 1} and the sign s = 1 - 2y, the log-loss at the margin
 z = x . w is softplus(m) of the signed margin m = s z, where
 softplus(m) = max(m, 0) + log1p(exp(-|m|)). Every term is nonnegative
 and finite for every logit, so a sum of losses never cancels; the
-gradient X^T (theta s sigmoid(m)) / n is built from the same exp(-|m|),
+gradient S (theta sigmoid(m)) / n is built from the same exp(-|m|),
 so the objective and its gradient agree even where the sigmoid saturates.
 
+Both fits run on each shard's signed, transposed design matrix
+S = ((1 - 2y)[:, None] * X).T (ClientShard.signed_xt, (d+1) x n and
+C-contiguous): the signed margins are S^T w, the gradient's product is
+S (theta sigmoid(m)) and a step's margin change is S^T g. Each product
+is d+1 dots or axpys the length of the shard, with no sign pass; the
+row-major features would make them n short (d+1)-wide ones.
+per_sample_logloss and local_objective stay on the row-major features,
+as the oracles of those products.
+
 fit_local fits one client; fit_lockstep fits every client of a round at
-once, reading each client's features from its own shard and stacking
-only the per-row vectors, with each client's result as if fit_local had
-fitted it alone. The two share no code: fit_local is the oracle the
-tests hold fit_lockstep to.
+once, reading each client's S from its own shard and stacking only the
+per-row vectors, with each client's result as if fit_local had fitted
+it alone. The two share no code: fit_local is the oracle the tests hold
+fit_lockstep to.
 """
 
 from __future__ import annotations
@@ -61,9 +70,9 @@ def _softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(m, 0.0) + np.log1p(e), e
 
 
-def _gradient(features, signs, theta, m, e, gap, penalty) -> np.ndarray:
+def _gradient(signed_xt, theta, m, e, gap, penalty) -> np.ndarray:
     p = np.where(m >= 0.0, 1.0, e) / (1.0 + e)  # sigmoid(m), exact at every m
-    grad = features.T @ (theta * signs * p) / len(signs)
+    grad = signed_xt @ (theta * p) / len(m)
     return grad + 2.0 * penalty.lam * gap * penalty.phi_c
 
 
@@ -82,6 +91,12 @@ def per_sample_logloss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) 
     return _softplus((1.0 - 2.0 * labels) * (features @ w))[0]
 
 
+def shard_logloss(w: np.ndarray, shard: ClientShard) -> np.ndarray:
+    """Every row's log-loss at w, from the shard's signed_xt as the fit
+    forms it; per_sample_logloss is its row-major oracle."""
+    return _softplus(shard.signed_xt.T @ w)[0]
+
+
 def local_objective(
     w: np.ndarray, shard: ClientShard, theta: np.ndarray, penalty: PenaltySpec
 ) -> float:
@@ -93,11 +108,11 @@ def local_objective(
 def loss_gradient(
     w: np.ndarray, shard: ClientShard, theta: np.ndarray, penalty: PenaltySpec
 ) -> np.ndarray:
-    """Analytic gradient of the local objective with respect to w."""
-    s = 1.0 - 2.0 * shard.labels
-    m = s * (shard.features @ w)
+    """Analytic gradient of the local objective with respect to w, by
+    the formula fit_local runs."""
+    m = shard.signed_xt.T @ w
     gap = float(w @ penalty.phi_c) - penalty.tau
-    return _gradient(shard.features, s, theta, m, _softplus(m)[1], gap, penalty)
+    return _gradient(shard.signed_xt, theta, m, _softplus(m)[1], gap, penalty)
 
 
 def fit_local(
@@ -116,24 +131,23 @@ def fit_local(
     stops. Stateless per step: running r rounds of e epochs equals one
     run of r*e epochs.
 
-    The search runs on signed margins: with m = s (X w) kept and
-    dm = s (X g) formed once per step, the candidate w - t g has signed
-    margins m - t dm and penalty gap gap - t g . phi_C, so trying it
-    takes no matrix product.
+    The search runs on signed margins: with m = S^T w kept and
+    dm = S^T g formed once per step (S the shard's signed_xt), the
+    candidate w - t g has signed margins m - t dm and penalty gap
+    gap - t g . phi_C, so trying it takes no matrix product.
     """
-    x, lam = shard.features, penalty.lam
-    s = 1.0 - 2.0 * shard.labels
+    st, lam = shard.signed_xt, penalty.lam
     c = theta / shard.n
     w = np.array(w_init, dtype=float)
-    m = s * (x @ w)
+    m = st.T @ w
     gap = float(w @ penalty.phi_c) - penalty.tau
     sp, e = _softplus(m)
     obj = float(c @ sp) + lam * gap * gap
     if not np.isfinite(obj):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     for _ in range(opt.epochs):
-        grad = _gradient(x, s, theta, m, e, gap, penalty)
-        dm = s * (x @ grad)
+        grad = _gradient(st, theta, m, e, gap, penalty)
+        dm = st.T @ grad
         gphi = float(grad @ penalty.phi_c)
         rate = opt.learning_rate
         for _ in range(opt.max_halvings + 1):
@@ -160,25 +174,22 @@ def _stacked_softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(shards: list[ClientShard]):
-    """The clients' signs s = 1 - 2y stacked in client order, and each
-    client's row count, first row and slice in that stacking."""
+    """Each client's row count, first row and slice in the stacking of
+    the clients' rows in client order."""
     counts = np.array([s.n for s in shards])
     starts = np.cumsum(counts) - counts
     rows = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
-    return 1.0 - 2.0 * np.concatenate([s.labels for s in shards]), counts, starts, rows
+    return counts, starts, rows
 
 
-def _stacked_gradient(
-    shards, rows, signs, counts, theta, m, e, gap, lam, phi, clients, raw
-) -> np.ndarray:
+def _stacked_gradient(shards, rows, counts, theta, m, e, gap, lam, phi, clients, raw):
     """Every client's gradient, one row each, from the signed margins m
     and e = exp(-|m|) of every row and each client's penalty gap, weight
     lam and vector phi. Only the clients in *clients* get a fresh
-    X_k^T r_k, kept in raw[k]; the other rows are stale."""
-    sig = np.where(m >= 0.0, 1.0, e) / (1.0 + e)
-    r = theta * signs * sig
+    S_k r_k, kept in raw[k]; the other rows are stale."""
+    r = theta * (np.where(m >= 0.0, 1.0, e) / (1.0 + e))
     for k in clients:
-        np.dot(shards[k].features.T, r[rows[k]], out=raw[k])
+        np.dot(shards[k].signed_xt, r[rows[k]], out=raw[k])
     return raw / counts[:, None] + (2.0 * lam * gap)[:, None] * phi
 
 
@@ -188,11 +199,11 @@ def _penalty_arrays(penalties: list[PenaltySpec]):
     return lam, tau, np.array([pen.phi_c for pen in penalties])
 
 
-def _margins(shards, signs, w, phi, tau):
-    """Every row's signed margin under its client's weights w[k], and
-    each client's penalty gap w[k] . phi[k] - tau[k]."""
-    z = np.concatenate([s.features @ w[k] for k, s in enumerate(shards)])
-    return signs * z, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
+def _margins(shards, w, phi, tau):
+    """Every row's signed margin S_k^T w[k] under its client's weights,
+    and each client's penalty gap w[k] . phi[k] - tau[k]."""
+    m = np.concatenate([s.signed_xt.T @ w[k] for k, s in enumerate(shards)])
+    return m, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
 
 
 def lockstep_gradient(
@@ -200,12 +211,12 @@ def lockstep_gradient(
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
     fit_lockstep forms it; theta covers every shard's rows in client order."""
-    signs, counts, _, rows = _layout(shards)
+    counts, _, rows = _layout(shards)
     lam, tau, phi = _penalty_arrays(penalties)
-    m, gap = _margins(shards, signs, w, phi, tau)
+    m, gap = _margins(shards, w, phi, tau)
     e = _stacked_softplus(m)[1]
     return _stacked_gradient(
-        shards, rows, signs, counts, theta, m, e, gap, lam, phi, range(len(rows)),
+        shards, rows, counts, theta, m, e, gap, lam, phi, range(len(rows)),
         np.empty(w.shape),
     )
 
@@ -222,33 +233,30 @@ def fit_lockstep(
     Row k of the result is client k's weights; theta covers every shard's
     rows in client order, and penalties[k] is client k's. Each epoch the
     sigmoid, the softplus and the first candidate run once over every
-    row; only X_k^T r_k and X_k g_k are made per client. A client that
+    row; only S_k r_k and S_k^T g_k are made per client. A client that
     rejects the first candidate halves on its own rows, and one that
     rejects every halving stops while the others go on. Client sums are
     np.add.reduceat segments, not fit_local's dot products, so a one-ulp
     tie could split the two in principle (0 of 141,068 fits measured).
     """
-    signs, counts, starts, rows = _layout(shards)
+    counts, starts, rows = _layout(shards)
     p = len(rows)
     lam, tau, phi = _penalty_arrays(penalties)
     c = theta / np.repeat(counts, counts)
     w = np.tile(np.asarray(w_init, dtype=float), (p, 1))
-    m, gap = _margins(shards, signs, w, phi, tau)
+    m, gap = _margins(shards, w, phi, tau)
     sp, e = _stacked_softplus(m)
     obj = np.add.reduceat(c * sp, starts) + lam * gap * gap
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     live = np.ones(p, dtype=bool)  # clients still descending
     clients = list(range(p))
-    raw, dz, gphi = np.zeros_like(w), np.zeros_like(m), np.zeros(p)
+    raw, dm, gphi = np.zeros_like(w), np.zeros_like(m), np.zeros(p)
     for _ in range(opt.epochs):
-        grad = _stacked_gradient(
-            shards, rows, signs, counts, theta, m, e, gap, lam, phi, clients, raw
-        )
+        grad = _stacked_gradient(shards, rows, counts, theta, m, e, gap, lam, phi, clients, raw)
         for k in clients:
-            np.dot(shards[k].features, grad[k], out=dz[rows[k]])
+            np.dot(shards[k].signed_xt.T, grad[k], out=dm[rows[k]])
             gphi[k] = grad[k] @ phi[k]
-        dm = signs * dz
         rate = opt.learning_rate
         cand_m, cand_gap = m - rate * dm, gap - rate * gphi
         sp, cand_e = _stacked_softplus(cand_m)

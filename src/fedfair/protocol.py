@@ -122,7 +122,7 @@ def _phi_C(state: ClientState, alpha: np.ndarray) -> np.ndarray:
 def _bundle(state: ClientState, alpha: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
     """Coefficient extraction at the client's new weights and the
     round's alpha."""
-    losses = logistic.per_sample_logloss(w_new, state.shard.features, state.shard.labels)
+    losses = logistic.shard_logloss(w_new, state.shard)
     bundle = CoefficientBundle(
         client_id=state.shard.client_id,
         psi_L=state.kernel_matrix.T @ losses / state.stats.n_total,

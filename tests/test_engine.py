@@ -533,10 +533,10 @@ def test_write_round_csv(tmp_path, kind):
 ROUND_CSV_DIGESTS = {
     "FL": "97b016b365c84957d978f213b16b064d9cb626744e18dea66bc82ea2ec606c28",
     "FairFL": "1c54aab8571172bcd2e2a246755ef31c34ca3bcddf9f1a65a8bb38379c4ecdb2",
-    "AFL": "cff702d043a4cb28d6fa63516c80e90048816714e55fe0b26665c1ab17459a0e",
-    "AgnosticFair": "e5d7ce19220ea09ceae703105db80b3f26c6ba6b45ff4490afc85a07b0a65cc3",
+    "AFL": "e6178dac3a6b1cc0f66d788c4fcc7350d9c365b6e0cf1653b952862b124a0eb7",
+    "AgnosticFair": "56900bdec5c483af7273d473868560f608a2bee762bb0af2b06b7969b98bddf0",
     "AgnosticFair-a": "445e9fee76b0b24053fcb48f2eb10c8cdbdcb9767be8fc12ac8ba8179c2dc66f",
-    "AgnosticFair-b": "170409898e7b4bef4491da69cfc10c61d685c678ac1a34d9b4da6a50793ee9f3",
+    "AgnosticFair-b": "d18a2e275d84ed51e593d1eec69c87449b380b2a4d1a5ae19d8d45740aff0d97",
     "LocalFair": "44681067bb366beef69236ffd9843277c1c0b455d6d286c3d0374a548f35c37a",
 }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,3 +409,41 @@ def test_lockstep_nonfinite_start_raises(rng):
             w0, shards, np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
             logistic.OptimizerSpec(epochs=1),
         )
+
+
+# ---------------------------------------------------------------------------
+# the signed, transposed design matrix both fits run on
+# ---------------------------------------------------------------------------
+
+
+def test_signed_xt_is_the_signed_transposed_features_and_kept(rng):
+    shards = [random_shard(rng, n, 4, k) for k, n in enumerate((50, 7, 30))]
+    st = shards[0].signed_xt
+    assert np.array_equal(st, ((1 - 2 * shards[0].labels)[:, None] * shards[0].features).T)
+    assert st.shape == (5, 50) and st.flags.c_contiguous
+    before = st.copy()
+    pens = [logistic.PenaltySpec(lam=2.0, tau=0.05, phi_c=rng.normal(size=5))] * 3
+    opt = logistic.OptimizerSpec(learning_rate=1.0, epochs=3)
+    for _ in range(2):
+        logistic.fit_local(rng.normal(size=5), shards[0], np.ones(50), pens[0], opt)
+        logistic.fit_lockstep(rng.normal(size=5), shards, np.ones(87), pens, opt)
+        assert shards[0].signed_xt is st
+    assert np.array_equal(st, before)
+
+
+def test_fit_allocates_no_design_sized_array(rng):
+    # a later fit reads the signed_xt its shard built at the first one:
+    # it holds about a dozen n-vectors, where a (d+1) x n array is 30
+    n, d = 20_000, 29
+    shard = random_shard(rng, n, d)
+    th = rng.uniform(0.1, 2.0, size=n)
+    pen = logistic.PenaltySpec(lam=2.0, tau=0.05, phi_c=rng.normal(size=d + 1) * 0.1)
+    opt = logistic.OptimizerSpec(learning_rate=5.0, epochs=5, max_halvings=3)
+    logistic.fit_local(np.zeros(d + 1), shard, th, pen, opt)
+    tracemalloc.start()
+    try:
+        logistic.fit_local(np.zeros(d + 1), shard, th, pen, opt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * n * 8

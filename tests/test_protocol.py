@@ -204,6 +204,21 @@ def test_aggregation_identity_against_pooled_recomputation(rng):
     assert np.allclose(psi_C, pooled_C, atol=1e-10)
 
 
+def test_bundle_psi_L_matches_row_major_logloss(rng):
+    # _bundle takes the losses from the shard's signed_xt;
+    # per_sample_logloss, on the row-major features, is their oracle
+    shards = [random_shard(rng, n, 5, k) for k, n in enumerate((300, 41))]
+    basis = kernels.select_basis(shards, 8, seed=4)
+    server, clients, bc = setup_run(shards, basis, fast_cfg())
+    for c in clients:
+        for scale in (0.1, 1.0, 10.0):
+            w = rng.normal(size=6) * scale
+            got = protocol._bundle(c, bc.alpha, w).psi_L
+            losses = logistic.per_sample_logloss(w, c.shard.features, c.shard.labels)
+            expected = c.kernel_matrix.T @ losses / c.stats.n_total
+            assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
 def test_weight_average_is_unweighted_mean(rng):
     shards = [random_shard(rng, 6, 2, 0), random_shard(rng, 12, 2, 1)]
     basis = kernels.constant_basis(3)
