@@ -14,7 +14,7 @@ LP status, alpha counts) are equal. It exits 1 when the runs or the
 integer and text fields differ, or when ``|Δw_final|`` exceeds
 ``--w-tol``.
 
-Run from anywhere (one process, one BLAS thread; about a minute):
+Run from anywhere (one process, one BLAS thread; about 25 s on one core):
 
     python3 scripts/run_digest.py run --tree /path/to/parent --out parent.json
     python3 scripts/run_digest.py run --out change.json
@@ -57,8 +57,12 @@ def plain(value):
 
 def digest(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
-    from fedfair import engine
-
+    try:
+        from fedfair import engine
+    except ImportError as exc:
+        sys.exit(f"cannot import fedfair from {tree / 'src'}: {exc}")
+    if not Path(engine.__file__).resolve().is_relative_to(tree):
+        sys.exit(f"imported fedfair from {engine.__file__}, not from {tree / 'src'}")
     runs = {}
     for split, split_kwargs in SPLITS.items():
         data = engine.prepare_census(seed=0, split_kwargs=split_kwargs)
