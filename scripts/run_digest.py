@@ -12,7 +12,7 @@ absolute and relative difference of its floats, the largest
 ``|Δw_final|``, and whether its integer and text fields (round numbers,
 LP status, alpha counts) are equal. It exits 1 when the runs or the
 integer and text fields differ, or when ``|Δw_final|`` exceeds
-``--w-tol``.
+``W_TOL``.
 
 Run from anywhere (one process, one BLAS thread; about 25 s on one core):
 
@@ -34,6 +34,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+#: largest |Δw_final| that compare passes: last-bit moves, not new results
+W_TOL = 1e-12
 
 SPLITS = {
     "by_group": None,
@@ -116,7 +119,7 @@ def compare_run(a: dict, b: dict) -> dict:
     return out
 
 
-def compare(path_a: Path, path_b: Path, w_tol: float) -> int:
+def compare(path_a: Path, path_b: Path) -> int:
     a = json.loads(path_a.read_text())["runs"]
     b = json.loads(path_b.read_text())["runs"]
     if a.keys() != b.keys():
@@ -131,8 +134,8 @@ def compare(path_a: Path, path_b: Path, w_tol: float) -> int:
               f"max |dw_final| {c['w_abs']:.3g}  integer/text fields {exact}")
         for m in c["exact_mismatches"][:5]:
             print(f"    {m}")
-        ok = ok and not c["exact_mismatches"] and c["w_abs"] <= w_tol
-    print(f"max |dw_final| over all runs {worst:.3g} (tolerance {w_tol:g}): "
+        ok = ok and not c["exact_mismatches"] and c["w_abs"] <= W_TOL
+    print(f"max |dw_final| over all runs {worst:.3g} (tolerance {W_TOL:g}): "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -147,11 +150,9 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("compare", help="compare two digests")
     cmp.add_argument("a", type=Path)
     cmp.add_argument("b", type=Path)
-    cmp.add_argument("--w-tol", type=float, default=1e-12,
-                     help="largest |Δw_final| that passes (default 1e-12)")
     args = ap.parse_args(argv)
     if args.command == "compare":
-        return compare(args.a, args.b, args.w_tol)
+        return compare(args.a, args.b)
     args.out.write_text(json.dumps(digest(args.tree.resolve())) + "\n")
     return 0
 

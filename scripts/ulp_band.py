@@ -43,6 +43,8 @@ NUDGE_ROUNDS = (1, 100, 200)
 #: the three runs of each seed: unperturbed, nudged up, nudged down
 DIRECTIONS = {"base": 0.0, "up": np.inf, "down": -np.inf}
 FIGURES = ("test_rd", "test_acc")
+#: worker processes: two keeps the run near a minute and its memory small
+WORKERS = 2
 
 
 def nudging(server_round, towards: float):
@@ -78,11 +80,10 @@ def final_figures(seed: int, direction: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the band and every seed's figures here")
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args(argv)
 
     jobs = [(seed, d) for seed in SEEDS for d in DIRECTIONS]
-    with ProcessPoolExecutor(args.workers, mp_context=get_context("spawn")) as pool:
+    with ProcessPoolExecutor(WORKERS, mp_context=get_context("spawn")) as pool:
         results = dict(zip(jobs, pool.map(final_figures, *zip(*jobs))))
 
     per_seed = []

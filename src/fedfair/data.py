@@ -138,6 +138,10 @@ class EncodedDataset:
 
 @dataclass
 class ClientShard:
+    """One client's rows. ``features`` and ``labels`` must not change,
+    in place or by reassignment, once the shard has been fitted: the fit
+    keeps reading the signed_xt it built from them at the first fit."""
+
     client_id: int
     features: np.ndarray
     labels: np.ndarray
@@ -149,7 +153,9 @@ class ClientShard:
         ((1 - 2y)[:, None] * X).T, C-contiguous (d+1, n): the fit's
         products with it run as d+1 long dots or axpys with the label
         signs folded in. Built at the first fit, after set-up has freed
-        its temporaries, so it does not raise a run's peak memory."""
+        its temporaries, so it does not raise a run's peak memory; kept
+        from then on, so it does not follow a later change to features
+        or labels."""
         return np.multiply(self.features.T, 1.0 - 2.0 * self.labels, order="C")
 
     @property
@@ -250,8 +256,8 @@ def encode(raw: RawTable) -> EncodedDataset:
 
     Numeric columns are min-max scaled by their own min and max (a
     constant column becomes 0.0, with a warning); categorical columns are
-    one-hot expanded over their sorted levels (SchemaError on a float
-    one holding NaN or an infinity). Label and sensitive values
+    one-hot expanded over their sorted levels (SchemaError on a float or
+    object one holding NaN or an infinity). Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
     non-sensitive attributes only. Every raw column is kept, by reference,
@@ -269,7 +275,11 @@ def encode(raw: RawTable) -> EncodedDataset:
             columns.append(0.0 if lo == hi else (vals - lo) / (hi - lo))
             names.append(col.name)
         elif col.kind == "categorical":
-            if vals.dtype.kind == "f" and not np.isfinite(vals).all():
+            # NaN != NaN; an object column compares each value, so a float
+            # NaN or infinity among its strings is caught as well
+            if vals.dtype.kind in "fO" and (
+                (vals != vals) | (vals == np.inf) | (vals == -np.inf)
+            ).any():
                 raise SchemaError(f"categorical column {col.name!r} holds a non-finite value")
             levels, masks = _level_masks(vals)
             columns.extend(masks)

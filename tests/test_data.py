@@ -232,6 +232,23 @@ def test_encode_rejects_a_non_finite_categorical_value(bad):
         data.encode(table)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_a_non_finite_value_in_an_object_column(bad):
+    # a float among an object column's strings: NaN would otherwise become
+    # a level of its own that no row holds
+    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
+    table.columns["job"] = np.array(["clerk", bad], dtype=object)
+    with pytest.raises(SchemaError, match="'job'.*non-finite"):
+        data.encode(table)
+
+
+def test_encode_takes_a_finite_object_column():
+    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
+    table.columns["job"] = np.array(["clerk", "cook"], dtype=object)
+    ds = data.encode(table)
+    assert {"job=clerk", "job=cook"} <= set(ds.feature_names)
+
+
 PROPERTY_SCHEMA = data.Schema(
     (
         data.ColumnSpec("x", "numeric"),
