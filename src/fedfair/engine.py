@@ -34,7 +34,6 @@ from fedfair.data import (
     RawTable,
     Schema,
     ShiftSplitSpec,
-    cut_shards,
     encode,
     load_csv,
     load_schema_file,
@@ -244,45 +243,6 @@ def run(
         alpha_final=server.alpha.copy(),
         w_final=bc.w_avg.copy(),
     )
-
-
-# ---------------------------------------------------------------------------
-# synthetic data
-# ---------------------------------------------------------------------------
-
-
-def generate_synthetic(n: int = 200, d: int = 2, seed: int = 0) -> EncodedDataset:
-    """Deterministic two-Gaussian-blob binary task, a self-contained test
-    fixture: the sensitive bit is independent of the label, and both
-    labels and both groups are present (ConfigError otherwise, or for
-    n < 4)."""
-    if n < 4:
-        raise ConfigError("synthetic data needs n >= 4")
-    rng = np.random.default_rng(seed)
-    y = (np.arange(n) % 2).astype(int)  # exact class balance
-    flip = rng.random(n) < 0.5
-    s = np.where(flip, y, 1 - y)
-    x = rng.normal(size=(n, d))
-    x[:, 0] += 2.0 * y  # the label blobs sit 2 apart along x0
-    # min-max scale columns into [0, 1] like the real pipeline
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
-    features = np.hstack([x, s[:, None].astype(float), np.ones((n, 1))])
-    names = [f"x{j}" for j in range(d)] + ["sensitive", "__bias__"]
-    if len(set(s.tolist())) < 2 or len(set(y.tolist())) < 2:
-        raise ConfigError("degenerate synthetic data: one group or label missing")
-    return EncodedDataset(
-        features=features, labels=y, sensitive=s.astype(int), feature_names=names
-    )
-
-
-def even_shards(
-    ds: EncodedDataset, num_clients: int, seed: int
-) -> tuple[EncodedDataset, list[ClientShard]]:
-    """Shuffle an encoded dataset and cut it into near-equal client
-    shards; returns the run's train set and its shards (cut_shards)."""
-    rng = np.random.default_rng(seed)
-    return cut_shards(ds, np.array_split(rng.permutation(ds.n), num_clients))
 
 
 CENSUS_SCHEMA = Schema(

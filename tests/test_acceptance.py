@@ -211,7 +211,7 @@ def test_criterion_8_gradient_matches_finite_differences():
 
 def test_criterion_9_aggregation_identity():
     # the same check as `fedfair verify --only aggregation`, on its own draw
-    worst = cli.check_aggregation_oracle(90, (17, 4, 5))
+    worst = cli.check_aggregation_oracle(90, (17, 5))
     report(9, worst <= 1e-10, f"max |server sum - pooled recomputation| = {worst:.2e}")
 
 
@@ -292,13 +292,14 @@ def test_criterion_11_adversary_ascent():
 
 def test_criterion_12_reductions():
     # (a) constant-basis federated path equals the direct FedAvg loop per round
-    ds = engine.generate_synthetic(90, 2, 8)
-    _, shards = engine.even_shards(ds, 3, seed=2)
+    train, _, shards = engine.prepare_census(
+        seed=8, n=90, split_kwargs={"client_assignment": "even", "num_clients": 3}
+    )
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
     cfg = protocol.ProtocolConfig(
         penalty_mode=protocol.PENALTY_NONE, optimize_alpha=False, opt=opt
     )
-    basis = kernels.constant_basis(ds.features.shape[1])
+    basis = kernels.constant_basis(train.features.shape[1])
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     reference = run_fedavg_reference(shards, 5, opt)
     worst_a = 0.0
@@ -320,9 +321,9 @@ def test_criterion_12_reductions():
         ok_b = ok_b and (rw == plain == risk_difference_reference(preds, sens))
 
     # (c) single-client federated run equals the centralized fit
-    ds = engine.generate_synthetic(80, seed=5)
-    test = engine.generate_synthetic(80, seed=6)
-    train, one = engine.even_shards(ds, 1, seed=0)
+    train, test, one = engine.prepare_census(
+        seed=5, n=80, split_kwargs={"client_assignment": "even", "num_clients": 1}
+    )
     hyper = engine.HyperParams(rounds=4, local_epochs=5, learning_rate=0.5, num_bases=4)
     result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=hyper), train, test, one)
     w = np.zeros(train.features.shape[1])

@@ -587,6 +587,18 @@ def test_run_one_group_shards_record_nan(tmp_path):
     assert all(rows[1][f"client{k}_rd"] == "" for k in undefined)
 
 
+def test_run_more_clients_than_train_rows_is_usage_error(tmp_path, caplog):
+    # a 50-row draw keeps 31 training rows, so 40 even clients leave
+    # clients 31 to 39 without a row
+    path = write_config(tmp_path, {
+        "algorithm": "FL",
+        "dataset": {"n": 50},
+        "split": {"client_assignment": "even", "num_clients": 40},
+    })
+    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 2 and "empty shard for client 31" in caplog.text
+
+
 def test_run_deterministic_across_invocations(tmp_path):
     cfg = small_run_config(tmp_path)
     outs = []

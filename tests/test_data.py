@@ -443,25 +443,18 @@ def drawn_indices(ds, sp):
     return np.array_split(pooled, sp.num_clients), test_idx
 
 
-@pytest.mark.parametrize(
-    "assignment, clients", [("by_group", 2), ("even", 20), ("even_shards", 5)]
-)
+@pytest.mark.parametrize("assignment, clients", [("by_group", 2), ("even", 20)])
 def test_shift_split_shards_are_views_of_train(assignment, clients):
-    """Both splitters give a train set that stacks the shards' rows in
-    client order, each shard a view of its rows: "even_shards" is
-    engine.even_shards, the others shift_split's client assignments."""
+    """Each client assignment gives a train set that stacks the shards'
+    rows in client order, each shard a view of its rows."""
     ds = data.encode(engine.generate_census_like(1500, 4))
-    if assignment == "even_shards":
-        train, shards = engine.even_shards(ds, clients, seed=4)
-        shard_idx = np.array_split(np.random.default_rng(4).permutation(ds.n), clients)
-    else:
-        sp = data.ShiftSplitSpec(
-            *engine.CENSUS_SHIFT, 4, client_assignment=assignment, num_clients=clients
-        )
-        train, test, shards = data.shift_split(ds, sp)
-        shard_idx, test_idx = drawn_indices(ds, sp)
-        for name in ("features", "labels", "sensitive"):
-            assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
+    sp = data.ShiftSplitSpec(
+        *engine.CENSUS_SHIFT, 4, client_assignment=assignment, num_clients=clients
+    )
+    train, test, shards = data.shift_split(ds, sp)
+    shard_idx, test_idx = drawn_indices(ds, sp)
+    for name in ("features", "labels", "sensitive"):
+        assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
     assert len(shards) == len(shard_idx) == clients
     assert [s.client_id for s in shards] == list(range(clients))
     starts = np.cumsum([0] + [s.n for s in shards[:-1]])

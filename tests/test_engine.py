@@ -16,10 +16,9 @@ from oracles import risk_difference_reference, run_fedavg_reference
 
 
 def synthetic_setup(n=80, num_clients=2, seed=0):
-    ds = engine.generate_synthetic(n, seed=seed)
-    test = engine.generate_synthetic(n, seed=seed + 1)
-    train, shards = engine.even_shards(ds, num_clients, seed=seed)
-    return train, test, shards
+    return engine.prepare_census(
+        seed=seed, n=n, split_kwargs={"client_assignment": "even", "num_clients": num_clients}
+    )
 
 
 FAST = engine.HyperParams(rounds=3, local_epochs=5, learning_rate=0.5, num_bases=4)
@@ -267,43 +266,6 @@ def test_run_returns_or_raises_documented_error(
 
 
 # ---------------------------------------------------------------------------
-# synthetic generator
-# ---------------------------------------------------------------------------
-
-
-def test_synthetic_deterministic():
-    a = engine.generate_synthetic(seed=3)
-    b = engine.generate_synthetic(seed=3)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
-
-
-def test_synthetic_shapes_and_scaling():
-    ds = engine.generate_synthetic(50, 3)
-    assert ds.features.shape == (50, 5)  # d + sensitive + bias
-    assert ds.features[:, :3].min() >= 0.0 and ds.features[:, :3].max() <= 1.0
-    assert np.all(ds.features[:, -1] == 1.0)
-    assert set(ds.labels.tolist()) == {0, 1}
-    assert set(ds.sensitive.tolist()) == {0, 1}
-
-
-def test_synthetic_validation():
-    with pytest.raises(ConfigError, match="n >= 4"):
-        engine.generate_synthetic(n=2)
-
-
-def test_even_shards_partition():
-    ds = engine.generate_synthetic(50)
-    train, shards = engine.even_shards(ds, 3, seed=1)
-    assert sum(s.n for s in shards) == train.n == 50
-    assert max(s.n for s in shards) - min(s.n for s in shards) <= 1
-    # a permutation of the dataset's rows
-    assert np.array_equal(np.sort(train.features, axis=0), np.sort(ds.features, axis=0))
-    with pytest.raises(ConfigError, match="empty shard"):
-        engine.even_shards(ds, 51, seed=1)
-
-
-# ---------------------------------------------------------------------------
 # census-like generator
 # ---------------------------------------------------------------------------
 
@@ -356,13 +318,6 @@ def test_encoded_census_is_pinned(n, seed, digest):
     assert ds.features.flags.c_contiguous
     names = np.asarray(ds.feature_names)
     assert _sha256([ds.features, ds.labels, ds.sensitive, names]) == digest
-
-
-def test_synthetic_output_is_pinned():
-    ds = engine.generate_synthetic(90, 2, 8)
-    assert _sha256([ds.features, ds.labels, ds.sensitive]) == (
-        "41a37ec4e6fbdce60ebcd032447ee7345a63256b7bca02f7351d56f5d017fe02"
-    )
 
 
 def test_prepare_census_default_split():
