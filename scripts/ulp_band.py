@@ -91,11 +91,15 @@ def final_figures(seed: int, nudge: str) -> dict:
 
 
 def checkout() -> str:
-    """``git describe --always --dirty`` of the checkout this runs from."""
-    return subprocess.run(
-        ["git", "describe", "--always", "--dirty"],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    ).stdout.strip()
+    """``git describe --always --dirty`` of the checkout this runs from,
+    or "unknown" outside a git checkout (an exported copy, say)."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def main(argv=None) -> int:
