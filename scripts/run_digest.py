@@ -2,7 +2,7 @@
 """Digest every variant's run of a source tree, or compare two digests.
 
 ``run`` trains all seven variants at the defaults (census seed 0, 300
-rounds) on the by-group split and on an even 20-shard split, with the
+rounds) on the by-group split and on even 20- and 7-shard splits, with the
 fedfair package of the tree given, and writes each run's ``w_final``,
 ``alpha_final``, ``per_round`` and ``final`` to a JSON file. Floats are
 written with ``repr``, so they read back bit for bit.
@@ -14,7 +14,7 @@ LP status, alpha counts) are equal. It exits 1 when the runs or the
 integer and text fields differ, or when ``|Δw_final|`` exceeds
 ``W_TOL``.
 
-Run from anywhere (one process, one BLAS thread; about 25 s on one core):
+Run from anywhere (one process, one BLAS thread; about 30 s on one core):
 
     python3 scripts/run_digest.py run --tree /path/to/parent --out parent.json
     python3 scripts/run_digest.py run --out change.json
@@ -41,6 +41,9 @@ W_TOL = 1e-12
 SPLITS = {
     "by_group": None,
     "even20": {"client_assignment": "even", "num_clients": 20},
+    # 544 rows for the first client, 543 for the other six: two runs of
+    # equal-sized clients, one of them a single client
+    "even7": {"client_assignment": "even", "num_clients": 7},
 }
 
 

@@ -163,6 +163,31 @@ class ClientShard:
         return self.features.shape[0]
 
 
+def equal_size_runs(shards: list[ClientShard]) -> list[slice]:
+    """The maximal runs of consecutive shards with equal row counts, as
+    slices of *shards*. The lockstep fit and the extraction stack a run's
+    arrays (g, ., n) and make each product one numpy.matmul over the run,
+    whose every item is the BLAS call one shard's product makes."""
+    cuts = [k for k in range(1, len(shards)) if shards[k].n != shards[k - 1].n]
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(shards)])]
+
+
+def stack_run(g: int, arrays) -> np.ndarray:
+    """The g arrays of a run that *arrays* yields, stacked (g, ...) as
+    they come, so that no more than one is held twice; a lone array
+    becomes a [None] view, with no copy."""
+    arrays = iter(arrays)
+    first = next(arrays)
+    if g == 1:
+        return first[None]
+    out = np.empty((g, *first.shape), dtype=first.dtype)
+    out[0] = first
+    del first
+    for k in range(1, g):
+        out[k] = next(arrays)
+    return out
+
+
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 

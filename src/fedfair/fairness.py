@@ -90,15 +90,13 @@ def covariance_coeff_alpha(
     return km.T @ weights / stats.n_total
 
 
-def covariance_form(
-    shard: ClientShard, km: np.ndarray, stats: FairnessStats
-) -> tuple[np.ndarray, np.ndarray]:
-    """psi_theta,k = (1/n) K^T 1 and C_k = (1/n) K^T diag(s - s_bar) X,
-    from one product over the shard's kernel matrix *km*."""
+def covariance_form(shard: ClientShard, km: np.ndarray, stats: FairnessStats) -> np.ndarray:
+    """psi_theta,k = (1/n) K^T 1 in column 0 and C_k = (1/n) K^T
+    diag(s - s_bar) X in the rest of one (M, d+2) array, from one product
+    over the shard's kernel matrix *km*."""
     left = np.empty((shard.n, shard.features.shape[1] + 1))
     left[:, 0] = 1.0
     np.multiply(
         shard.features, (shard.sensitive - stats.s_bar)[:, None], out=left[:, 1:]
     )
-    form = km.T @ left / stats.n_total
-    return form[:, 0], form[:, 1:]
+    return km.T @ left / stats.n_total

@@ -25,10 +25,12 @@ per_sample_logloss and local_objective stay on the row-major features,
 as the oracles of those products.
 
 fit_local fits one client; fit_lockstep fits every client of a round at
-once, reading each client's S from its own shard and stacking only the
-per-row vectors, with each client's result as if fit_local had fitted
-it alone. The two share no code: fit_local is the oracle the tests hold
-fit_lockstep to.
+once, with each client's result as if fit_local had fitted it alone. It
+stacks each run of equal-sized clients' S (g, d+1, n) once a call, and
+each of its products is one np.matmul per run: for every item, matmul
+makes the BLAS call (gemv or dot, same shape and strides) that
+fit_local's product makes, so batching changes no bit. The two fits
+share no code: fit_local is the oracle the tests hold fit_lockstep to.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfair.data import ClientShard
+from fedfair.data import ClientShard, equal_size_runs, stack_run
 from fedfair.errors import ProtocolError
 
 #: logit saturation bound that keeps predict_proba strictly inside (0, 1)
@@ -91,10 +93,12 @@ def per_sample_logloss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) 
     return _softplus((1.0 - 2.0 * labels) * (features @ w))[0]
 
 
-def shard_logloss(w: np.ndarray, shard: ClientShard) -> np.ndarray:
-    """Every row's log-loss at w, from the shard's signed_xt as the fit
-    forms it; per_sample_logloss is its row-major oracle."""
-    return _softplus(shard.signed_xt.T @ w)[0]
+def run_logloss(w: np.ndarray, shards: list[ClientShard]) -> np.ndarray:
+    """Every row's log-loss, (g, n), of a run of equal-sized shards, row k
+    at w[k]: one matmul of their stacked signed_xt, each item the product
+    fit_local forms; per_sample_logloss is its row-major oracle."""
+    st = stack_run(len(shards), (s.signed_xt for s in shards))
+    return _softplus(np.matmul(st.transpose(0, 2, 1), w[:, :, None])[:, :, 0])[0]
 
 
 def local_objective(
@@ -182,14 +186,40 @@ def _layout(shards: list[ClientShard]):
     return counts, starts, rows
 
 
-def _stacked_gradient(shards, rows, counts, theta, m, e, gap, lam, phi, clients, raw):
+def _runs(shards: list[ClientShard], starts: np.ndarray):
+    """Each run of equal-sized clients (equal_size_runs): its slice of the
+    clients, its slice of the stacked rows, and its clients' signed_xt
+    stacked (g, d+1, n)."""
+    out = []
+    for run in equal_size_runs(shards):
+        st = stack_run(run.stop - run.start, (s.signed_xt for s in shards[run]))
+        a = int(starts[run.start])
+        out.append((run, slice(a, a + st.shape[0] * st.shape[2]), st))
+    return out
+
+
+def _row_products(runs, v: np.ndarray) -> np.ndarray:
+    """S_k^T v[k] for every client k, concatenated in client order: the
+    signed margins when v holds weights, a step's margin change when it
+    holds gradients. One matmul per run."""
+    return np.concatenate([
+        np.matmul(st.transpose(0, 2, 1), v[run, :, None]).ravel() for run, _, st in runs
+    ])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] . b[k] for every row k, one matmul of p dot products."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _stacked_gradient(runs, counts, theta, m, e, gap, lam, phi):
     """Every client's gradient, one row each, from the signed margins m
     and e = exp(-|m|) of every row and each client's penalty gap, weight
-    lam and vector phi. Only the clients in *clients* get a fresh
-    S_k r_k, kept in raw[k]; the other rows are stale."""
+    lam and vector phi; S_k r_k is one matmul per run."""
     r = theta * (np.where(m >= 0.0, 1.0, e) / (1.0 + e))
-    for k in clients:
-        np.dot(shards[k].signed_xt, r[rows[k]], out=raw[k])
+    raw = np.empty(phi.shape)
+    for run, rows, st in runs:
+        raw[run] = np.matmul(st, r[rows].reshape(st.shape[0], -1, 1))[:, :, 0]
     return raw / counts[:, None] + (2.0 * lam * gap)[:, None] * phi
 
 
@@ -199,26 +229,17 @@ def _penalty_arrays(penalties: list[PenaltySpec]):
     return lam, tau, np.array([pen.phi_c for pen in penalties])
 
 
-def _margins(shards, w, phi, tau):
-    """Every row's signed margin S_k^T w[k] under its client's weights,
-    and each client's penalty gap w[k] . phi[k] - tau[k]."""
-    m = np.concatenate([s.signed_xt.T @ w[k] for k, s in enumerate(shards)])
-    return m, np.array([float(w[k] @ phi[k]) for k in range(len(shards))]) - tau
-
-
 def lockstep_gradient(
     w: np.ndarray, shards: list[ClientShard], theta: np.ndarray, penalties: list[PenaltySpec]
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
     fit_lockstep forms it; theta covers every shard's rows in client order."""
-    counts, _, rows = _layout(shards)
+    counts, starts, _ = _layout(shards)
+    runs = _runs(shards, starts)
     lam, tau, phi = _penalty_arrays(penalties)
-    m, gap = _margins(shards, w, phi, tau)
+    m = _row_products(runs, w)
     e = _stacked_softplus(m)[1]
-    return _stacked_gradient(
-        shards, rows, counts, theta, m, e, gap, lam, phi, range(len(rows)),
-        np.empty(w.shape),
-    )
+    return _stacked_gradient(runs, counts, theta, m, e, _row_dots(w, phi) - tau, lam, phi)
 
 
 def fit_lockstep(
@@ -233,30 +254,31 @@ def fit_lockstep(
     Row k of the result is client k's weights; theta covers every shard's
     rows in client order, and penalties[k] is client k's. Each epoch the
     sigmoid, the softplus and the first candidate run once over every
-    row; only S_k r_k and S_k^T g_k are made per client. A client that
-    rejects the first candidate halves on its own rows, and one that
-    rejects every halving stops while the others go on. Client sums are
-    np.add.reduceat segments, not fit_local's dot products, so a one-ulp
-    tie could split the two in principle (0 of 141,068 fits measured).
+    row, and S_k r_k, S_k^T g_k and g_k . phi_k are one matmul per run of
+    equal-sized clients, every client's recomputed each epoch: a stopped
+    client's margins and gap no longer change, so neither do its
+    products, and no later step reads them. A client that rejects the
+    first candidate halves on its own rows, and one that rejects every
+    halving stops while the others go on. Client sums are np.add.reduceat
+    segments, not fit_local's dot products, so a one-ulp tie could split
+    the two in principle (0 of 141,068 fits measured).
     """
     counts, starts, rows = _layout(shards)
+    runs = _runs(shards, starts)
     p = len(rows)
     lam, tau, phi = _penalty_arrays(penalties)
     c = theta / np.repeat(counts, counts)
     w = np.tile(np.asarray(w_init, dtype=float), (p, 1))
-    m, gap = _margins(shards, w, phi, tau)
+    m, gap = _row_products(runs, w), _row_dots(w, phi) - tau
     sp, e = _stacked_softplus(m)
     obj = np.add.reduceat(c * sp, starts) + lam * gap * gap
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     live = np.ones(p, dtype=bool)  # clients still descending
     clients = list(range(p))
-    raw, dm, gphi = np.zeros_like(w), np.zeros_like(m), np.zeros(p)
     for _ in range(opt.epochs):
-        grad = _stacked_gradient(shards, rows, counts, theta, m, e, gap, lam, phi, clients, raw)
-        for k in clients:
-            np.dot(shards[k].signed_xt.T, grad[k], out=dm[rows[k]])
-            gphi[k] = grad[k] @ phi[k]
+        grad = _stacked_gradient(runs, counts, theta, m, e, gap, lam, phi)
+        dm, gphi = _row_products(runs, grad), _row_dots(grad, phi)
         rate = opt.learning_rate
         cand_m, cand_gap = m - rate * dm, gap - rate * gphi
         sp, cand_e = _stacked_softplus(cand_m)

@@ -11,17 +11,23 @@ when more than two fit in lockstep.
 
 A client reads its whole kernel matrix once a round, for psi_L; psi_C
 and the kernel-weighted phi_C come from its covariance form C_k
-(fairness.covariance_form), which stays on the client.
+(fairness.covariance_form), which stays on the client. Extraction runs
+over a run of equal-sized clients (data.equal_size_runs) at once: their
+kernel matrices and forms are stacked once, at init_protocol, and each
+product is one np.matmul over the run, whose every item makes the BLAS
+call that a lone client's product makes, with the same strides. So a
+client's bundle is the same bits whether it is extracted alone
+(client_round) or in a run (clients_round).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fedfair import fairness, kernels, logistic, lp
-from fedfair.data import ClientShard
+from fedfair.data import ClientShard, equal_size_runs, stack_run
 from fedfair.errors import ConfigError, ProtocolError
 
 #: penalty modes for the local fairness term
@@ -68,16 +74,28 @@ class ServerBroadcast:
     phi_C_global: np.ndarray
 
 
+@dataclass(eq=False)
+class RunStack:
+    """The kernel matrices and covariance forms of one run of equal-sized
+    clients, stacked: one client's are [None] views, with no copy."""
+
+    kernels: np.ndarray  # (g, n, M)
+    forms: np.ndarray  # (g, M, d+2): psi_theta, then C_k (fairness.covariance_form)
+
+
 @dataclass
 class ClientState:
     shard: ClientShard
-    kernel_matrix: np.ndarray
+    run: RunStack  # the stack of this client's run; its arrays are views
+    slot: int  # this client's place in its run
     stats: fairness.FairnessStats
-    psi_theta: np.ndarray  # the kernel matrix's column sums over n, fixed
-    cov_form: np.ndarray  # C_k, (M, d+1): psi_C = C_k w, phi_C = C_k^T alpha
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
     fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
     expected_round: int = 0
+
+    @property
+    def kernel_matrix(self) -> np.ndarray:
+        return self.run.kernels[self.slot]
 
 
 @dataclass
@@ -111,33 +129,40 @@ def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
         )
 
 
-def _phi_C(state: ClientState, alpha: np.ndarray) -> np.ndarray:
-    """The client's covariance vector: its fixed one when the variant's
-    weights ignore alpha, else weighted by theta = K alpha."""
-    if state.fixed_phi_C is not None:
-        return state.fixed_phi_C
-    return state.cov_form.T @ alpha
+def _phi_C(states: list[ClientState], forms: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The covariance vectors of a run's clients, (g, d+1): their fixed
+    ones when the variant's weights ignore alpha, else weighted by
+    theta = K alpha."""
+    if states[0].fixed_phi_C is not None:
+        return np.stack([c.fixed_phi_C for c in states])
+    return np.matmul(forms[:, :, 1:].transpose(0, 2, 1), alpha)
 
 
-def _bundle(state: ClientState, alpha: np.ndarray, w_new: np.ndarray) -> CoefficientBundle:
-    """Coefficient extraction at the client's new weights and the
+def _extract(
+    states: list[ClientState], run: RunStack, alpha: np.ndarray, w_new: np.ndarray
+) -> list[CoefficientBundle]:
+    """Coefficient extraction for one run of equal-sized clients, whose
+    arrays *run* stacks, at their new weights w_new (g, d+1) and the
     round's alpha."""
-    losses = logistic.shard_logloss(w_new, state.shard)
-    bundle = CoefficientBundle(
-        client_id=state.shard.client_id,
-        psi_L=state.kernel_matrix.T @ losses / state.stats.n_total,
-        psi_theta=state.psi_theta,
-        psi_C=state.cov_form @ w_new,
-        phi_C=_phi_C(state, alpha),
-        w_local=w_new,
-    )
-    for f in fields(bundle):
-        if f.name != "client_id" and not np.isfinite(getattr(bundle, f.name)).all():
-            raise ProtocolError(
-                f"client {state.shard.client_id}: non-finite {f.name} in bundle"
-            )
-    state.expected_round += 1
-    return bundle
+    losses = logistic.run_logloss(w_new, [c.shard for c in states])[:, :, None]
+    sent = {
+        "psi_L": np.matmul(run.kernels.transpose(0, 2, 1), losses)[:, :, 0]
+        / states[0].stats.n_total,
+        "psi_theta": run.forms[:, :, 0],
+        "psi_C": np.matmul(run.forms[:, :, 1:], w_new[:, :, None])[:, :, 0],
+        "phi_C": _phi_C(states, run.forms, alpha),
+        "w_local": w_new,
+    }
+    if not all(np.isfinite(v).all() for v in sent.values()):
+        k, name = next((k, f) for k in range(len(states)) for f, v in sent.items()
+                       if not np.isfinite(v[k]).all())
+        raise ProtocolError(f"client {states[k].shard.client_id}: non-finite {name} in bundle")
+    for c in states:
+        c.expected_round += 1
+    return [
+        CoefficientBundle(client_id=c.shard.client_id, **{f: v[k] for f, v in sent.items()})
+        for k, c in enumerate(states)
+    ]
 
 
 def client_round(
@@ -148,7 +173,9 @@ def client_round(
     th = kernels.theta(state.kernel_matrix, bc.alpha)
     penalty = _penalty_for(state, bc, cfg)
     w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
-    return _bundle(state, bc.alpha, w_new)
+    k = slice(state.slot, state.slot + 1)
+    alone = RunStack(kernels=state.run.kernels[k], forms=state.run.forms[k])
+    return _extract([state], alone, bc.alpha, w_new[None])[0]
 
 
 def clients_round(
@@ -156,8 +183,9 @@ def clients_round(
 ) -> list[CoefficientBundle]:
     """Every client's half of a round; the bundles come in client order.
 
-    More than two clients fit in lockstep (logistic.fit_lockstep); fewer
-    each run client_round. Extraction is per client either way.
+    More than two clients fit in lockstep (logistic.fit_lockstep) and are
+    extracted one run of equal-sized clients at a time; fewer each run
+    client_round. *clients* are init_protocol's, in its order.
     """
     # Lockstep pays off only with more than two clients: two leave little
     # per-call overhead to share, and its masking and segment sums then
@@ -166,12 +194,21 @@ def clients_round(
         return [client_round(c, bc, cfg) for c in clients]
     for c in clients:
         _check_round(c, bc)
+    shards = [c.shard for c in clients]
+    runs = equal_size_runs(shards)
+    for run in runs:
+        stack = clients[run.start].run
+        slots = [(stack, k) for k in range(len(stack.kernels))]
+        if [(c.run, c.slot) for c in clients[run]] != slots:
+            raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
     ths = [kernels.theta(c.kernel_matrix, bc.alpha) for c in clients]
     penalties = [_penalty_for(c, bc, cfg) for c in clients]
-    w_new = logistic.fit_lockstep(
-        bc.w_avg, [c.shard for c in clients], np.concatenate(ths), penalties, cfg.opt
-    )
-    return [_bundle(c, bc.alpha, w) for c, w in zip(clients, w_new)]
+    w_new = logistic.fit_lockstep(bc.w_avg, shards, np.concatenate(ths), penalties, cfg.opt)
+    return [
+        bundle
+        for run in runs
+        for bundle in _extract(clients[run], clients[run.start].run, bc.alpha, w_new[run])
+    ]
 
 
 def server_round(
@@ -221,44 +258,51 @@ def init_protocol(
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
     Each client builds its kernel matrix and, from it, psi_theta and its
-    covariance form (fairness.covariance_form). Initial weights are zero;
-    initial alpha is the uniform vector solving the sum-to-one row,
-    alpha_m = 1 / sum_m psi_theta_m.
+    covariance form (fairness.covariance_form); a run of equal-sized
+    clients' are stacked as they are built (RunStack). Initial weights
+    are zero; initial alpha is the uniform vector solving the sum-to-one
+    row, alpha_m = 1 / sum_m psi_theta_m.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
     stats = fairness.compute_stats(shards)
-    kms = [kernels.kernel_matrix(s, basis) for s in shards]
-    forms = [fairness.covariance_form(s, km, stats) for s, km in zip(shards, kms)]
-    total = float(np.sum([psi_theta for psi_theta, _ in forms], axis=0).sum())
+    local = cfg.penalty_mode == PENALTY_LOCAL
+    unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
+    clients, runs = [], []
+    for run in equal_size_runs(shards):
+        group = shards[run]
+        kms = stack_run(len(group), (kernels.kernel_matrix(s, basis) for s in group))
+        forms = stack_run(
+            len(group), (fairness.covariance_form(s, km, stats) for s, km in zip(group, kms))
+        )
+        stack = RunStack(kernels=kms, forms=forms)
+        states = [
+            ClientState(
+                shard=s,
+                run=stack,
+                slot=k,
+                stats=stats,
+                local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
+                if local
+                else None,
+                fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
+                if unweighted
+                else None,
+            )
+            for k, s in enumerate(group)
+        ]
+        clients += states
+        runs.append((states, stack))
+    total = float(np.concatenate([run.forms[:, :, 0] for _, run in runs]).sum(axis=0).sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
     alpha0 = np.full(basis.num_bases, 1.0 / total)
     dim = shards[0].features.shape[1]
     w0 = np.zeros(dim)
-
-    local = cfg.penalty_mode == PENALTY_LOCAL
-    unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
-    clients = [
-        ClientState(
-            shard=s,
-            kernel_matrix=km,
-            stats=stats,
-            psi_theta=psi_theta,
-            cov_form=form,
-            local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
-            if local
-            else None,
-            fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
-            if unweighted
-            else None,
-        )
-        for s, km, (psi_theta, form) in zip(shards, kms, forms)
-    ]
     # phi_C does not depend on w, so the stats round can already ship the
     # covariance vector every later round ships, at alpha0; otherwise the
     # first local fit would run with a zero (disabled) penalty.
-    phi0 = np.sum([_phi_C(c, alpha0) for c in clients], axis=0)
+    phi0 = np.concatenate([_phi_C(group, run.forms, alpha0) for group, run in runs]).sum(axis=0)
     server = ServerState(
         round=0,
         alpha=alpha0,

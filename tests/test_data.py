@@ -467,6 +467,29 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
         assert np.array_equal(stacked, getattr(train, name))
 
 
+@pytest.mark.parametrize("sizes, runs", [
+    ((5,), [(0, 1)]),
+    ((4, 4, 4), [(0, 3)]),
+    ((1, 1, 7, 7, 7, 12), [(0, 2), (2, 5), (5, 6)]),
+    ((3, 2, 3), [(0, 1), (1, 2), (2, 3)]),
+])
+def test_equal_size_runs_are_maximal_runs_of_equal_sizes(sizes, runs):
+    shards = [
+        data.ClientShard(k, np.zeros((n, 2)), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+        for k, n in enumerate(sizes)
+    ]
+    assert [(r.start, r.stop) for r in data.equal_size_runs(shards)] == runs
+
+
+def test_even_split_gives_at_most_two_runs():
+    # np.array_split gives the first N mod p clients one extra row
+    _, _, shards = engine.prepare_census(
+        seed=0, split_kwargs={"client_assignment": "even", "num_clients": 7}
+    )
+    assert [s.n for s in shards] == [544] + [543] * 6
+    assert [(r.start, r.stop) for r in data.equal_size_runs(shards)] == [(0, 1), (1, 7)]
+
+
 # ---------------------------------------------------------------------------
 # schema file loading
 # ---------------------------------------------------------------------------

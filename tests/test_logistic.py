@@ -333,6 +333,44 @@ def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
         assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
 
 
+# shard sizes in runs of equal-sized clients, which fit_lockstep batches:
+# a run of 1-row shards, one run spanning every client, and two runs that
+# differ by one row, as an even split's np.array_split makes them
+RUN_SIZES = st.one_of(
+    st.integers(3, 12).map(lambda p: (1,) * p),
+    st.tuples(st.integers(3, 12), st.integers(2, 40)).map(lambda t: (t[1],) * t[0]),
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40)).map(
+        lambda t: (t[2] + 1,) * t[0] + (t[2],) * t[1]
+    ),
+)
+
+
+# a run of 1-row shards can hold one sensitive group, which warns
+@pytest.mark.filterwarnings("ignore:sensitive attribute is constant")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sizes=RUN_SIZES,
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["none", "global", "unweighted", "local"]),
+    step=st.sampled_from([(1.0, 20), (5.0, 2), (1e6, 0)]),
+)
+def test_lockstep_matches_fit_local_on_runs_of_equal_sizes(sizes, seed, mode, step):
+    r = np.random.default_rng(seed)
+    shards = [random_shard(r, n, 3, k) for k, n in enumerate(sizes)]
+    thetas = [r.uniform(0.1, 2.0, size=n) for n in sizes]
+    pens = mode_penalties(mode, r, shards, thetas, 2.0)
+    theta = np.concatenate(thetas)
+    w0 = r.normal(size=4)
+    opt = logistic.OptimizerSpec(learning_rate=step[0], epochs=10, max_halvings=step[1])
+    got = logistic.fit_lockstep(w0, shards, theta, pens, opt)
+    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
+        assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+    ws = r.normal(size=(len(sizes), 4))
+    grads = logistic.lockstep_gradient(ws, shards, theta, pens)
+    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
+        assert np.array_equal(grads[k], logistic.loss_gradient(ws[k], shard, th, pen))
+
+
 def logaddexp_objective(w, shard, theta, penalty):
     """The local objective with each loss as logaddexp(0, s z), s = 1 - 2y:
     a sum of nonnegative terms, which does not cancel."""

@@ -205,7 +205,7 @@ def test_aggregation_identity_against_pooled_recomputation(rng):
 
 
 def test_bundle_psi_L_matches_row_major_logloss(rng):
-    # _bundle takes the losses from the shard's signed_xt;
+    # extraction takes the losses from the shard's signed_xt;
     # per_sample_logloss, on the row-major features, is their oracle
     shards = [random_shard(rng, n, 5, k) for k, n in enumerate((300, 41))]
     basis = kernels.select_basis(shards, 8, seed=4)
@@ -213,7 +213,7 @@ def test_bundle_psi_L_matches_row_major_logloss(rng):
     for c in clients:
         for scale in (0.1, 1.0, 10.0):
             w = rng.normal(size=6) * scale
-            got = protocol._bundle(c, bc.alpha, w).psi_L
+            got = protocol._extract([c], c.run, bc.alpha, w[None])[0].psi_L
             losses = logistic.per_sample_logloss(w, c.shard.features, c.shard.labels)
             expected = c.kernel_matrix.T @ losses / c.stats.n_total
             assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
@@ -351,21 +351,60 @@ def test_only_rounds_of_more_than_two_clients_fit_in_lockstep(rng, monkeypatch):
     protocol.PENALTY_UNWEIGHTED, protocol.PENALTY_LOCAL,
 ])
 def test_lockstep_round_matches_client_rounds(mode, rng):
-    # uneven shards, one of a single row, over three rounds of the LP loop
-    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((1, 7, 12, 30))]
-    basis = kernels.select_basis(shards, 5, seed=1)
-    cfg = fast_cfg(penalty_mode=mode, fairness_row_in_lp=True,
-                   opt=logistic.OptimizerSpec(learning_rate=2.0, epochs=10))
-    server, clients, bc = setup_run(shards, basis, cfg)
-    _, oracle_clients, _ = setup_run(shards, basis, cfg)
-    for _ in range(3):
-        bundles = protocol.clients_round(clients, bc, cfg)
-        expected = [protocol.client_round(c, bc, cfg) for c in oracle_clients]
-        for got, want in zip(bundles, expected):
-            assert got.client_id == want.client_id
-            for name in ("psi_L", "psi_theta", "psi_C", "phi_C", "w_local"):
-                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
-        bc = protocol.server_round(server, bundles, cfg)
+    # uneven shards, one of a single row, then runs of equal-sized shards
+    # that fit and extract as one, over three rounds of the LP loop; both
+    # paths make the same BLAS calls, so every bit agrees
+    for sizes in ((1, 7, 12, 30), (1, 1, 7, 7, 7, 12)):
+        shards = [random_shard(rng, n, 3, k) for k, n in enumerate(sizes)]
+        basis = kernels.select_basis(shards, 5, seed=1)
+        cfg = fast_cfg(penalty_mode=mode, fairness_row_in_lp=True,
+                       opt=logistic.OptimizerSpec(learning_rate=2.0, epochs=10))
+        server, clients, bc = setup_run(shards, basis, cfg)
+        _, oracle_clients, _ = setup_run(shards, basis, cfg)
+        for _ in range(3):
+            bundles = protocol.clients_round(clients, bc, cfg)
+            expected = [protocol.client_round(c, bc, cfg) for c in oracle_clients]
+            for got, want in zip(bundles, expected):
+                assert got.client_id == want.client_id
+                for name in ("psi_L", "psi_theta", "psi_C", "phi_C", "w_local"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+            bc = protocol.server_round(server, bundles, cfg)
+
+
+def test_runs_share_one_stack_of_kernel_matrices_and_forms(rng):
+    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
+    basis = kernels.select_basis(shards, 4, seed=1)
+    _, clients, _ = setup_run(shards, basis, fast_cfg())
+    assert [c.run.kernels.shape[0] for c in clients] == [1, 3, 3, 3, 1]
+    assert [c.slot for c in clients] == [0, 0, 1, 2, 0]
+    for c in clients:
+        km = kernels.kernel_matrix(c.shard, basis)
+        assert np.array_equal(c.kernel_matrix, km)
+        form = fairness.covariance_form(c.shard, km, c.stats)
+        assert np.array_equal(c.run.forms[c.slot], form)
+    assert clients[1].run is clients[3].run
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_non_finite_extraction_names_the_client_and_field(lockstep, rng):
+    # client 2 sits in the middle of the run of 6-row shards
+    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_NONE)
+    _, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), cfg)
+    clients[2].run.forms[clients[2].slot, 0, 1] = np.nan  # C_2's first entry
+    with pytest.raises(ProtocolError, match="client 2: non-finite psi_C"):
+        if lockstep:
+            protocol.clients_round(clients, bc, cfg)
+        else:
+            protocol.client_round(clients[2], bc, cfg)
+
+
+def test_lockstep_round_takes_clients_in_init_order(rng):
+    shards = [random_shard(rng, 6, 2, k) for k in range(3)]
+    cfg = fast_cfg(optimize_alpha=False)
+    _, clients, bc = setup_run(shards, kernels.constant_basis(3), cfg)
+    with pytest.raises(ProtocolError, match="in order"):
+        protocol.clients_round(clients[::-1], bc, cfg)
 
 
 def test_lockstep_round_mismatch_raises(rng):
