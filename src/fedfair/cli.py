@@ -134,8 +134,8 @@ def check_gradient_oracle(seed: int, cases: int, n: int) -> float:
     """Worst relative gap between central finite differences of the local
     objective and both gradients the fits use: loss_gradient on each of
     *cases* random n-row shards, and lockstep_gradient on all of them
-    together, each client at its own weights and penalty vector; for each
-    of lambda = 0, 2 and 100."""
+    stacked as one run, each client at its own weights and penalty vector;
+    for each of lambda = 0, 2 and 100."""
     rng = np.random.default_rng(seed)
     worst, d, h = 0.0, 3, 1e-6
     for lam in (0.0, 2.0, 100.0):
@@ -154,14 +154,15 @@ def check_gradient_oracle(seed: int, cases: int, n: int) -> float:
             logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
             for _ in range(cases)
         ]
-        stacked = logistic.lockstep_gradient(ws, shards, ths.ravel(), pens)
-        for shard, w, th, pen, got in zip(shards, ws, ths, pens, stacked):
+        sxts = np.stack([logistic.signed_xt(s) for s in shards])
+        stacked = logistic.lockstep_gradient(ws, [sxts], ths.ravel(), pens)
+        for shard, sxt, w, th, pen, got in zip(shards, sxts, ws, ths, pens, stacked):
             fd = np.array([
                 logistic.local_objective(w + e, shard, th, pen)
                 - logistic.local_objective(w - e, shard, th, pen)
                 for e in h * np.eye(d + 1)
             ]) / (2 * h)
-            for grad in (got, logistic.loss_gradient(w, shard, th, pen)):
+            for grad in (got, logistic.loss_gradient(w, sxt, th, pen)):
                 gap = np.linalg.norm(grad - fd)
                 worst = max(worst, gap / max(np.linalg.norm(fd), 1e-12))
     return worst

@@ -18,7 +18,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import yaml
@@ -138,25 +137,12 @@ class EncodedDataset:
 
 @dataclass
 class ClientShard:
-    """One client's rows. ``features`` and ``labels`` must not change,
-    in place or by reassignment, once the shard has been fitted: the fit
-    keeps reading the signed_xt it built from them at the first fit."""
+    """One client's rows."""
 
     client_id: int
     features: np.ndarray
     labels: np.ndarray
     sensitive: np.ndarray
-
-    @cached_property
-    def signed_xt(self) -> np.ndarray:
-        """The local fit's signed, transposed design matrix
-        ((1 - 2y)[:, None] * X).T, C-contiguous (d+1, n): the fit's
-        products with it run as d+1 long dots or axpys with the label
-        signs folded in. Built at the first fit, after set-up has freed
-        its temporaries, so it does not raise a run's peak memory; kept
-        from then on, so it does not follow a later change to features
-        or labels."""
-        return np.multiply(self.features.T, 1.0 - 2.0 * self.labels, order="C")
 
     @property
     def n(self) -> int:
@@ -165,9 +151,9 @@ class ClientShard:
 
 def equal_size_runs(shards: list[ClientShard]) -> list[slice]:
     """The maximal runs of consecutive shards with equal row counts, as
-    slices of *shards*. The lockstep fit and the extraction stack a run's
-    arrays (g, ., n) and make each product one numpy.matmul over the run,
-    whose every item is the BLAS call one shard's product makes."""
+    slices of *shards*: protocol.init_protocol stacks each run's arrays
+    (g, ., n), and each product over a run is one numpy.matmul, whose
+    every item is the BLAS call one shard's product makes."""
     cuts = [k for k in range(1, len(shards)) if shards[k].n != shards[k - 1].n]
     return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(shards)])]
 
@@ -333,7 +319,8 @@ def shift_split(
     ``train_fraction_group_b`` of the rest; the test set is the
     complement. Train and shards are laid out by cut_shards.
     Deterministic given the spec seed. Raises ConfigError when the split
-    column is not a schema column or no row's value is in the predicate.
+    column is not a schema column, no row's value is in the predicate or
+    no row is left for the test set.
     """
     if spec.split_column not in data.aux:
         raise ConfigError(f"split column {spec.split_column!r} is not a schema column")
@@ -354,6 +341,8 @@ def shift_split(
     train_a = np.sort(perm_a[:take_a])
     train_b = np.sort(perm_b[:take_b])
     test_idx = np.sort(np.concatenate([perm_a[take_a:], perm_b[take_b:]]))
+    if not test_idx.size:
+        raise ConfigError("the split's train fractions leave no row for the test set")
 
     if spec.client_assignment == "by_group":
         shard_indices = [train_a, train_b]

@@ -80,8 +80,9 @@ class HyperParams:
 
     def __post_init__(self):
         """ConfigError unless each integer field holds an integer and each
-        float field a number (a bool is neither), every field is >= 0, and
-        the four scales (num_bases, bound, sigma, learning_rate) are > 0."""
+        float field a finite number (a bool is neither), every field is
+        >= 0, the four scales (num_bases, bound, sigma, learning_rate) are
+        > 0, and the penalty at w = 0, lambda tau^2, is finite."""
         for f in fields(self):
             value = getattr(self, f.name)
             integral = isinstance(f.default, int)
@@ -89,10 +90,14 @@ class HyperParams:
                 what = "an integer" if integral else "a number"
                 raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
             positive = f.name in ("num_bases", "bound", "sigma", "learning_rate")
-            if not (value > 0 if positive else value >= 0):
+            if not (value > 0 if positive else value >= 0) or value == math.inf:
                 raise ConfigError(
-                    f"hyper {f.name} must be {'>' if positive else '>='} 0, not {value!r}"
+                    f"hyper {f.name} must be finite and {'>' if positive else '>='} 0, "
+                    f"not {value!r}"
                 )
+        # products, not tau ** 2, which raises OverflowError on a huge float
+        if not math.isfinite(self.lam * self.tau * self.tau):
+            raise ConfigError(f"hyper lambda {self.lam!r} * tau {self.tau!r}^2 overflows")
 
 
 @dataclass(frozen=True)

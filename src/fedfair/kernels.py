@@ -163,28 +163,30 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
 
 
 def theta(km: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per-sample weights theta_i = sum_m alpha_m K_m(x_i).
+    """Per-sample weights theta_i = sum_m alpha_m K_m(x_i), of one kernel
+    matrix (n, M) or of a run's stack of them (g, n, M), one row each.
 
     The LP answers with a vertex, so alpha has a handful of nonzeros:
     their columns of K are summed one at a time, with no n x |support|
     copy. Reading one column of the row-major K still costs a cache line
     a row, so an alpha with more than M / SPARSE_THETA_RATIO nonzeros
-    (the uniform round-0 alpha) takes one pass over the whole matrix.
+    (the uniform round-0 alpha) takes one pass over the whole matrix:
+    one gemv per item of a stack, so each item's bits are its own.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if km.shape[1] != alpha.shape[0]:
+    if km.shape[-1] != alpha.shape[0]:
         raise ConfigError(
-            f"kernel matrix has {km.shape[1]} bases, alpha has {alpha.shape[0]}"
+            f"kernel matrix has {km.shape[-1]} bases, alpha has {alpha.shape[0]}"
         )
     support = np.flatnonzero(alpha)
     if SPARSE_THETA_RATIO * len(support) > len(alpha):
         return km @ alpha
     # one product buffer a call: a fresh temporary per column raised
     # peak RSS at n = 60000 by 2 MB
-    out = np.zeros(km.shape[0])
+    out = np.zeros(km.shape[:-1])
     term = np.empty_like(out)
     for m in support:
-        np.multiply(km[:, m], alpha[m], out=term)
+        np.multiply(km[..., m], alpha[m], out=term)
         out += term
     return out
 

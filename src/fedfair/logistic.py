@@ -15,22 +15,23 @@ and finite for every logit, so a sum of losses never cancels; the
 gradient S (theta sigmoid(m)) / n is built from the same exp(-|m|),
 so the objective and its gradient agree even where the sigmoid saturates.
 
-Both fits run on each shard's signed, transposed design matrix
-S = ((1 - 2y)[:, None] * X).T (ClientShard.signed_xt, (d+1) x n and
-C-contiguous): the signed margins are S^T w, the gradient's product is
-S (theta sigmoid(m)) and a step's margin change is S^T g. Each product
-is d+1 dots or axpys the length of the shard, with no sign pass; the
-row-major features would make them n short (d+1)-wide ones.
-per_sample_logloss and local_objective stay on the row-major features,
-as the oracles of those products.
+Both fits run on a shard's signed, transposed design matrix
+S = ((1 - 2y)[:, None] * X).T (signed_xt, (d+1) x n and C-contiguous):
+the signed margins are S^T w, the gradient's product is S (theta
+sigmoid(m)) and a step's margin change is S^T g. Each product is d+1
+dots or axpys the length of the shard, with no sign pass; the row-major
+features would make them n short (d+1)-wide ones. per_sample_logloss
+and local_objective stay on the row-major features, as the oracles of
+those products.
 
 fit_local fits one client; fit_lockstep fits every client of a round at
 once, with each client's result as if fit_local had fitted it alone. It
-stacks each run of equal-sized clients' S (g, d+1, n) once a call, and
-each of its products is one np.matmul per run: for every item, matmul
-makes the BLAS call (gemv or dot, same shape and strides) that
-fit_local's product makes, so batching changes no bit. The two fits
-share no code: fit_local is the oracle the tests hold fit_lockstep to.
+takes each run of equal-sized clients' S stacked (g, d+1, n), as
+protocol.init_protocol builds them, and each of its products is one
+np.matmul per run: for every item, matmul makes the BLAS call (gemv or
+dot, same shape and strides) that fit_local's product makes, so
+batching changes no bit. The two fits share no code: fit_local is the
+oracle the tests hold fit_lockstep to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfair.data import ClientShard, equal_size_runs, stack_run
+from fedfair.data import ClientShard
 from fedfair.errors import ProtocolError
 
 #: logit saturation bound that keeps predict_proba strictly inside (0, 1)
@@ -93,12 +94,18 @@ def per_sample_logloss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) 
     return _softplus((1.0 - 2.0 * labels) * (features @ w))[0]
 
 
-def run_logloss(w: np.ndarray, shards: list[ClientShard]) -> np.ndarray:
-    """Every row's log-loss, (g, n), of a run of equal-sized shards, row k
-    at w[k]: one matmul of their stacked signed_xt, each item the product
-    fit_local forms; per_sample_logloss is its row-major oracle."""
-    st = stack_run(len(shards), (s.signed_xt for s in shards))
-    return _softplus(np.matmul(st.transpose(0, 2, 1), w[:, :, None])[:, :, 0])[0]
+def signed_xt(shard: ClientShard) -> np.ndarray:
+    """The fits' signed, transposed design matrix ((1 - 2y)[:, None] * X).T
+    of *shard*, C-contiguous (d+1, n)."""
+    return np.multiply(shard.features.T, 1.0 - 2.0 * shard.labels, order="C")
+
+
+def run_logloss(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Every row's log-loss, (g, n), of a run of equal-sized clients whose
+    signed_xt *stack* holds (g, d+1, n), row k at w[k]: one matmul, each
+    item the product fit_local forms; per_sample_logloss is its row-major
+    oracle."""
+    return _softplus(np.matmul(stack.transpose(0, 2, 1), w[:, :, None])[:, :, 0])[0]
 
 
 def local_objective(
@@ -110,18 +117,18 @@ def local_objective(
 
 
 def loss_gradient(
-    w: np.ndarray, shard: ClientShard, theta: np.ndarray, penalty: PenaltySpec
+    w: np.ndarray, st: np.ndarray, theta: np.ndarray, penalty: PenaltySpec
 ) -> np.ndarray:
     """Analytic gradient of the local objective with respect to w, by
-    the formula fit_local runs."""
-    m = shard.signed_xt.T @ w
+    the formula fit_local runs on the shard's signed_xt *st*."""
+    m = st.T @ w
     gap = float(w @ penalty.phi_c) - penalty.tau
-    return _gradient(shard.signed_xt, theta, m, _softplus(m)[1], gap, penalty)
+    return _gradient(st, theta, m, _softplus(m)[1], gap, penalty)
 
 
 def fit_local(
     w_init: np.ndarray,
-    shard: ClientShard,
+    st: np.ndarray,
     theta: np.ndarray,
     penalty: PenaltySpec,
     opt: OptimizerSpec,
@@ -136,12 +143,12 @@ def fit_local(
     run of r*e epochs.
 
     The search runs on signed margins: with m = S^T w kept and
-    dm = S^T g formed once per step (S the shard's signed_xt), the
+    dm = S^T g formed once per step (S = st, the shard's signed_xt), the
     candidate w - t g has signed margins m - t dm and penalty gap
     gap - t g . phi_C, so trying it takes no matrix product.
     """
-    st, lam = shard.signed_xt, penalty.lam
-    c = theta / shard.n
+    lam = penalty.lam
+    c = theta / st.shape[1]
     w = np.array(w_init, dtype=float)
     m = st.T @ w
     gap = float(w @ penalty.phi_c) - penalty.tau
@@ -177,25 +184,17 @@ def _stacked_softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(m, 0.0) + np.log1p(e), e
 
 
-def _layout(shards: list[ClientShard]):
+def _layout(stacks: list[np.ndarray]):
     """Each client's row count, first row and slice in the stacking of
-    the clients' rows in client order."""
-    counts = np.array([s.n for s in shards])
+    the clients' rows in client order, and each run's slice of the
+    clients and of the rows, with its stack."""
+    counts = np.repeat([st.shape[2] for st in stacks], [len(st) for st in stacks])
     starts = np.cumsum(counts) - counts
     rows = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
-    return counts, starts, rows
-
-
-def _runs(shards: list[ClientShard], starts: np.ndarray):
-    """Each run of equal-sized clients (equal_size_runs): its slice of the
-    clients, its slice of the stacked rows, and its clients' signed_xt
-    stacked (g, d+1, n)."""
-    out = []
-    for run in equal_size_runs(shards):
-        st = stack_run(run.stop - run.start, (s.signed_xt for s in shards[run]))
-        a = int(starts[run.start])
-        out.append((run, slice(a, a + st.shape[0] * st.shape[2]), st))
-    return out
+    cuts = np.cumsum([0] + [len(st) for st in stacks]).tolist()
+    runs = [(slice(a, b), slice(rows[a].start, rows[b - 1].stop), st)
+            for a, b, st in zip(cuts, cuts[1:], stacks)]
+    return counts, starts, rows, runs
 
 
 def _row_products(runs, v: np.ndarray) -> np.ndarray:
@@ -230,12 +229,12 @@ def _penalty_arrays(penalties: list[PenaltySpec]):
 
 
 def lockstep_gradient(
-    w: np.ndarray, shards: list[ClientShard], theta: np.ndarray, penalties: list[PenaltySpec]
+    w: np.ndarray, stacks: list[np.ndarray], theta: np.ndarray, penalties: list[PenaltySpec]
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
-    fit_lockstep forms it; theta covers every shard's rows in client order."""
-    counts, starts, _ = _layout(shards)
-    runs = _runs(shards, starts)
+    fit_lockstep forms it on *stacks*; theta covers every client's rows
+    in client order."""
+    counts, _, _, runs = _layout(stacks)
     lam, tau, phi = _penalty_arrays(penalties)
     m = _row_products(runs, w)
     e = _stacked_softplus(m)[1]
@@ -244,18 +243,19 @@ def lockstep_gradient(
 
 def fit_lockstep(
     w_init: np.ndarray,
-    shards: list[ClientShard],
+    stacks: list[np.ndarray],
     theta: np.ndarray,
     penalties: list[PenaltySpec],
     opt: OptimizerSpec,
 ) -> np.ndarray:
-    """fit_local for every client of *shards* at once, all from w_init.
+    """fit_local for every client of *stacks*, each run's signed_xt
+    stacked (g, d+1, n), at once, all from w_init.
 
-    Row k of the result is client k's weights; theta covers every shard's
-    rows in client order, and penalties[k] is client k's. Each epoch the
-    sigmoid, the softplus and the first candidate run once over every
-    row, and S_k r_k, S_k^T g_k and g_k . phi_k are one matmul per run of
-    equal-sized clients, every client's recomputed each epoch: a stopped
+    Row k of the result is client k's weights; theta covers every
+    client's rows in client order, and penalties[k] is client k's. Each
+    epoch the sigmoid, the softplus and the first candidate run once
+    over every row, and S_k r_k, S_k^T g_k and g_k . phi_k are one
+    matmul per run, every client's recomputed each epoch: a stopped
     client's margins and gap no longer change, so neither do its
     products, and no later step reads them. A client that rejects the
     first candidate halves on its own rows, and one that rejects every
@@ -263,8 +263,7 @@ def fit_lockstep(
     segments, not fit_local's dot products, so a one-ulp tie could split
     the two in principle (0 of 141,068 fits measured).
     """
-    counts, starts, rows = _layout(shards)
-    runs = _runs(shards, starts)
+    counts, starts, rows, runs = _layout(stacks)
     p = len(rows)
     lam, tau, phi = _penalty_arrays(penalties)
     c = theta / np.repeat(counts, counts)

@@ -71,7 +71,9 @@ def _fill(p, q, e, upper):
     alpha = np.where((e == 0) & ((p > 0) | ((p == 0) & (q > 0))), upper, 0.0)
     (paid,) = np.nonzero(e)
     order = paid[np.lexsort((-q[paid] / e[paid], -p[paid] / e[paid]))]
-    mass = np.cumsum(upper * e[order])
+    # a term clipped at 1 meets the row alone: the clip keeps the marginal
+    # entry and the mass before it, and a huge bound cannot overflow
+    mass = np.cumsum(np.minimum(upper * e[order], 1.0))
     if not len(mass) or mass[-1] < 1.0:
         return None
     k = int(np.searchsorted(mass, 1.0))

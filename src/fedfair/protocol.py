@@ -11,13 +11,13 @@ when more than two fit in lockstep.
 
 A client reads its whole kernel matrix once a round, for psi_L; psi_C
 and the kernel-weighted phi_C come from its covariance form C_k
-(fairness.covariance_form), which stays on the client. Extraction runs
-over a run of equal-sized clients (data.equal_size_runs) at once: their
-kernel matrices and forms are stacked once, at init_protocol, and each
-product is one np.matmul over the run, whose every item makes the BLAS
-call that a lone client's product makes, with the same strides. So a
-client's bundle is the same bits whether it is extracted alone
-(client_round) or in a run (clients_round).
+(fairness.covariance_form), which stays on the client. init_protocol
+alone lays out each run of equal-sized clients (data.equal_size_runs)
+and stacks its arrays (RunStack); a lockstep round takes theta, fits and
+extracts a whole run at once. Each product is one np.matmul over the
+run, whose every item makes the BLAS call that a lone client's product
+makes, with the same strides. So a client's bundle is the same bits
+whether it runs alone (client_round) or in a run (clients_round).
 """
 
 from __future__ import annotations
@@ -76,11 +76,14 @@ class ServerBroadcast:
 
 @dataclass(eq=False)
 class RunStack:
-    """The kernel matrices and covariance forms of one run of equal-sized
-    clients, stacked: one client's are [None] views, with no copy."""
+    """The kernel matrices, covariance forms, signed design matrices and
+    fixed covariance vectors of one run of equal-sized clients, stacked:
+    one client's are [None] views, with no copy."""
 
     kernels: np.ndarray  # (g, n, M)
     forms: np.ndarray  # (g, M, d+2): psi_theta, then C_k (fairness.covariance_form)
+    signed_xt: np.ndarray  # (g, d+1, n): logistic.signed_xt
+    fixed_phi_C: np.ndarray | None  # (g, d+1): phi_C when its weights ignore alpha
 
 
 @dataclass
@@ -90,12 +93,7 @@ class ClientState:
     slot: int  # this client's place in its run
     stats: fairness.FairnessStats
     local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
-    fixed_phi_C: np.ndarray | None  # phi_C when its weights ignore alpha
     expected_round: int = 0
-
-    @property
-    def kernel_matrix(self) -> np.ndarray:
-        return self.run.kernels[self.slot]
 
 
 @dataclass
@@ -129,13 +127,13 @@ def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
         )
 
 
-def _phi_C(states: list[ClientState], forms: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _phi_C(run: RunStack, alpha: np.ndarray) -> np.ndarray:
     """The covariance vectors of a run's clients, (g, d+1): their fixed
     ones when the variant's weights ignore alpha, else weighted by
     theta = K alpha."""
-    if states[0].fixed_phi_C is not None:
-        return np.stack([c.fixed_phi_C for c in states])
-    return np.matmul(forms[:, :, 1:].transpose(0, 2, 1), alpha)
+    if run.fixed_phi_C is not None:
+        return run.fixed_phi_C
+    return np.matmul(run.forms[:, :, 1:].transpose(0, 2, 1), alpha)
 
 
 def _extract(
@@ -144,13 +142,13 @@ def _extract(
     """Coefficient extraction for one run of equal-sized clients, whose
     arrays *run* stacks, at their new weights w_new (g, d+1) and the
     round's alpha."""
-    losses = logistic.run_logloss(w_new, [c.shard for c in states])[:, :, None]
+    losses = logistic.run_logloss(w_new, run.signed_xt)[:, :, None]
     sent = {
         "psi_L": np.matmul(run.kernels.transpose(0, 2, 1), losses)[:, :, 0]
         / states[0].stats.n_total,
         "psi_theta": run.forms[:, :, 0],
         "psi_C": np.matmul(run.forms[:, :, 1:], w_new[:, :, None])[:, :, 0],
-        "phi_C": _phi_C(states, run.forms, alpha),
+        "phi_C": _phi_C(run, alpha),
         "w_local": w_new,
     }
     if not all(np.isfinite(v).all() for v in sent.values()):
@@ -170,11 +168,12 @@ def client_round(
 ) -> CoefficientBundle:
     """Local weight fit followed by coefficient extraction at the new w."""
     _check_round(state, bc)
-    th = kernels.theta(state.kernel_matrix, bc.alpha)
+    run, k = state.run, slice(state.slot, state.slot + 1)
+    fixed = None if run.fixed_phi_C is None else run.fixed_phi_C[k]
+    alone = RunStack(run.kernels[k], run.forms[k], run.signed_xt[k], fixed)
+    th = kernels.theta(alone.kernels[0], bc.alpha)
     penalty = _penalty_for(state, bc, cfg)
-    w_new = logistic.fit_local(bc.w_avg, state.shard, th, penalty, cfg.opt)
-    k = slice(state.slot, state.slot + 1)
-    alone = RunStack(kernels=state.run.kernels[k], forms=state.run.forms[k])
+    w_new = logistic.fit_local(bc.w_avg, alone.signed_xt[0], th, penalty, cfg.opt)
     return _extract([state], alone, bc.alpha, w_new[None])[0]
 
 
@@ -183,9 +182,10 @@ def clients_round(
 ) -> list[CoefficientBundle]:
     """Every client's half of a round; the bundles come in client order.
 
-    More than two clients fit in lockstep (logistic.fit_lockstep) and are
-    extracted one run of equal-sized clients at a time; fewer each run
-    client_round. *clients* are init_protocol's, in its order.
+    More than two clients fit in lockstep (logistic.fit_lockstep) on their
+    runs' stacks; each run of equal-sized clients takes theta in one call
+    and is extracted at once. Fewer each run client_round. *clients* are
+    init_protocol's, in its order.
     """
     # Lockstep pays off only with more than two clients: two leave little
     # per-call overhead to share, and its masking and segment sums then
@@ -194,21 +194,18 @@ def clients_round(
         return [client_round(c, bc, cfg) for c in clients]
     for c in clients:
         _check_round(c, bc)
-    shards = [c.shard for c in clients]
-    runs = equal_size_runs(shards)
-    for run in runs:
-        stack = clients[run.start].run
-        slots = [(stack, k) for k in range(len(stack.kernels))]
-        if [(c.run, c.slot) for c in clients[run]] != slots:
-            raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
-    ths = [kernels.theta(c.kernel_matrix, bc.alpha) for c in clients]
-    penalties = [_penalty_for(c, bc, cfg) for c in clients]
-    w_new = logistic.fit_lockstep(bc.w_avg, shards, np.concatenate(ths), penalties, cfg.opt)
-    return [
-        bundle
-        for run in runs
-        for bundle in _extract(clients[run], clients[run.start].run, bc.alpha, w_new[run])
+    # init_protocol's clients, in its order, fill each run's slots in turn
+    runs = [
+        (slice(k, k + len(c.run.kernels)), c.run) for k, c in enumerate(clients) if c.slot == 0
     ]
+    slots = [(run, j) for _, run in runs for j in range(len(run.kernels))]
+    if [(c.run, c.slot) for c in clients] != slots:
+        raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
+    theta = np.concatenate([kernels.theta(run.kernels, bc.alpha).ravel() for _, run in runs])
+    penalties = [_penalty_for(c, bc, cfg) for c in clients]
+    stacks = [run.signed_xt for _, run in runs]
+    w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalties, cfg.opt)
+    return [b for k, run in runs for b in _extract(clients[k], run, bc.alpha, w_new[k])]
 
 
 def server_round(
@@ -258,10 +255,11 @@ def init_protocol(
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
     Each client builds its kernel matrix and, from it, psi_theta and its
-    covariance form (fairness.covariance_form); a run of equal-sized
+    covariance form and its logistic.signed_xt; a run of equal-sized
     clients' are stacked as they are built (RunStack). Initial weights
     are zero; initial alpha is the uniform vector solving the sum-to-one
-    row, alpha_m = 1 / sum_m psi_theta_m.
+    row, alpha_m = 1 / sum_m psi_theta_m. Raises ProtocolError when
+    alpha is optimized and the box bound lets no alpha meet that row.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -275,8 +273,11 @@ def init_protocol(
         forms = stack_run(
             len(group), (fairness.covariance_form(s, km, stats) for s, km in zip(group, kms))
         )
-        stack = RunStack(kernels=kms, forms=forms)
-        states = [
+        sxt = stack_run(len(group), (logistic.signed_xt(s) for s in group))
+        phis = (fairness.covariance_coeff_w(s, np.ones(s.n), stats) for s in group)
+        fixed = stack_run(len(group), phis) if unweighted else None
+        stack = RunStack(kernels=kms, forms=forms, signed_xt=sxt, fixed_phi_C=fixed)
+        clients += [
             ClientState(
                 shard=s,
                 run=stack,
@@ -285,24 +286,23 @@ def init_protocol(
                 local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
                 if local
                 else None,
-                fixed_phi_C=fairness.covariance_coeff_w(s, np.ones(s.n), stats)
-                if unweighted
-                else None,
             )
             for k, s in enumerate(group)
         ]
-        clients += states
-        runs.append((states, stack))
-    total = float(np.concatenate([run.forms[:, :, 0] for _, run in runs]).sum(axis=0).sum())
+        runs.append(stack)
+    total = float(np.concatenate([run.forms[:, :, 0] for run in runs]).sum(axis=0).sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
+    if cfg.optimize_alpha and basis.bound * total < 1.0:
+        raise ProtocolError(f"no alpha meets the sum-to-one row psi_theta . alpha = 1 within "
+                            f"the box bound {basis.bound!r}: bound * sum(psi_theta) < 1")
     alpha0 = np.full(basis.num_bases, 1.0 / total)
     dim = shards[0].features.shape[1]
     w0 = np.zeros(dim)
     # phi_C does not depend on w, so the stats round can already ship the
     # covariance vector every later round ships, at alpha0; otherwise the
     # first local fit would run with a zero (disabled) penalty.
-    phi0 = np.concatenate([_phi_C(group, run.forms, alpha0) for group, run in runs]).sum(axis=0)
+    phi0 = np.concatenate([_phi_C(run, alpha0) for run in runs]).sum(axis=0)
     server = ServerState(
         round=0,
         alpha=alpha0,

@@ -8,7 +8,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from fedfair.data import ClientShard
+from fedfair import logistic
+from fedfair.data import ClientShard, equal_size_runs
 
 
 def make_shard(features, labels, sensitive, client_id=0):
@@ -30,6 +31,14 @@ def random_shard(rng, n, d, client_id=0):
         labels=rng.integers(0, 2, size=n),
         sensitive=rng.integers(0, 2, size=n),
     )
+
+
+def run_stacks(shards):
+    """Each run of equal-sized shards' signed_xt stacked (g, d+1, n), in
+    shard order: the stacks fit_lockstep takes."""
+    return [
+        np.stack([logistic.signed_xt(s) for s in shards[run]]) for run in equal_size_runs(shards)
+    ]
 
 
 @pytest.fixture

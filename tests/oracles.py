@@ -25,7 +25,8 @@ def run_fedavg_reference(
     history = []
     for _ in range(rounds):
         locals_ = [
-            logistic.fit_local(w_avg, s, np.ones(s.n), penalty, opt) for s in shards
+            logistic.fit_local(w_avg, logistic.signed_xt(s), np.ones(s.n), penalty, opt)
+            for s in shards
         ]
         w_avg = np.mean(locals_, axis=0)
         history.append(w_avg.copy())

@@ -330,7 +330,7 @@ def test_criterion_12_reductions():
     pen = logistic.PenaltySpec.disabled(train.features.shape[1])
     for _ in range(hyper.rounds):
         w = logistic.fit_local(
-            w, one[0], np.ones(one[0].n), pen,
+            w, logistic.signed_xt(one[0]), np.ones(one[0].n), pen,
             logistic.OptimizerSpec(learning_rate=0.5, epochs=5),
         )
     worst_c = float(np.max(np.abs(result.w_final - w)))

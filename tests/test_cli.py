@@ -711,6 +711,25 @@ def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, command, cas
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
+#: configs whose failure the config alone decides: no test rows, and a
+#: penalty lambda tau^2 that is infinite at the first fit's start
+DOOMED_CONFIGS = {
+    "no_test_rows": {"split": {"train_fraction_group_a": 1.0, "train_fraction_group_b": 1.0}},
+    "overflowing_penalty": {"hyper": {"tau": 1e300}},
+    "infinite_tau": {"hyper": {"tau": float("inf")}},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(DOOMED_CONFIGS))
+def test_config_decided_failure_exits_2_before_training(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
+    path = write_config(tmp_path, {"dataset": {"n": 300}, **DOOMED_CONFIGS[case]})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_hyper_takes_integers_for_float_fields():
     hyper = engine.hyper_from_config({"hyper": {"lambda": 3, "tau": 0.1, "rounds": 4}})
     assert (hyper.lam, hyper.tau, hyper.rounds) == (3, 0.1, 4)

@@ -71,9 +71,9 @@ def test_single_client_equals_centralized_descent():
 
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
     penalty = logistic.PenaltySpec.disabled(train.features.shape[1])
-    w = np.zeros(train.features.shape[1])
+    w, sxt = np.zeros(train.features.shape[1]), logistic.signed_xt(shards[0])
     for _ in range(FAST.rounds):
-        w = logistic.fit_local(w, shards[0], np.ones(shards[0].n), penalty, opt)
+        w = logistic.fit_local(w, sxt, np.ones(shards[0].n), penalty, opt)
     assert np.allclose(result.w_final, w, atol=1e-8)
 
 

@@ -317,6 +317,33 @@ def test_theta_equals_matrix_product(seed, n, m, kind, alpha_kind):
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
+# derandomized: it checks bits, and a seed that broke them must not be
+# drawn once and then lost
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.sampled_from([1, 3, 4, 7, 20]),
+    n=st.integers(1, 300),
+    m=st.integers(1, 200),
+    alpha_kind=st.sampled_from(["uniform", "sparse", "dense"]),
+)
+def test_stacked_theta_is_each_clients_theta(seed, g, n, m, alpha_kind):
+    # a run's stack of kernel matrices takes theta in one call, each row
+    # the bits of its own matrix's theta, on both of theta's paths
+    r = np.random.default_rng(seed)
+    kms = np.stack([theta_matrix("gaussian", r, n, m) for _ in range(g)])
+    alpha = np.full(m, 1.0 / m) if alpha_kind == "uniform" else np.zeros(m)
+    if alpha_kind == "dense":
+        alpha[r.random(m) < 0.5] = 0.01
+    elif alpha_kind == "sparse":
+        support = r.choice(m, size=min(m, int(r.integers(1, 21))), replace=False)
+        alpha[support] = r.uniform(0.01, 5.0, size=len(support))
+    got = kernels.theta(kms, alpha)
+    assert got.shape == (g, n)
+    for k in range(g):
+        assert np.array_equal(got[k], kernels.theta(kms[k], alpha))
+
+
 @pytest.mark.parametrize("nonzeros", [200, 20])
 def test_theta_allocates_a_few_n_vectors(nonzeros):
     # a dense alpha (the uniform round-0 one) and the most nonzeros the

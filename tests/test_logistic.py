@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import fairness, logistic
+from fedfair import fairness, kernels, logistic, protocol
 from fedfair.errors import ProtocolError
 
-from conftest import make_shard, random_shard
+from conftest import make_shard, random_shard, run_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_gradient_lambda_zero_is_plain_logistic(rng):
     shard = random_shard(rng, 6, 2)
     w = rng.normal(size=3)
     pen = logistic.PenaltySpec.disabled(3)
-    grad = logistic.loss_gradient(w, shard, np.ones(6), pen)
+    grad = logistic.loss_gradient(w, logistic.signed_xt(shard), np.ones(6), pen)
     p = logistic.predict_proba(w, shard.features)
     expected = shard.features.T @ (p - shard.labels) / shard.n
     assert np.allclose(grad, expected, atol=1e-12)
@@ -121,7 +121,7 @@ def test_gradient_matches_finite_differences_at_saturated_logits(rng):
         w = np.array([1.0, 0.01, 0.0])
         th = rng.uniform(0.1, 2.0, size=8)
         pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=3))
-        grad = logistic.loss_gradient(w, shard, th, pen)
+        grad = logistic.loss_gradient(w, logistic.signed_xt(shard), th, pen)
         fd = finite_difference(w, shard, th, pen)
         assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
 
@@ -131,8 +131,9 @@ def test_gradient_zero_on_constraint_boundary(rng):
     phi = rng.normal(size=3)
     w = 0.05 * phi / (phi @ phi)  # w . phi = tau = 0.05
     pen = logistic.PenaltySpec(lam=100.0, tau=0.05, phi_c=phi)
-    with_pen = logistic.loss_gradient(w, shard, np.ones(5), pen)
-    without = logistic.loss_gradient(w, shard, np.ones(5), logistic.PenaltySpec.disabled(3))
+    sxt = logistic.signed_xt(shard)
+    with_pen = logistic.loss_gradient(w, sxt, np.ones(5), pen)
+    without = logistic.loss_gradient(w, sxt, np.ones(5), logistic.PenaltySpec.disabled(3))
     assert np.allclose(with_pen, without, atol=1e-10)
 
 
@@ -143,7 +144,7 @@ def test_gradient_matches_finite_differences(lam, rng):
         w = rng.normal(size=4)
         th = rng.uniform(0.1, 2.0, size=5)
         pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=4))
-        grad = logistic.loss_gradient(w, shard, th, pen)
+        grad = logistic.loss_gradient(w, logistic.signed_xt(shard), th, pen)
         fd = finite_difference(w, shard, th, pen)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-4
@@ -162,7 +163,7 @@ def reference_fit(w_init, shard, theta, penalty, opt):
     obj = logistic.local_objective(w, shard, theta, penalty)
     halvings = 0
     for _ in range(opt.epochs):
-        grad = logistic.loss_gradient(w, shard, theta, penalty)
+        grad = logistic.loss_gradient(w, logistic.signed_xt(shard), theta, penalty)
         rate = opt.learning_rate
         for k in range(opt.max_halvings + 1):
             cand = w - rate * grad
@@ -191,7 +192,7 @@ def test_fit_matches_weight_space_reference(rng):
                 )
                 w0 = rng.normal(size=d + 1)
                 ref, h, r = reference_fit(w0, shard, th, pen, opt)
-                got = logistic.fit_local(w0, shard, th, pen, opt)
+                got = logistic.fit_local(w0, logistic.signed_xt(shard), th, pen, opt)
                 assert np.max(np.abs(got - ref)) <= 1e-12
                 halvings, rejected = halvings + h, rejected + r
     assert halvings > 0 and rejected > 0
@@ -201,7 +202,7 @@ def test_fit_zero_epochs_is_identity(rng):
     shard = random_shard(rng, 5, 2)
     w0 = rng.normal(size=3)
     out = logistic.fit_local(
-        w0, shard, np.ones(5), logistic.PenaltySpec.disabled(3),
+        w0, logistic.signed_xt(shard), np.ones(5), logistic.PenaltySpec.disabled(3),
         logistic.OptimizerSpec(epochs=0),
     )
     assert np.array_equal(out, w0)
@@ -210,7 +211,7 @@ def test_fit_zero_epochs_is_identity(rng):
 def test_fit_separable_reaches_full_accuracy():
     shard = make_shard([[0.0], [0.1], [0.9], [1.0]], [0, 0, 1, 1], [0, 1, 0, 1])
     w = logistic.fit_local(
-        np.zeros(2), shard, np.ones(4), logistic.PenaltySpec.disabled(2),
+        np.zeros(2), logistic.signed_xt(shard), np.ones(4), logistic.PenaltySpec.disabled(2),
         logistic.OptimizerSpec(learning_rate=1.0, epochs=2000),
     )
     assert np.all(logistic.predict_label(w, shard.features) == shard.labels)
@@ -221,7 +222,7 @@ def test_fit_large_lambda_pins_constraint(rng):
     phi = rng.normal(size=4) * 0.5
     pen = logistic.PenaltySpec(lam=100.0, tau=0.05, phi_c=phi)
     w = logistic.fit_local(
-        np.zeros(4), shard, np.ones(20), pen,
+        np.zeros(4), logistic.signed_xt(shard), np.ones(20), pen,
         logistic.OptimizerSpec(learning_rate=1.0, epochs=3000),
     )
     assert abs(w @ phi) <= 0.05 + 0.01
@@ -234,7 +235,7 @@ def test_fit_objective_nonincreasing(rng):
     w = rng.normal(size=4)
     prev = logistic.local_objective(w, shard, np.ones(10), pen)
     for _ in range(30):
-        w = logistic.fit_local(w, shard, np.ones(10), pen, opt)
+        w = logistic.fit_local(w, logistic.signed_xt(shard), np.ones(10), pen, opt)
         obj = logistic.local_objective(w, shard, np.ones(10), pen)
         assert obj <= prev + 1e-12
         prev = obj
@@ -247,9 +248,9 @@ def test_fit_stateless_chaining(rng):
     opt1 = logistic.OptimizerSpec(learning_rate=0.5, epochs=10)
     w_chained = np.zeros(3)
     for _ in range(5):
-        w_chained = logistic.fit_local(w_chained, shard, np.ones(8), pen, opt1)
+        w_chained = logistic.fit_local(w_chained, logistic.signed_xt(shard), np.ones(8), pen, opt1)
     opt2 = logistic.OptimizerSpec(learning_rate=0.5, epochs=50)
-    w_once = logistic.fit_local(np.zeros(3), shard, np.ones(8), pen, opt2)
+    w_once = logistic.fit_local(np.zeros(3), logistic.signed_xt(shard), np.ones(8), pen, opt2)
     assert np.allclose(w_chained, w_once, atol=1e-12)
 
 
@@ -258,7 +259,7 @@ def test_fit_nonfinite_start_raises(rng):
     w0 = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ProtocolError):
         logistic.fit_local(
-            w0, shard, np.ones(4), logistic.PenaltySpec.disabled(3),
+            w0, logistic.signed_xt(shard), np.ones(4), logistic.PenaltySpec.disabled(3),
             logistic.OptimizerSpec(epochs=1),
         )
 
@@ -272,7 +273,7 @@ def test_no_nan_for_bounded_weights(seed, scale):
     losses = logistic.per_sample_logloss(w, shard.features, shard.labels)
     assert np.all(np.isfinite(losses))
     grad = logistic.loss_gradient(
-        w, shard, np.ones(6), logistic.PenaltySpec.disabled(3)
+        w, logistic.signed_xt(shard), np.ones(6), logistic.PenaltySpec.disabled(3)
     )
     assert np.all(np.isfinite(grad))
 
@@ -327,10 +328,10 @@ def test_lockstep_matches_fit_local(seed, p, mode, lam, scale, step):
     # is rejected by every client whose gradient is not zero
     shards, thetas, pens, w0 = lockstep_case(seed, p, mode, lam, scale)
     opt = logistic.OptimizerSpec(learning_rate=step[0], epochs=10, max_halvings=step[1])
-    got = logistic.fit_lockstep(w0, shards, np.concatenate(thetas), pens, opt)
+    got = logistic.fit_lockstep(w0, run_stacks(shards), np.concatenate(thetas), pens, opt)
     assert got.shape == (p, 4)
-    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
-        assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+    for k, (sxt, th, pen) in enumerate(zip(map(logistic.signed_xt, shards), thetas, pens)):
+        assert np.array_equal(got[k], logistic.fit_local(w0, sxt, th, pen, opt))
 
 
 # shard sizes in runs of equal-sized clients, which fit_lockstep batches:
@@ -362,13 +363,13 @@ def test_lockstep_matches_fit_local_on_runs_of_equal_sizes(sizes, seed, mode, st
     theta = np.concatenate(thetas)
     w0 = r.normal(size=4)
     opt = logistic.OptimizerSpec(learning_rate=step[0], epochs=10, max_halvings=step[1])
-    got = logistic.fit_lockstep(w0, shards, theta, pens, opt)
-    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
-        assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+    got = logistic.fit_lockstep(w0, run_stacks(shards), theta, pens, opt)
+    for k, (sxt, th, pen) in enumerate(zip(map(logistic.signed_xt, shards), thetas, pens)):
+        assert np.array_equal(got[k], logistic.fit_local(w0, sxt, th, pen, opt))
     ws = r.normal(size=(len(sizes), 4))
-    grads = logistic.lockstep_gradient(ws, shards, theta, pens)
-    for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
-        assert np.array_equal(grads[k], logistic.loss_gradient(ws[k], shard, th, pen))
+    grads = logistic.lockstep_gradient(ws, run_stacks(shards), theta, pens)
+    for k, (sxt, th, pen) in enumerate(zip(map(logistic.signed_xt, shards), thetas, pens)):
+        assert np.array_equal(grads[k], logistic.loss_gradient(ws[k], sxt, th, pen))
 
 
 def logaddexp_objective(w, shard, theta, penalty):
@@ -410,7 +411,7 @@ def test_fit_never_raises_logaddexp_objective(seed, p, mode, lam, reach, step):
     lr, halvings = step
     lockstep = [
         logistic.fit_lockstep(
-            w0, shards, np.concatenate(thetas), pens,
+            w0, run_stacks(shards), np.concatenate(thetas), pens,
             logistic.OptimizerSpec(learning_rate=lr, epochs=e, max_halvings=halvings),
         )
         for e in range(11)
@@ -419,7 +420,7 @@ def test_fit_never_raises_logaddexp_objective(seed, p, mode, lam, reach, step):
     for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
         w = w0
         for e in range(10):
-            w_next = logistic.fit_local(w, shard, th, pen, one_epoch)
+            w_next = logistic.fit_local(w, logistic.signed_xt(shard), th, pen, one_epoch)
             assert_step_never_raises(w, w_next, shard, th, pen)
             assert_step_never_raises(lockstep[e][k], lockstep[e + 1][k], shard, th, pen)
             w = w_next
@@ -430,9 +431,9 @@ def test_lockstep_stops_rejecting_clients_and_fits_the_rest():
     theta = np.concatenate(thetas)
     for lr, halvings in ((1e6, 0), (1e3, 3), (1.0, 20)):
         opt = logistic.OptimizerSpec(learning_rate=lr, epochs=5, max_halvings=halvings)
-        got = logistic.fit_lockstep(w0, shards, theta, pens, opt)
-        for k, (shard, th, pen) in enumerate(zip(shards, thetas, pens)):
-            assert np.array_equal(got[k], logistic.fit_local(w0, shard, th, pen, opt))
+        got = logistic.fit_lockstep(w0, run_stacks(shards), theta, pens, opt)
+        for k, (sxt, th, pen) in enumerate(zip(map(logistic.signed_xt, shards), thetas, pens)):
+            assert np.array_equal(got[k], logistic.fit_local(w0, sxt, th, pen, opt))
         if lr == 1e6:
             # the quadratic penalty makes so long a step worse for every
             # client: each rejects its first step and stops at w0
@@ -444,7 +445,7 @@ def test_lockstep_nonfinite_start_raises(rng):
     w0 = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ProtocolError):
         logistic.fit_lockstep(
-            w0, shards, np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
+            w0, run_stacks(shards), np.ones(12), [logistic.PenaltySpec.disabled(3)] * 3,
             logistic.OptimizerSpec(epochs=1),
         )
 
@@ -455,32 +456,35 @@ def test_lockstep_nonfinite_start_raises(rng):
 
 
 def test_signed_xt_is_the_signed_transposed_features_and_kept(rng):
-    shards = [random_shard(rng, n, 4, k) for k, n in enumerate((50, 7, 30))]
-    st = shards[0].signed_xt
-    assert np.array_equal(st, ((1 - 2 * shards[0].labels)[:, None] * shards[0].features).T)
-    assert st.shape == (5, 50) and st.flags.c_contiguous
-    before = st.copy()
-    pens = [logistic.PenaltySpec(lam=2.0, tau=0.05, phi_c=rng.normal(size=5))] * 3
-    opt = logistic.OptimizerSpec(learning_rate=1.0, epochs=3)
+    # init_protocol stacks each run's signed_xt once, alone or in a run of
+    # equal-sized clients; rounds read the stacks and leave them as built
+    shards = [random_shard(rng, n, 4, k) for k, n in enumerate((50, 7, 7, 7, 30))]
+    cfg = protocol.ProtocolConfig(
+        penalty_mode=protocol.PENALTY_GLOBAL, opt=logistic.OptimizerSpec(epochs=3)
+    )
+    basis = kernels.select_basis(shards, 4, seed=0)
+    server, clients, bc = protocol.init_protocol(shards, basis, cfg)
+    for c in clients:
+        item = c.run.signed_xt[c.slot]
+        assert item.shape == (5, c.shard.n) and item.flags.c_contiguous
+        assert np.array_equal(item, ((1 - 2 * c.shard.labels)[:, None] * c.shard.features).T)
+    before = [c.run.signed_xt.copy() for c in clients]
     for _ in range(2):
-        logistic.fit_local(rng.normal(size=5), shards[0], np.ones(50), pens[0], opt)
-        logistic.fit_lockstep(rng.normal(size=5), shards, np.ones(87), pens, opt)
-        assert shards[0].signed_xt is st
-    assert np.array_equal(st, before)
+        bc = protocol.server_round(server, protocol.clients_round(clients, bc, cfg), cfg)
+    assert all(np.array_equal(c.run.signed_xt, b) for c, b in zip(clients, before))
 
 
 def test_fit_allocates_no_design_sized_array(rng):
-    # a later fit reads the signed_xt its shard built at the first one:
-    # it holds about a dozen n-vectors, where a (d+1) x n array is 30
+    # the fit holds about a dozen n-vectors, where a (d+1) x n array is 30
     n, d = 20_000, 29
     shard = random_shard(rng, n, d)
     th = rng.uniform(0.1, 2.0, size=n)
     pen = logistic.PenaltySpec(lam=2.0, tau=0.05, phi_c=rng.normal(size=d + 1) * 0.1)
     opt = logistic.OptimizerSpec(learning_rate=5.0, epochs=5, max_halvings=3)
-    logistic.fit_local(np.zeros(d + 1), shard, th, pen, opt)
+    sxt = logistic.signed_xt(shard)
     tracemalloc.start()
     try:
-        logistic.fit_local(np.zeros(d + 1), shard, th, pen, opt)
+        logistic.fit_local(np.zeros(d + 1), sxt, th, pen, opt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

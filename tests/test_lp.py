@@ -86,6 +86,18 @@ def test_box_bound_caps_solution():
     assert sol.status == lp.STATUS_ERROR
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", [None, [1.0, -1.0, 0.5, 0.2]])
+def test_huge_box_bound_fills_without_overflow(row):
+    # bound times each equality entry is near 1e308, so the fill's running
+    # sum of them overflowed; the answer is the one a box of 5 gives
+    objective, equality = [1.0, 3.0, 2.0, 0.5], [0.9, 0.8, 0.7, 0.6]
+    huge = lp.solve(make_lp(objective, equality, fairness_row=row, box_upper=1e308))
+    small = lp.solve(make_lp(objective, equality, fairness_row=row, box_upper=5.0))
+    assert huge.status == small.status == lp.STATUS_OPTIMAL
+    assert np.array_equal(huge.alpha, small.alpha)
+
+
 def test_all_zero_equality_row_errors():
     sol = lp.solve(make_lp([1.0, 1.0], [0.0, 0.0]))
     assert sol.status == lp.STATUS_ERROR

@@ -56,6 +56,18 @@ def test_init_alpha_satisfies_equality_row(rng):
     assert psi_theta @ server.alpha == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_box_too_small_for_the_sum_to_one_row_names_its_cause(rng):
+    # psi_theta sums to 1 under the constant basis: a box below 1 leaves
+    # no alpha on the sum-to-one row, which only matters when the LP runs
+    shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
+    tiny = kernels.constant_basis(3, bound=1e-300)
+    with pytest.raises(ProtocolError, match="sum-to-one row.*box bound 1e-300"):
+        protocol.init_protocol(shards, tiny, fast_cfg())
+    protocol.init_protocol(shards, tiny, fast_cfg(optimize_alpha=False))
+    run_rounds(shards, kernels.constant_basis(3, bound=1.0), fast_cfg(), 1)
+
+
 def test_init_requires_shards():
     with pytest.raises(ConfigError):
         protocol.init_protocol([], kernels.constant_basis(2), fast_cfg())
@@ -215,7 +227,7 @@ def test_bundle_psi_L_matches_row_major_logloss(rng):
             w = rng.normal(size=6) * scale
             got = protocol._extract([c], c.run, bc.alpha, w[None])[0].psi_L
             losses = logistic.per_sample_logloss(w, c.shard.features, c.shard.labels)
-            expected = c.kernel_matrix.T @ losses / c.stats.n_total
+            expected = c.run.kernels[c.slot].T @ losses / c.stats.n_total
             assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
@@ -332,7 +344,7 @@ def test_only_rounds_of_more_than_two_clients_fit_in_lockstep(rng, monkeypatch):
     calls = []
 
     def fit_lockstep(*args):
-        calls.append(len(args[1]))  # the shards it fits
+        calls.append(sum(len(st) for st in args[1]))  # the clients its stacks hold
         return real_fit_lockstep(*args)
 
     real_fit_lockstep = logistic.fit_lockstep
@@ -371,6 +383,48 @@ def test_lockstep_round_matches_client_rounds(mode, rng):
             bc = protocol.server_round(server, bundles, cfg)
 
 
+def test_lockstep_rounds_read_the_signed_xt_stacked_at_init(rng, monkeypatch):
+    # every round hands the fit and the extraction init_protocol's own
+    # stacks, not new ones
+    fits, losses = [], []
+    real_fit, real_loss = logistic.fit_lockstep, logistic.run_logloss
+
+    def fit_lockstep(w, stacks, *args):
+        fits.append(list(stacks))
+        return real_fit(w, stacks, *args)
+
+    def run_logloss(w, stack):
+        losses.append(stack)
+        return real_loss(w, stack)
+
+    monkeypatch.setattr(logistic, "fit_lockstep", fit_lockstep)
+    monkeypatch.setattr(logistic, "run_logloss", run_logloss)
+    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0)
+    server, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), cfg)
+    for _ in range(3):
+        bc = protocol.server_round(server, protocol.clients_round(clients, bc, cfg), cfg)
+    built = [clients[k].run.signed_xt for k in (0, 1, 4)]
+    assert len(fits) == 3 and all(len(f) == 3 for f in fits)
+    assert all(a is b for f in fits for a, b in zip(f, built))
+    assert len(losses) == 9 and all(a is b for a, b in zip(losses, built * 3))
+
+
+def test_lockstep_round_takes_theta_once_per_run(rng, monkeypatch):
+    shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
+    _, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), fast_cfg())
+    calls, real_theta = [], kernels.theta
+
+    def theta(km, alpha):
+        calls.append(km)
+        return real_theta(km, alpha)
+
+    monkeypatch.setattr(kernels, "theta", theta)
+    protocol.clients_round(clients, bc, fast_cfg())
+    assert len(calls) == 3
+    assert all(km is clients[k].run.kernels for km, k in zip(calls, (0, 1, 4)))
+
+
 def test_runs_share_one_stack_of_kernel_matrices_and_forms(rng):
     shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
     basis = kernels.select_basis(shards, 4, seed=1)
@@ -379,7 +433,7 @@ def test_runs_share_one_stack_of_kernel_matrices_and_forms(rng):
     assert [c.slot for c in clients] == [0, 0, 1, 2, 0]
     for c in clients:
         km = kernels.kernel_matrix(c.shard, basis)
-        assert np.array_equal(c.kernel_matrix, km)
+        assert np.array_equal(c.run.kernels[c.slot], km)
         form = fairness.covariance_form(c.shard, km, c.stats)
         assert np.array_equal(c.run.forms[c.slot], form)
     assert clients[1].run is clients[3].run
