@@ -39,11 +39,11 @@ def cmd_run(args) -> int:
     train, test, shards = engine.data_from_config(
         cfg.get("dataset") or {}, cfg.get("split") or {"name": "shift"}, hyper.seed
     )
-    out = _output_dir(args)
-    os.makedirs(out, exist_ok=True)
     start = time.perf_counter()
     result = engine.run(spec, train, test, shards)
     wall_s = time.perf_counter() - start
+    out = _output_dir(args)  # made once there are results: a failed run leaves none
+    os.makedirs(out, exist_ok=True)
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     record = {
         "algorithm": algorithm,
@@ -150,13 +150,11 @@ def check_gradient_oracle(seed: int, cases: int, n: int) -> float:
         ]
         ws = rng.normal(size=(cases, d + 1))
         ths = rng.uniform(0.1, 2.0, size=(cases, n))
-        pens = [
-            logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=d + 1))
-            for _ in range(cases)
-        ]
+        run_pen = logistic.PenaltySpec(lam=lam, tau=0.05, phi_c=rng.normal(size=(cases, d + 1)))
         sxts = np.stack([logistic.signed_xt(s) for s in shards])
-        stacked = logistic.lockstep_gradient(ws, [sxts], ths.ravel(), pens)
-        for shard, sxt, w, th, pen, got in zip(shards, sxts, ws, ths, pens, stacked):
+        stacked = logistic.lockstep_gradient(ws, [sxts], ths.ravel(), run_pen)
+        for shard, sxt, w, th, phi, got in zip(shards, sxts, ws, ths, run_pen.phi_c, stacked):
+            pen = dataclasses.replace(run_pen, phi_c=phi)
             fd = np.array([
                 logistic.local_objective(w + e, shard, th, pen)
                 - logistic.local_objective(w - e, shard, th, pen)

@@ -20,6 +20,7 @@ import csv
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -80,9 +81,9 @@ class HyperParams:
 
     def __post_init__(self):
         """ConfigError unless each integer field holds an integer and each
-        float field a finite number (a bool is neither), every field is
-        >= 0, the four scales (num_bases, bound, sigma, learning_rate) are
-        > 0, and the penalty at w = 0, lambda tau^2, is finite."""
+        float field a number (a bool is neither), each field lies in [0, the
+        largest float], the scales num_bases, bound, sigma and learning_rate
+        are > 0, and lambda tau^2, 2 lambda and 2 sigma^2 > 0 are finite."""
         for f in fields(self):
             value = getattr(self, f.name)
             integral = isinstance(f.default, int)
@@ -90,7 +91,7 @@ class HyperParams:
                 what = "an integer" if integral else "a number"
                 raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
             positive = f.name in ("num_bases", "bound", "sigma", "learning_rate")
-            if not (value > 0 if positive else value >= 0) or value == math.inf:
+            if not (value > 0 if positive else value >= 0) or value > sys.float_info.max:
                 raise ConfigError(
                     f"hyper {f.name} must be finite and {'>' if positive else '>='} 0, "
                     f"not {value!r}"
@@ -98,6 +99,10 @@ class HyperParams:
         # products, not tau ** 2, which raises OverflowError on a huge float
         if not math.isfinite(self.lam * self.tau * self.tau):
             raise ConfigError(f"hyper lambda {self.lam!r} * tau {self.tau!r}^2 overflows")
+        if not math.isfinite(2.0 * self.lam):  # the gradient's penalty weight
+            raise ConfigError(f"hyper lambda {self.lam!r}: 2 lambda overflows")
+        if not 0.0 < 2.0 * self.sigma * self.sigma < math.inf:  # the kernel's 2 sigma^2
+            raise ConfigError(f"hyper sigma {self.sigma!r}: 2 sigma^2 is not a positive float")
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,8 @@ def run(
         final_row = _select_local_fair_round(per_round)
     else:
         final_row = per_round[-1]
-    final = {
-        "train_acc": final_row["train_acc"],
-        "test_acc": final_row["test_acc"],
-        "train_rd": final_row["train_rd"],
-        "test_rd": final_row["test_rd"],
-        "per_client_rd": final_row["per_client_rd"],
-    }
+    keys = ("train_acc", "test_acc", "train_rd", "test_rd", "per_client_rd")
+    final = {k: final_row[k] for k in keys}
     return RunResult(
         per_round=per_round,
         final=final,
@@ -461,7 +461,9 @@ def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
         if missing := {"path", "schema"} - set(data_cfg):
             raise ConfigError(f"csv dataset needs key(s): {', '.join(sorted(missing))}")
     else:
-        require_int("dataset n", data_cfg.get("n", CENSUS_N), 1)
+        require_int("dataset n", n := data_cfg.get("n", CENSUS_N), 1)
+        if n > np.iinfo(np.intp).max:
+            raise ConfigError(f"dataset n {n} is more rows than an array can hold")
     return kind
 
 

@@ -27,11 +27,11 @@ those products.
 fit_local fits one client; fit_lockstep fits every client of a round at
 once, with each client's result as if fit_local had fitted it alone. It
 takes each run of equal-sized clients' S stacked (g, d+1, n), as
-protocol.init_protocol builds them, and each of its products is one
-np.matmul per run: for every item, matmul makes the BLAS call (gemv or
-dot, same shape and strides) that fit_local's product makes, so
-batching changes no bit. The two fits share no code: fit_local is the
-oracle the tests hold fit_lockstep to.
+protocol.init_protocol builds them. Each of its products and sums is
+one np.matmul per run whose every item is the BLAS call (gemv or dot,
+same shape and strides) that fit_local makes, so the two fits' weights
+are equal by construction. The two fits share no code: fit_local is
+the oracle the tests hold fit_lockstep to.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class PenaltySpec:
 
     lam: float
     tau: float
-    phi_c: np.ndarray  # (d+1,)
+    phi_c: np.ndarray  # (d+1,); for fit_lockstep (p, d+1), row k client k's
 
     @staticmethod
     def disabled(dim: int) -> "PenaltySpec":
@@ -85,6 +85,7 @@ def predict_proba(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+@np.errstate(over="ignore")  # a margin past the largest float is +-inf, of the right sign
 def predict_label(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """1 where the margin x . w is nonnegative (sigmoid >= 0.5), else 0."""
     return (features @ w >= 0.0).astype(int)
@@ -126,6 +127,7 @@ def loss_gradient(
     return _gradient(st, theta, m, _softplus(m)[1], gap, penalty)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each candidate's finiteness is tested
 def fit_local(
     w_init: np.ndarray,
     st: np.ndarray,
@@ -178,23 +180,20 @@ def fit_local(
 
 
 def _stacked_softplus(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(m) and exp(-|m|), as _softplus forms them, kept apart so
-    that fit_lockstep shares no code with its oracle fit_local."""
+    """_softplus's twin, kept apart: fit_lockstep shares no code with fit_local."""
     e = np.exp(-np.abs(m))
     return np.maximum(m, 0.0) + np.log1p(e), e
 
 
 def _layout(stacks: list[np.ndarray]):
-    """Each client's row count, first row and slice in the stacking of
-    the clients' rows in client order, and each run's slice of the
-    clients and of the rows, with its stack."""
+    """Each client's row count and slice of the rows stacked in client
+    order, and each run's slices of the clients and rows, with its stack."""
     counts = np.repeat([st.shape[2] for st in stacks], [len(st) for st in stacks])
-    starts = np.cumsum(counts) - counts
-    rows = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
+    rows = [slice(b - n, b) for b, n in zip(np.cumsum(counts).tolist(), counts.tolist())]
     cuts = np.cumsum([0] + [len(st) for st in stacks]).tolist()
     runs = [(slice(a, b), slice(rows[a].start, rows[b - 1].stop), st)
             for a, b, st in zip(cuts, cuts[1:], stacks)]
-    return counts, starts, rows, runs
+    return counts, rows, runs
 
 
 def _row_products(runs, v: np.ndarray) -> np.ndarray:
@@ -211,77 +210,80 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _stacked_gradient(runs, counts, theta, m, e, gap, lam, phi):
-    """Every client's gradient, one row each, from the signed margins m
-    and e = exp(-|m|) of every row and each client's penalty gap, weight
-    lam and vector phi; S_k r_k is one matmul per run."""
+def _client_sums(sums, v: np.ndarray) -> np.ndarray:
+    """c_k . v_k for every client k, from each run's slices of the clients
+    and rows and its c viewed (g, 1, n) in *sums*: one matmul per run,
+    each item the dot fit_local's c @ sp makes."""
+    out = np.empty(sums[-1][0].stop)
+    for run, rows, cv in sums:
+        np.matmul(cv, v[rows].reshape(len(cv), -1, 1), out=out[run, None, None])
+    return out
+
+
+def _stacked_gradient(runs, counts, theta, m, e, gap, penalty):
+    """Every client's gradient, one row each, from every row's signed
+    margins m and e = exp(-|m|) and each client's penalty gap."""
     r = theta * (np.where(m >= 0.0, 1.0, e) / (1.0 + e))
-    raw = np.empty(phi.shape)
+    raw = np.empty(penalty.phi_c.shape)
     for run, rows, st in runs:
         raw[run] = np.matmul(st, r[rows].reshape(st.shape[0], -1, 1))[:, :, 0]
-    return raw / counts[:, None] + (2.0 * lam * gap)[:, None] * phi
-
-
-def _penalty_arrays(penalties: list[PenaltySpec]):
-    lam = np.array([pen.lam for pen in penalties])
-    tau = np.array([pen.tau for pen in penalties])
-    return lam, tau, np.array([pen.phi_c for pen in penalties])
+    return raw / counts[:, None] + (2.0 * penalty.lam * gap)[:, None] * penalty.phi_c
 
 
 def lockstep_gradient(
-    w: np.ndarray, stacks: list[np.ndarray], theta: np.ndarray, penalties: list[PenaltySpec]
+    w: np.ndarray, stacks: list[np.ndarray], theta: np.ndarray, penalty: PenaltySpec
 ) -> np.ndarray:
     """Every client's local-objective gradient, row k at w[k], as
     fit_lockstep forms it on *stacks*; theta covers every client's rows
-    in client order."""
-    counts, _, _, runs = _layout(stacks)
-    lam, tau, phi = _penalty_arrays(penalties)
+    in client order, and penalty.phi_c is (p, d+1), row k client k's."""
+    counts, _, runs = _layout(stacks)
     m = _row_products(runs, w)
-    e = _stacked_softplus(m)[1]
-    return _stacked_gradient(runs, counts, theta, m, e, _row_dots(w, phi) - tau, lam, phi)
+    gap = _row_dots(w, penalty.phi_c) - penalty.tau
+    return _stacked_gradient(runs, counts, theta, m, _stacked_softplus(m)[1], gap, penalty)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each candidate's finiteness is tested
 def fit_lockstep(
     w_init: np.ndarray,
     stacks: list[np.ndarray],
     theta: np.ndarray,
-    penalties: list[PenaltySpec],
+    penalty: PenaltySpec,
     opt: OptimizerSpec,
 ) -> np.ndarray:
     """fit_local for every client of *stacks*, each run's signed_xt
     stacked (g, d+1, n), at once, all from w_init.
 
     Row k of the result is client k's weights; theta covers every
-    client's rows in client order, and penalties[k] is client k's. Each
-    epoch the sigmoid, the softplus and the first candidate run once
-    over every row, and S_k r_k, S_k^T g_k and g_k . phi_k are one
-    matmul per run, every client's recomputed each epoch: a stopped
-    client's margins and gap no longer change, so neither do its
-    products, and no later step reads them. A client that rejects the
-    first candidate halves on its own rows, and one that rejects every
-    halving stops while the others go on. Client sums are np.add.reduceat
-    segments, not fit_local's dot products, so a one-ulp tie could split
-    the two in principle (0 of 141,068 fits measured).
+    client's rows in client order, and row k of penalty.phi_c, (p, d+1),
+    is client k's. Each epoch the sigmoid, the softplus and the first
+    candidate run once over every row, and S_k r_k, S_k^T g_k,
+    g_k . phi_k and c_k . softplus are one matmul per run, every client's
+    recomputed each epoch: a stopped client's margins and gap no longer
+    change, so neither do its products, and no later step reads them. A
+    client that rejects the first candidate halves on its own rows, and
+    one that rejects every halving stops while the others go on. Each
+    matmul item is the BLAS call fit_local makes, so every client's
+    weights equal fit_local's by construction.
     """
-    counts, starts, rows, runs = _layout(stacks)
-    p = len(rows)
-    lam, tau, phi = _penalty_arrays(penalties)
+    counts, rows, runs = _layout(stacks)
+    lam, phi = penalty.lam, penalty.phi_c
     c = theta / np.repeat(counts, counts)
-    w = np.tile(np.asarray(w_init, dtype=float), (p, 1))
-    m, gap = _row_products(runs, w), _row_dots(w, phi) - tau
+    sums = [(run, rs, c[rs].reshape(len(st), 1, -1)) for run, rs, st in runs]
+    w = np.tile(np.asarray(w_init, dtype=float), (len(rows), 1))
+    m, gap = _row_products(runs, w), _row_dots(w, phi) - penalty.tau
     sp, e = _stacked_softplus(m)
-    obj = np.add.reduceat(c * sp, starts) + lam * gap * gap
+    obj = _client_sums(sums, sp) + lam * gap * gap
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
-    live = np.ones(p, dtype=bool)  # clients still descending
-    clients = list(range(p))
+    live = np.ones(len(rows), dtype=bool)  # clients still descending
+    clients = list(range(len(rows)))
     for _ in range(opt.epochs):
-        grad = _stacked_gradient(runs, counts, theta, m, e, gap, lam, phi)
+        grad = _stacked_gradient(runs, counts, theta, m, e, gap, penalty)
         dm, gphi = _row_products(runs, grad), _row_dots(grad, phi)
         rate = opt.learning_rate
         cand_m, cand_gap = m - rate * dm, gap - rate * gphi
         sp, cand_e = _stacked_softplus(cand_m)
-        cand_obj = np.add.reduceat(c * sp, starts) + lam * cand_gap * cand_gap
+        cand_obj = _client_sums(sums, sp) + lam * cand_gap * cand_gap
         accept = live & np.isfinite(cand_obj) & (cand_obj <= obj)
         if accept.all():
             w -= rate * grad
@@ -298,7 +300,7 @@ def fit_lockstep(
                 rate *= 0.5
                 cm, cg = m[rk] - rate * dm[rk], gap[k] - rate * gphi[k]
                 sp, ce = _stacked_softplus(cm)
-                co = float(c[rk] @ sp) + lam[k] * cg * cg
+                co = float(c[rk] @ sp) + lam * cg * cg
                 if np.isfinite(co) and co <= obj[k]:
                     w[k] -= rate * grad[k]
                     m[rk], e[rk], gap[k], obj[k] = cm, ce, cg, co

@@ -47,12 +47,8 @@ class ProtocolConfig:
     opt: logistic.OptimizerSpec = field(default_factory=logistic.OptimizerSpec)
 
     def __post_init__(self):
-        if self.penalty_mode not in (
-            PENALTY_GLOBAL,
-            PENALTY_UNWEIGHTED,
-            PENALTY_LOCAL,
-            PENALTY_NONE,
-        ):
+        modes = (PENALTY_GLOBAL, PENALTY_UNWEIGHTED, PENALTY_LOCAL, PENALTY_NONE)
+        if self.penalty_mode not in modes:
             raise ConfigError(f"unknown penalty mode {self.penalty_mode!r}")
 
 
@@ -136,6 +132,7 @@ def _phi_C(run: RunStack, alpha: np.ndarray) -> np.ndarray:
     return np.matmul(run.forms[:, :, 1:].transpose(0, 2, 1), alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every sent value's finiteness is tested
 def _extract(
     states: list[ClientState], run: RunStack, alpha: np.ndarray, w_new: np.ndarray
 ) -> list[CoefficientBundle]:
@@ -188,7 +185,7 @@ def clients_round(
     init_protocol's, in its order.
     """
     # Lockstep pays off only with more than two clients: two leave little
-    # per-call overhead to share, and its masking and segment sums then
+    # per-call overhead to share, and its masking and per-run calls then
     # cost more than they save.
     if len(clients) <= 2:
         return [client_round(c, bc, cfg) for c in clients]
@@ -202,9 +199,10 @@ def clients_round(
     if [(c.run, c.slot) for c in clients] != slots:
         raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
     theta = np.concatenate([kernels.theta(run.kernels, bc.alpha).ravel() for _, run in runs])
-    penalties = [_penalty_for(c, bc, cfg) for c in clients]
+    pens = [_penalty_for(c, bc, cfg) for c in clients]  # one lam and tau a round
+    penalty = logistic.PenaltySpec(pens[0].lam, pens[0].tau, np.array([p.phi_c for p in pens]))
     stacks = [run.signed_xt for _, run in runs]
-    w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalties, cfg.opt)
+    w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalty, cfg.opt)
     return [b for k, run in runs for b in _extract(clients[k], run, bc.alpha, w_new[k])]
 
 

@@ -6,9 +6,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedfair
 from fedfair import cli, data, engine, logistic, lp, protocol
@@ -711,12 +714,20 @@ def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, command, cas
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
 
-#: configs whose failure the config alone decides: no test rows, and a
-#: penalty lambda tau^2 that is infinite at the first fit's start
+#: configs whose failure the config alone decides: no test rows, a
+#: penalty lambda tau^2 that is infinite at the first fit's start, a float
+#: hyper past the largest float, more rows than an array can hold, a
+#: gradient penalty weight 2 lambda and a kernel 2 sigma^2 that overflow,
+#: and a 2 sigma^2 that underflows to 0
 DOOMED_CONFIGS = {
     "no_test_rows": {"split": {"train_fraction_group_a": 1.0, "train_fraction_group_b": 1.0}},
     "overflowing_penalty": {"hyper": {"tau": 1e300}},
     "infinite_tau": {"hyper": {"tau": float("inf")}},
+    "int_lambda_past_float": {"hyper": {"lambda": 10**400}},
+    "census_n_past_intp": {"dataset": {"n": 10**30}},
+    "overflowing_gradient_weight": {"hyper": {"lambda": 1e308}},
+    "vanishing_kernel_width": {"hyper": {"sigma": 5e-324}},
+    "overflowing_kernel_width": {"hyper": {"sigma": 1e308}},
 }
 
 
@@ -730,9 +741,81 @@ def test_config_decided_failure_exits_2_before_training(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_more_bases_than_rows_exits_2_with_no_output_directory(tmp_path):
+    # select_basis finds the shortfall inside engine.run, after the split
+    cfg = {"hyper": {"num_bases": 400, "rounds": 1}, "dataset": {"n": 300}}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("clients", [2, 5])
+def test_largest_learning_rate_trains_without_numpy_warnings(tmp_path, clients):
+    # candidates overflow and are rejected, and an accepted step can leave
+    # margins past the largest float, which read as +-inf; through
+    # fit_local with two clients and fit_lockstep with five
+    cfg = {
+        "algorithm": "FL", "dataset": {"n": 30},
+        "hyper": {"learning_rate": sys.float_info.max, "rounds": 2, "local_epochs": 2,
+                  "num_bases": 2},
+        "split": {"client_assignment": "even", "num_clients": clients},
+    }
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 0
+    assert len((out / "rounds.csv").read_text().splitlines()) == 3
+
+
 def test_hyper_takes_integers_for_float_fields():
     hyper = engine.hyper_from_config({"hyper": {"lambda": 3, "tau": 0.1, "rounds": 4}})
     assert (hyper.lam, hyper.tau, hyper.rounds) == (3, 0.1, 4)
+
+
+#: edge values of a float setting: zero, the least subnormal, a huge
+#: float, the largest float and an integer past every float
+EDGE = st.sampled_from([0, 5e-324, 1e308, sys.float_info.max, 10**400])
+FLOAT_HYPERS = ("lambda", "tau", "bound", "sigma", "learning_rate")
+FRACTIONS = ("train_fraction_group_a", "train_fraction_group_b")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    algorithm=st.sampled_from(engine.ALGORITHMS),
+    edges=st.dictionaries(st.sampled_from(FLOAT_HYPERS + FRACTIONS), EDGE, max_size=3),
+    work=st.fixed_dictionaries({
+        "rounds": st.integers(0, 2), "local_epochs": st.integers(0, 3),
+        "num_bases": st.integers(1, 4),
+    }),
+    n=st.sampled_from([1, 3, 10, 60, 150, 300]),
+    clients=st.one_of(
+        st.tuples(st.just("even"), st.integers(1, 5)), st.just(("by_group", 2)),
+        st.just(("by_group", 3)),
+    ),
+)
+def test_fuzzed_run_config_has_a_defined_outcome(
+    tmp_path_factory, algorithm, edges, work, n, clients
+):
+    # up to three float settings at an edge and the rest at their defaults,
+    # so that some runs train; the work settings stay small: a huge rounds
+    # never ends, a huge n allocates
+    tmp = tmp_path_factory.mktemp("fuzz")
+    hyper = {k: v for k, v in edges.items() if k in FLOAT_HYPERS}
+    split = {k: v for k, v in edges.items() if k in FRACTIONS}
+    split.update(client_assignment=clients[0], num_clients=clients[1])
+    cfg = {"algorithm": algorithm, "hyper": {**hyper, **work}, "dataset": {"n": n},
+           "split": split}
+    out = tmp / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(write_config(tmp, cfg)), "--output", str(out)])
+    assert code in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 2:
+        assert not out.exists()
+    if code == 0:
+        assert len((out / "rounds.csv").read_text().splitlines()) == 1 + work["rounds"]
 
 
 # ---------------------------------------------------------------------------
