@@ -26,10 +26,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _output_dir(args) -> str:
-    return args.output or os.environ.get("FEDFAIR_OUTPUT", "fedfair-out")
-
-
 def cmd_run(args) -> int:
     cfg = engine.read_config(args.config, engine.RUN_KEYS) if args.config else {}
     hyper = engine.hyper_from_config(cfg, rounds=args.rounds, seed=args.seed)
@@ -42,7 +38,7 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     result = engine.run(spec, train, test, shards)
     wall_s = time.perf_counter() - start
-    out = _output_dir(args)  # made once there are results: a failed run leaves none
+    out = args.output  # made once there are results: a failed run leaves none
     os.makedirs(out, exist_ok=True)
     engine.write_round_csv(os.path.join(out, "rounds.csv"), result)
     record = {
@@ -64,7 +60,7 @@ def cmd_run(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = engine.read_config(args.config, engine.GRID_KEYS)
-    summary = engine.experiment_grid(cfg, output_dir=_output_dir(args))
+    summary = engine.experiment_grid(cfg, output_dir=args.output)
     for row in summary:
         acc = row.get("test_acc")
         rd = row.get("test_rd")
@@ -235,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default="fedfair-out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="run an experiment grid from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default="fedfair-out")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run the embedded oracle checks")

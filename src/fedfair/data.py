@@ -8,7 +8,8 @@ min-max scaled to [0, 1], and a constant bias column is appended as the
 last feature. The encoded data is then cut into train, test and client
 shards. A run's training rows are held once: ``train`` stacks the
 shards' rows in client order and each shard is a view of its rows
-(cut_shards), the layout that shard_starts checks.
+(cut_shards), the layout that shard_starts checks. How the shards group
+into runs of equal-sized clients is protocol.init_protocol's concern.
 """
 
 from __future__ import annotations
@@ -147,31 +148,6 @@ class ClientShard:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-
-def equal_size_runs(shards: list[ClientShard]) -> list[slice]:
-    """The maximal runs of consecutive shards with equal row counts, as
-    slices of *shards*: protocol.init_protocol stacks each run's arrays
-    (g, ., n), and each product over a run is one numpy.matmul, whose
-    every item is the BLAS call one shard's product makes."""
-    cuts = [k for k in range(1, len(shards)) if shards[k].n != shards[k - 1].n]
-    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(shards)])]
-
-
-def stack_run(g: int, arrays) -> np.ndarray:
-    """The g arrays of a run that *arrays* yields, stacked (g, ...) as
-    they come, so that no more than one is held twice; a lone array
-    becomes a [None] view, with no copy."""
-    arrays = iter(arrays)
-    first = next(arrays)
-    if g == 1:
-        return first[None]
-    out = np.empty((g, *first.shape), dtype=first.dtype)
-    out[0] = first
-    del first
-    for k in range(1, g):
-        out[k] = next(arrays)
-    return out
 
 
 def load_csv(path, schema: Schema) -> RawTable:

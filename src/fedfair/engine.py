@@ -86,14 +86,15 @@ class HyperParams:
         are > 0, and lambda tau^2, 2 lambda and 2 sigma^2 > 0 are finite."""
         for f in fields(self):
             value = getattr(self, f.name)
+            key = "lambda" if f.name == "lam" else f.name  # as a config spells it
             integral = isinstance(f.default, int)
             if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
                 what = "an integer" if integral else "a number"
-                raise ConfigError(f"hyper {f.name} must be {what}, not {value!r}")
+                raise ConfigError(f"hyper {key} must be {what}, not {value!r}")
             positive = f.name in ("num_bases", "bound", "sigma", "learning_rate")
             if not (value > 0 if positive else value >= 0) or value > sys.float_info.max:
                 raise ConfigError(
-                    f"hyper {f.name} must be finite and {'>' if positive else '>='} 0, "
+                    f"hyper {key} must be finite and {'>' if positive else '>='} 0, "
                     f"not {value!r}"
                 )
         # products, not tau ** 2, which raises OverflowError on a huge float

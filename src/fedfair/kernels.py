@@ -151,14 +151,16 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
     b2 = np.sum(basis.centers**2, axis=1)[None, :]
     out = shard.features @ basis.centers.T
     buf = np.empty((min(shard.n, KERNEL_BLOCK_ROWS), basis.num_bases))
-    for lo in range(0, shard.n, KERNEL_BLOCK_ROWS):
-        blk = out[lo : lo + KERNEL_BLOCK_ROWS]
-        sq = np.add(x2[lo : lo + KERNEL_BLOCK_ROWS], b2, out=buf[: len(blk)])
-        blk *= 2.0
-        sq -= blk
-        np.maximum(sq, 0.0, out=sq)
-        sq /= -(2.0 * basis.sigma**2)
-        np.exp(sq, out=blk)
+    # a quotient that overflows to -inf has the right kernel value, exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        for lo in range(0, shard.n, KERNEL_BLOCK_ROWS):
+            blk = out[lo : lo + KERNEL_BLOCK_ROWS]
+            sq = np.add(x2[lo : lo + KERNEL_BLOCK_ROWS], b2, out=buf[: len(blk)])
+            blk *= 2.0
+            sq -= blk
+            np.maximum(sq, 0.0, out=sq)
+            sq /= -(2.0 * basis.sigma**2)
+            np.exp(sq, out=blk)
     return out
 
 

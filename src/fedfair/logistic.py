@@ -55,10 +55,6 @@ class PenaltySpec:
     tau: float
     phi_c: np.ndarray  # (d+1,); for fit_lockstep (p, d+1), row k client k's
 
-    @staticmethod
-    def disabled(dim: int) -> "PenaltySpec":
-        return PenaltySpec(lam=0.0, tau=0.0, phi_c=np.zeros(dim))
-
 
 @dataclass(frozen=True)
 class OptimizerSpec:

@@ -12,22 +12,24 @@ when more than two fit in lockstep.
 A client reads its whole kernel matrix once a round, for psi_L; psi_C
 and the kernel-weighted phi_C come from its covariance form C_k
 (fairness.covariance_form), which stays on the client. init_protocol
-alone lays out each run of equal-sized clients (data.equal_size_runs)
-and stacks its arrays (RunStack); a lockstep round takes theta, fits and
-extracts a whole run at once. Each product is one np.matmul over the
-run, whose every item makes the BLAS call that a lone client's product
-makes, with the same strides. So a client's bundle is the same bits
-whether it runs alone (client_round) or in a run (clients_round).
+alone groups the clients into runs of consecutive equal-sized shards
+and stacks each run's fixed arrays (RunStack); a lockstep round takes
+theta, fits and extracts a whole run at once. Each product is one
+np.matmul over the run, whose every item makes the BLAS call that a lone
+client's product makes, with the same strides. So a client's bundle is
+the same bits whether it runs alone (client_round) or in a run
+(clients_round).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fedfair import fairness, kernels, logistic, lp
-from fedfair.data import ClientShard, equal_size_runs, stack_run
+from fedfair.data import ClientShard
 from fedfair.errors import ConfigError, ProtocolError
 
 #: penalty modes for the local fairness term
@@ -73,13 +75,14 @@ class ServerBroadcast:
 @dataclass(eq=False)
 class RunStack:
     """The kernel matrices, covariance forms, signed design matrices and
-    fixed covariance vectors of one run of equal-sized clients, stacked:
-    one client's are [None] views, with no copy."""
+    fixed covariance and penalty vectors of one run of equal-sized
+    clients, stacked: one client's are [None] views, with no copy."""
 
     kernels: np.ndarray  # (g, n, M)
     forms: np.ndarray  # (g, M, d+2): psi_theta, then C_k (fairness.covariance_form)
     signed_xt: np.ndarray  # (g, d+1, n): logistic.signed_xt
     fixed_phi_C: np.ndarray | None  # (g, d+1): phi_C when its weights ignore alpha
+    local_phi: np.ndarray | None  # (g, d+1): LocalFair's penalty vectors
 
 
 @dataclass
@@ -88,7 +91,6 @@ class ClientState:
     run: RunStack  # the stack of this client's run; its arrays are views
     slot: int  # this client's place in its run
     stats: fairness.FairnessStats
-    local_phi: np.ndarray | None  # LocalFair's penalty vector, fixed
     expected_round: int = 0
 
 
@@ -103,16 +105,35 @@ class ServerState:
     last_lp: lp.LPSolution | None = None
 
 
-def _penalty_for(state: ClientState, bc: ServerBroadcast, cfg: ProtocolConfig):
-    dim = state.shard.features.shape[1]
+def _stack_run(g: int, arrays) -> np.ndarray:
+    """The g arrays of a run that *arrays* yields, stacked (g, ...) as
+    they come, so that no more than one is held twice; a lone array
+    becomes a [None] view, with no copy."""
+    arrays = iter(arrays)
+    first = next(arrays)
+    if g == 1:
+        return first[None]
+    out = np.empty((g, *first.shape), dtype=first.dtype)
+    out[0] = first
+    del first
+    for k in range(1, g):
+        out[k] = next(arrays)
+    return out
+
+
+def _penalty(runs: list[RunStack], bc: ServerBroadcast, cfg: ProtocolConfig):
+    """The round's penalty for the clients of *runs*, in order: one lam
+    and tau, and phi_c (p, d+1), row k client k's."""
+    p = sum(len(run.kernels) for run in runs)
     if cfg.penalty_mode == PENALTY_NONE or cfg.lam == 0.0:
-        return logistic.PenaltySpec.disabled(dim)
+        return logistic.PenaltySpec(lam=0.0, tau=0.0, phi_c=np.zeros((p, len(bc.w_avg))))
     if cfg.penalty_mode == PENALTY_LOCAL:
-        # covariance over this shard only, with the local sensitive mean;
+        # covariance over each shard only, with its local sensitive mean;
         # the target is exact local parity (zero covariance), not the
         # relaxed tau used by the agnostic constraint
-        return logistic.PenaltySpec(lam=cfg.lam, tau=0.0, phi_c=state.local_phi)
-    return logistic.PenaltySpec(lam=cfg.lam, tau=cfg.tau, phi_c=bc.phi_C_global)
+        phi = np.concatenate([run.local_phi for run in runs])
+        return logistic.PenaltySpec(lam=cfg.lam, tau=0.0, phi_c=phi)
+    return logistic.PenaltySpec(lam=cfg.lam, tau=cfg.tau, phi_c=np.tile(bc.phi_C_global, (p, 1)))
 
 
 def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
@@ -165,11 +186,11 @@ def client_round(
 ) -> CoefficientBundle:
     """Local weight fit followed by coefficient extraction at the new w."""
     _check_round(state, bc)
-    run, k = state.run, slice(state.slot, state.slot + 1)
-    fixed = None if run.fixed_phi_C is None else run.fixed_phi_C[k]
-    alone = RunStack(run.kernels[k], run.forms[k], run.signed_xt[k], fixed)
+    k = slice(state.slot, state.slot + 1)
+    alone = RunStack(**{f: a if a is None else a[k] for f, a in vars(state.run).items()})
     th = kernels.theta(alone.kernels[0], bc.alpha)
-    penalty = _penalty_for(state, bc, cfg)
+    pen = _penalty([alone], bc, cfg)
+    penalty = logistic.PenaltySpec(lam=pen.lam, tau=pen.tau, phi_c=pen.phi_c[0])
     w_new = logistic.fit_local(bc.w_avg, alone.signed_xt[0], th, penalty, cfg.opt)
     return _extract([state], alone, bc.alpha, w_new[None])[0]
 
@@ -199,8 +220,7 @@ def clients_round(
     if [(c.run, c.slot) for c in clients] != slots:
         raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
     theta = np.concatenate([kernels.theta(run.kernels, bc.alpha).ravel() for _, run in runs])
-    pens = [_penalty_for(c, bc, cfg) for c in clients]  # one lam and tau a round
-    penalty = logistic.PenaltySpec(pens[0].lam, pens[0].tau, np.array([p.phi_c for p in pens]))
+    penalty = _penalty([run for _, run in runs], bc, cfg)
     stacks = [run.signed_xt for _, run in runs]
     w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalty, cfg.opt)
     return [b for k, run in runs for b in _extract(clients[k], run, bc.alpha, w_new[k])]
@@ -219,7 +239,10 @@ def server_round(
     psi_theta = np.sum([b.psi_theta for b in bundles], axis=0)
     psi_C = np.sum([b.psi_C for b in bundles], axis=0)
     phi_C = np.sum([b.phi_C for b in bundles], axis=0)
-    w_avg = np.mean([b.w_local for b in bundles], axis=0)
+    with np.errstate(over="ignore"):  # a non-finite average is a named failure
+        w_avg = np.mean([b.w_local for b in bundles], axis=0)
+    if not np.isfinite(w_avg).all():
+        raise ProtocolError(f"round {state.round}: non-finite average weights w_avg")
 
     if cfg.optimize_alpha:
         problem = lp.AlphaLP(
@@ -252,12 +275,13 @@ def init_protocol(
 ) -> tuple[ServerState, list[ClientState], ServerBroadcast]:
     """Stats round plus kernel precomputation; returns round-0 broadcast.
 
-    Each client builds its kernel matrix and, from it, psi_theta and its
-    covariance form and its logistic.signed_xt; a run of equal-sized
-    clients' are stacked as they are built (RunStack). Initial weights
-    are zero; initial alpha is the uniform vector solving the sum-to-one
-    row, alpha_m = 1 / sum_m psi_theta_m. Raises ProtocolError when
-    alpha is optimized and the box bound lets no alpha meet that row.
+    Consecutive shards with equal row counts form a run. Each client
+    builds its kernel matrix and, from it, psi_theta and its covariance
+    form and its logistic.signed_xt; a run's are stacked as they are
+    built (RunStack). Initial weights are zero; initial alpha is the
+    uniform vector solving the sum-to-one row, alpha_m = 1 / sum_m
+    psi_theta_m. Raises ProtocolError when alpha is optimized and the
+    box bound lets no alpha meet that row.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -265,28 +289,19 @@ def init_protocol(
     local = cfg.penalty_mode == PENALTY_LOCAL
     unweighted = cfg.penalty_mode in (PENALTY_UNWEIGHTED, PENALTY_LOCAL)
     clients, runs = [], []
-    for run in equal_size_runs(shards):
-        group = shards[run]
-        kms = stack_run(len(group), (kernels.kernel_matrix(s, basis) for s in group))
-        forms = stack_run(
+    for _, group in itertools.groupby(shards, key=lambda s: s.n):
+        group = list(group)
+        kms = _stack_run(len(group), (kernels.kernel_matrix(s, basis) for s in group))
+        forms = _stack_run(
             len(group), (fairness.covariance_form(s, km, stats) for s, km in zip(group, kms))
         )
-        sxt = stack_run(len(group), (logistic.signed_xt(s) for s in group))
+        sxt = _stack_run(len(group), (logistic.signed_xt(s) for s in group))
         phis = (fairness.covariance_coeff_w(s, np.ones(s.n), stats) for s in group)
-        fixed = stack_run(len(group), phis) if unweighted else None
-        stack = RunStack(kernels=kms, forms=forms, signed_xt=sxt, fixed_phi_C=fixed)
-        clients += [
-            ClientState(
-                shard=s,
-                run=stack,
-                slot=k,
-                stats=stats,
-                local_phi=s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n
-                if local
-                else None,
-            )
-            for k, s in enumerate(group)
-        ]
+        fixed = _stack_run(len(group), phis) if unweighted else None
+        locals_ = (s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n for s in group)
+        local_phi = _stack_run(len(group), locals_) if local else None
+        stack = RunStack(kms, forms, sxt, fixed_phi_C=fixed, local_phi=local_phi)
+        clients += [ClientState(s, run=stack, slot=k, stats=stats) for k, s in enumerate(group)]
         runs.append(stack)
     total = float(np.concatenate([run.forms[:, :, 0] for run in runs]).sum(axis=0).sum())
     if total <= 0.0:

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 # One BLAS/OpenMP thread, as the benchmark runs: the acceptance figures then
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedfair import logistic
-from fedfair.data import ClientShard, equal_size_runs
+from fedfair.data import ClientShard
 
 
 def make_shard(features, labels, sensitive, client_id=0):
@@ -34,10 +35,11 @@ def random_shard(rng, n, d, client_id=0):
 
 
 def run_stacks(shards):
-    """Each run of equal-sized shards' signed_xt stacked (g, d+1, n), in
-    shard order: the stacks fit_lockstep takes."""
+    """Each run of consecutive equal-sized shards' signed_xt stacked
+    (g, d+1, n), in shard order: the stacks fit_lockstep takes."""
     return [
-        np.stack([logistic.signed_xt(s) for s in shards[run]]) for run in equal_size_runs(shards)
+        np.stack([logistic.signed_xt(s) for s in run])
+        for _, run in itertools.groupby(shards, key=lambda s: s.n)
     ]
 
 

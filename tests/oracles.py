@@ -21,7 +21,7 @@ def run_fedavg_reference(
     """
     dim = shards[0].features.shape[1]
     w_avg = np.zeros(dim)
-    penalty = logistic.PenaltySpec.disabled(dim)
+    penalty = logistic.PenaltySpec(0.0, 0.0, np.zeros(dim))
     history = []
     for _ in range(rounds):
         locals_ = [

@@ -327,7 +327,7 @@ def test_criterion_12_reductions():
     hyper = engine.HyperParams(rounds=4, local_epochs=5, learning_rate=0.5, num_bases=4)
     result = engine.run(engine.AlgorithmSpec(kind="FL", hyper=hyper), train, test, one)
     w = np.zeros(train.features.shape[1])
-    pen = logistic.PenaltySpec.disabled(train.features.shape[1])
+    pen = logistic.PenaltySpec(0.0, 0.0, np.zeros(train.features.shape[1]))
     for _ in range(hyper.rounds):
         w = logistic.fit_local(
             w, logistic.signed_xt(one[0]), np.ones(one[0].n), pen,

@@ -706,12 +706,14 @@ BAD_HYPER_VALUES = {
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_HYPER_VALUES))
-def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, command, case):
+def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
     path = write_config(tmp_path, {"hyper": BAD_HYPER_VALUES[case], "dataset": {"n": 300}})
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+    (key,) = BAD_HYPER_VALUES[case]
+    assert f"hyper {key} must be" in caplog.text  # the key as the config spells it
 
 
 #: configs whose failure the config alone decides: no test rows, a
@@ -766,6 +768,36 @@ def test_largest_learning_rate_trains_without_numpy_warnings(tmp_path, clients):
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 0
     assert len((out / "rounds.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_average_is_a_named_failure(tmp_path, caplog):
+    # the four clients of ten rows accept steps to weights near the largest
+    # float, whose mean overflows
+    cfg = {
+        "algorithm": "FL", "dataset": {"n": 10},
+        "hyper": {"learning_rate": sys.float_info.max, "rounds": 1, "local_epochs": 1,
+                  "num_bases": 1},
+        "split": {"client_assignment": "even", "num_clients": 4},
+    }
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "round 0: non-finite average weights" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-154, 3e-155, 1e-160])
+def test_tiny_sigma_zeroes_the_kernel_without_numpy_warnings(tmp_path, caplog, sigma):
+    # every distance over 2 sigma^2 overflows to -inf, a kernel value of
+    # exp(-inf) = 0, so no alpha meets the sum-to-one row
+    cfg = {"dataset": {"n": 300}, "hyper": {"sigma": sigma, "rounds": 1, "num_bases": 20}}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "sum-to-one row" in caplog.text
+    assert not out.exists()
 
 
 def test_hyper_takes_integers_for_float_fields():

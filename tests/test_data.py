@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import data, engine
+from fedfair import data, engine, kernels, protocol
 from fedfair.errors import ConfigError, RowParseError, SchemaError
 
 from oracles import encode_reference
@@ -467,6 +467,16 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
         assert np.array_equal(stacked, getattr(train, name))
 
 
+def init_runs(shards):
+    """The (start, stop) of each run of clients that protocol.init_protocol
+    lays out for *shards*, each of whose clients holds its run's stack."""
+    _, clients, _ = protocol.init_protocol(
+        shards, kernels.constant_basis(shards[0].features.shape[1]), protocol.ProtocolConfig()
+    )
+    assert all(c.run is clients[k - c.slot].run for k, c in enumerate(clients))
+    return [(k, k + len(c.run.kernels)) for k, c in enumerate(clients) if c.slot == 0]
+
+
 @pytest.mark.parametrize("sizes, runs", [
     ((5,), [(0, 1)]),
     ((4, 4, 4), [(0, 3)]),
@@ -474,11 +484,12 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
     ((3, 2, 3), [(0, 1), (1, 2), (2, 3)]),
 ])
 def test_equal_size_runs_are_maximal_runs_of_equal_sizes(sizes, runs):
+    # both sensitive groups in every case, so the stats round has them
     shards = [
-        data.ClientShard(k, np.zeros((n, 2)), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+        data.ClientShard(k, np.zeros((n, 2)), np.zeros(n, dtype=int), np.arange(n) % 2)
         for k, n in enumerate(sizes)
     ]
-    assert [(r.start, r.stop) for r in data.equal_size_runs(shards)] == runs
+    assert init_runs(shards) == runs
 
 
 def test_even_split_gives_at_most_two_runs():
@@ -487,7 +498,7 @@ def test_even_split_gives_at_most_two_runs():
         seed=0, split_kwargs={"client_assignment": "even", "num_clients": 7}
     )
     assert [s.n for s in shards] == [544] + [543] * 6
-    assert [(r.start, r.stop) for r in data.equal_size_runs(shards)] == [(0, 1), (1, 7)]
+    assert init_runs(shards) == [(0, 1), (1, 7)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ def test_penalty_free_variants_ignore_lambda(kind, num_clients):
 
 @pytest.mark.parametrize("field, value", [("rounds", "3"), ("lam", True)])
 def test_hyper_params_reject_mistyped_values(field, value):
-    with pytest.raises(ConfigError, match=f"hyper {field} must be"):
+    key = {"lam": "lambda"}.get(field, field)  # as a config spells it
+    with pytest.raises(ConfigError, match=f"hyper {key} must be"):
         engine.HyperParams(**{field: value})
 
 
@@ -70,7 +71,7 @@ def test_single_client_equals_centralized_descent():
     result = engine.run(spec, train, test, shards)
 
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
-    penalty = logistic.PenaltySpec.disabled(train.features.shape[1])
+    penalty = logistic.PenaltySpec(0.0, 0.0, np.zeros(train.features.shape[1]))
     w, sxt = np.zeros(train.features.shape[1]), logistic.signed_xt(shards[0])
     for _ in range(FAST.rounds):
         w = logistic.fit_local(w, sxt, np.ones(shards[0].n), penalty, opt)

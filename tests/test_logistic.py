@@ -11,6 +11,11 @@ from fedfair.errors import ProtocolError
 from conftest import make_shard, random_shard, run_stacks
 
 
+def no_penalty(shape):
+    """A penalty that is off: lambda = tau = 0 and a zero phi_c."""
+    return logistic.PenaltySpec(0.0, 0.0, np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -61,7 +66,7 @@ def test_local_objective_weighted_hand_case():
     # single sample, y=1, p=0.75, theta=2, no penalty -> -2 ln 0.75
     shard = make_shard([[np.log(3.0)]], [1], [0])
     obj = logistic.local_objective(
-        np.array([1.0, 0.0]), shard, np.array([2.0]), logistic.PenaltySpec.disabled(2)
+        np.array([1.0, 0.0]), shard, np.array([2.0]), no_penalty(2)
     )
     assert obj == pytest.approx(-2.0 * np.log(0.75))
     assert obj == pytest.approx(0.575364, abs=1e-6)
@@ -70,7 +75,7 @@ def test_local_objective_weighted_hand_case():
 def test_local_objective_uniform_weights_is_mean_loss(rng):
     shard = random_shard(rng, 10, 3)
     w = rng.normal(size=4)
-    obj = logistic.local_objective(w, shard, np.ones(10), logistic.PenaltySpec.disabled(4))
+    obj = logistic.local_objective(w, shard, np.ones(10), no_penalty(4))
     mean_loss = logistic.per_sample_logloss(w, shard.features, shard.labels).mean()
     assert obj == pytest.approx(mean_loss)
 
@@ -103,7 +108,7 @@ def finite_difference(w, shard, theta, penalty, h=1e-6):
 def test_gradient_lambda_zero_is_plain_logistic(rng):
     shard = random_shard(rng, 6, 2)
     w = rng.normal(size=3)
-    pen = logistic.PenaltySpec.disabled(3)
+    pen = no_penalty(3)
     grad = logistic.loss_gradient(w, logistic.signed_xt(shard), np.ones(6), pen)
     p = logistic.predict_proba(w, shard.features)
     expected = shard.features.T @ (p - shard.labels) / shard.n
@@ -133,7 +138,7 @@ def test_gradient_zero_on_constraint_boundary(rng):
     pen = logistic.PenaltySpec(lam=100.0, tau=0.05, phi_c=phi)
     sxt = logistic.signed_xt(shard)
     with_pen = logistic.loss_gradient(w, sxt, np.ones(5), pen)
-    without = logistic.loss_gradient(w, sxt, np.ones(5), logistic.PenaltySpec.disabled(3))
+    without = logistic.loss_gradient(w, sxt, np.ones(5), no_penalty(3))
     assert np.allclose(with_pen, without, atol=1e-10)
 
 
@@ -202,7 +207,7 @@ def test_fit_zero_epochs_is_identity(rng):
     shard = random_shard(rng, 5, 2)
     w0 = rng.normal(size=3)
     out = logistic.fit_local(
-        w0, logistic.signed_xt(shard), np.ones(5), logistic.PenaltySpec.disabled(3),
+        w0, logistic.signed_xt(shard), np.ones(5), no_penalty(3),
         logistic.OptimizerSpec(epochs=0),
     )
     assert np.array_equal(out, w0)
@@ -211,7 +216,7 @@ def test_fit_zero_epochs_is_identity(rng):
 def test_fit_separable_reaches_full_accuracy():
     shard = make_shard([[0.0], [0.1], [0.9], [1.0]], [0, 0, 1, 1], [0, 1, 0, 1])
     w = logistic.fit_local(
-        np.zeros(2), logistic.signed_xt(shard), np.ones(4), logistic.PenaltySpec.disabled(2),
+        np.zeros(2), logistic.signed_xt(shard), np.ones(4), no_penalty(2),
         logistic.OptimizerSpec(learning_rate=1.0, epochs=2000),
     )
     assert np.all(logistic.predict_label(w, shard.features) == shard.labels)
@@ -244,7 +249,7 @@ def test_fit_objective_nonincreasing(rng):
 def test_fit_stateless_chaining(rng):
     # r rounds of e epochs equals one run of r*e epochs
     shard = random_shard(rng, 8, 2)
-    pen = logistic.PenaltySpec.disabled(3)
+    pen = no_penalty(3)
     opt1 = logistic.OptimizerSpec(learning_rate=0.5, epochs=10)
     w_chained = np.zeros(3)
     for _ in range(5):
@@ -259,7 +264,7 @@ def test_fit_nonfinite_start_raises(rng):
     w0 = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ProtocolError):
         logistic.fit_local(
-            w0, logistic.signed_xt(shard), np.ones(4), logistic.PenaltySpec.disabled(3),
+            w0, logistic.signed_xt(shard), np.ones(4), no_penalty(3),
             logistic.OptimizerSpec(epochs=1),
         )
 
@@ -273,7 +278,7 @@ def test_no_nan_for_bounded_weights(seed, scale):
     losses = logistic.per_sample_logloss(w, shard.features, shard.labels)
     assert np.all(np.isfinite(losses))
     grad = logistic.loss_gradient(
-        w, logistic.signed_xt(shard), np.ones(6), logistic.PenaltySpec.disabled(3)
+        w, logistic.signed_xt(shard), np.ones(6), no_penalty(3)
     )
     assert np.all(np.isfinite(grad))
 
@@ -287,7 +292,7 @@ def mode_penalties(mode, r, shards, thetas, lam):
     """Each client's penalty as the protocol builds it in each penalty mode."""
     dim = shards[0].features.shape[1]
     if mode == "none":
-        return [logistic.PenaltySpec.disabled(dim)] * len(shards)
+        return [no_penalty(dim)] * len(shards)
     if mode == "local":
         return [
             logistic.PenaltySpec(lam, 0.0, s.features.T @ (s.sensitive - s.sensitive.mean()) / s.n)
@@ -454,7 +459,7 @@ def test_lockstep_nonfinite_start_raises(rng):
     w0 = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ProtocolError):
         logistic.fit_lockstep(
-            w0, run_stacks(shards), np.ones(12), logistic.PenaltySpec(0.0, 0.0, np.zeros((3, 3))),
+            w0, run_stacks(shards), np.ones(12), no_penalty((3, 3)),
             logistic.OptimizerSpec(epochs=1),
         )
 

@@ -315,11 +315,11 @@ def test_local_penalty_uses_local_mean(rng):
         optimize_alpha=False, penalty_mode=protocol.PENALTY_LOCAL, lam=2.0
     )
     server, clients, bc = setup_run([shard], basis, cfg)
-    spec = protocol._penalty_for(clients[0], bc, cfg)
+    spec = protocol._penalty([clients[0].run], bc, cfg)
     expected = shard.features.T @ (
         shard.sensitive - shard.sensitive.mean()
     ) / shard.n
-    assert np.allclose(spec.phi_c, expected)
+    assert np.allclose(spec.phi_c, expected[None])
     assert spec.tau == 0.0
 
 
@@ -330,9 +330,9 @@ def test_lambda_zero_disables_penalty(rng):
         optimize_alpha=False, penalty_mode=protocol.PENALTY_GLOBAL, lam=0.0
     )
     server, clients, bc = setup_run([shard], basis, cfg)
-    spec = protocol._penalty_for(clients[0], bc, cfg)
+    spec = protocol._penalty([clients[0].run], bc, cfg)
     assert spec.lam == 0.0
-    assert np.allclose(spec.phi_c, 0.0)
+    assert spec.phi_c.shape == (1, 3) and np.all(spec.phi_c == 0.0)
 
 
 # ---------------------------------------------------------------------------
