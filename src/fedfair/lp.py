@@ -13,14 +13,10 @@ over its Lagrange multiplier finds two fills whose segment crosses it at
 the optimum. When no point meets the row, it is relaxed by the smallest
 slack s with |psi_C . alpha| <= tau + s, and the objective is then
 maximized under the relaxed row.
-
-A vertex-enumeration oracle (for small M) is provided for testing and
-must never share code with the solver.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,99 +138,3 @@ def solve(lp: AlphaLP) -> LPSolution:
     if abs(target) <= lp.tau:
         return _result(c, _segment(lo, hi, f, target))
     return _bind(lp, c, e, f, lo) if target > 0 else _bind(lp, c, e, -f, hi)
-
-
-def _enumerate_vertices(planes, check_feasible, dim):
-    """Yield feasible intersection points of every dim-subset of planes."""
-    for combo in itertools.combinations(range(len(planes)), dim):
-        A = np.array([planes[i][0] for i in combo])
-        rhs = np.array([planes[i][1] for i in combo])
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        x = np.linalg.solve(A, rhs)
-        if check_feasible(x):
-            yield x
-
-
-def brute_force_oracle(lp: AlphaLP) -> LPSolution:
-    """Enumerate basic feasible points; test oracle only, refuses M > 6."""
-    m = len(lp.objective)
-    if m > 6:
-        raise ConfigError("vertex-enumeration oracle limited to M <= 6")
-    if np.all(np.abs(lp.equality) < 1e-10):
-        return LPSolution(
-            alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
-        )
-    tol = 1e-9
-    eq = np.asarray(lp.equality, dtype=float)
-    f = None if lp.fairness_row is None else np.asarray(lp.fairness_row, dtype=float)
-
-    planes = [(eq, 1.0)]
-    if f is not None:
-        planes += [(f, lp.tau), (-f, lp.tau)]
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        planes += [(e, 0.0), (e, lp.box_upper)]
-
-    def feasible(x):
-        if abs(eq @ x - 1.0) > tol:
-            return False
-        if np.any(x < -tol) or np.any(x > lp.box_upper + tol):
-            return False
-        if f is not None and abs(f @ x) > lp.tau + tol:
-            return False
-        return True
-
-    best, best_val = None, -np.inf
-    for x in _enumerate_vertices(planes, feasible, m):
-        val = float(lp.objective @ x)
-        if val > best_val + 1e-12:
-            best, best_val = x, val
-    if best is not None:
-        return LPSolution(alpha=best, objective_value=best_val, status=STATUS_OPTIMAL)
-
-    if f is None:
-        return LPSolution(
-            alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
-        )
-
-    # relaxed enumeration over (alpha, s) with |f.alpha| <= tau + s
-    ext_planes = [(np.concatenate([eq, [0.0]]), 1.0)]
-    ext_planes += [
-        (np.concatenate([f, [-1.0]]), lp.tau),
-        (np.concatenate([-f, [-1.0]]), lp.tau),
-    ]
-    for j in range(m):
-        e = np.zeros(m + 1)
-        e[j] = 1.0
-        ext_planes += [(e, 0.0), (e, lp.box_upper)]
-    e_s = np.zeros(m + 1)
-    e_s[m] = 1.0
-    ext_planes.append((e_s, 0.0))
-
-    def ext_feasible(z):
-        x, s = z[:m], z[m]
-        if s < -tol or abs(eq @ x - 1.0) > tol:
-            return False
-        if np.any(x < -tol) or np.any(x > lp.box_upper + tol):
-            return False
-        return abs(f @ x) <= lp.tau + s + tol
-
-    candidates = list(_enumerate_vertices(ext_planes, ext_feasible, m + 1))
-    if not candidates:
-        return LPSolution(
-            alpha=np.zeros(m), objective_value=float("nan"), status=STATUS_ERROR
-        )
-    s_min = min(z[m] for z in candidates)
-    best = max(
-        (z for z in candidates if z[m] <= s_min + tol),
-        key=lambda z: float(lp.objective @ z[:m]),
-    )
-    return LPSolution(
-        alpha=best[:m],
-        objective_value=float(lp.objective @ best[:m]),
-        status=STATUS_RELAXED,
-        slack_used=float(s_min),
-    )
-

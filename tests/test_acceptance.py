@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and a test that criteria 7-9 fail when the code they check is spoiled.
 
 Quantitative criteria (1-6) run against the built-in census-like
 generator because the public survey dataset they were calibrated on is
@@ -19,9 +20,12 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
-from fedfair import cli, engine, fairness, kernels, logistic, lp, protocol
+from fedfair import engine, fairness, kernels, logistic, lp, protocol
 
 from oracles import (
+    check_aggregation_oracle,
+    check_gradient_oracle,
+    check_lp_oracle,
     reweighted_risk_difference,
     risk_difference_reference,
     run_fedavg_reference,
@@ -193,8 +197,7 @@ def test_criterion_6_client_count_sweep(sweep_runs):
 
 
 def test_criterion_7_lp_matches_vertex_oracle():
-    # the same check as `fedfair verify --only lp`, on its own seed
-    worst, failures = cli.check_lp_oracle(2024)
+    worst, failures = check_lp_oracle(2024)
     report(
         7,
         worst <= 1e-6 and not failures,
@@ -204,15 +207,35 @@ def test_criterion_7_lp_matches_vertex_oracle():
 
 
 def test_criterion_8_gradient_matches_finite_differences():
-    # the same check as `fedfair verify --only gradient`, on its own seed
-    worst = cli.check_gradient_oracle(31, 50, 6)
+    worst = check_gradient_oracle(31, 50, 6)
     report(8, worst <= 1e-4, f"worst relative gradient error = {worst:.2e}")
 
 
 def test_criterion_9_aggregation_identity():
-    # the same check as `fedfair verify --only aggregation`, on its own draw
-    worst = cli.check_aggregation_oracle(90, (17, 5))
+    worst = check_aggregation_oracle(90, (17, 5))
     report(9, worst <= 1e-10, f"max |server sum - pooled recomputation| = {worst:.2e}")
+
+
+#: each of criteria 7-9, its check's subject and a small spoiling of its answer
+SPOILED = {
+    "lp": (test_criterion_7_lp_matches_vertex_oracle, lp, "solve",
+           lambda sol: replace(sol, objective_value=sol.objective_value + 0.01)),
+    "gradient": (test_criterion_8_gradient_matches_finite_differences, logistic,
+                 "lockstep_gradient", lambda grad: grad + 1e-2),
+    "aggregation": (test_criterion_9_aggregation_identity, protocol, "clients_round",
+                    lambda bundles: [replace(b, psi_theta=b.psi_theta + 1e-3)
+                                     for b in bundles]),
+}
+
+
+@pytest.mark.parametrize("name", list(SPOILED))
+def test_oracle_check_fails_when_its_subject_is_spoiled(monkeypatch, capsys, name):
+    criterion, module, attr, spoil = SPOILED[name]
+    subject = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: spoil(subject(*args)))
+    with pytest.raises(AssertionError):
+        criterion()
+    assert ": FAIL -- " in capsys.readouterr().out
 
 
 def _alpha_optimizing_trace(kind: str, rounds: int = 10):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 import os
 import pathlib
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedfair
-from fedfair import cli, data, engine, logistic, lp, protocol
+from fedfair import cli, data, engine
 from fedfair.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -93,16 +92,20 @@ def test_prepare_truncated_row_is_usage_error(tmp_path, caplog):
     assert "line 6: 4 cells where the header has" in caplog.text
 
 
-def make_dataset(*args):
-    """Run scripts/make_dataset.py with *args*; its CompletedProcess."""
+def run_python(*args, cwd=None):
+    """Run the interpreter on *args* with src on PYTHONPATH; its CompletedProcess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "make_dataset.py"), *args],
-        env=env, capture_output=True, text=True,
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True
     )
+
+
+def make_dataset(*args):
+    """Run scripts/make_dataset.py with *args*; its CompletedProcess."""
+    return run_python(str(ROOT / "scripts" / "make_dataset.py"), *args)
 
 
 def test_make_dataset_script_feeds_run_and_grid(tmp_path):
@@ -535,16 +538,37 @@ def test_path_naming_a_directory_is_usage_error(tmp_path, monkeypatch, caplog, w
     assert rc == 2 and "Is a directory" in caplog.text
 
 
+def test_empty_output_is_usage_error(tmp_path, monkeypatch, caplog):
+    for name in ("data_from_config", "run"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("built or trained"))
+    cfg = small_run_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--output", ""]) == 2
+    assert "--output must name a directory" in caplog.text
+
+
+def test_entry_point_exit_code_reaches_the_shell(tmp_path):
+    cfg = small_run_config(tmp_path, rounds=0)
+    proc = run_python("-m", "fedfair.cli", "run", "--config", cfg.name, "--output", "",
+                      cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--output must name a directory" in proc.stderr
+    assert os.listdir(tmp_path) == [cfg.name]
+
+
 @pytest.mark.parametrize("level", ["bogus", "warn ", ""])
-def test_unknown_log_level_is_usage_error(capsys, level):
+def test_unknown_log_level_is_usage_error(tmp_path, capsys, level):
+    cfg = small_run_config(tmp_path, rounds=0)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--log-level", level, "verify", "--only", "lp"])
+        cli.main(["--log-level", level, "run", "--config", str(cfg),
+                  "--output", str(tmp_path / "out")])
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
-def test_log_level_is_case_insensitive(capsys):
-    assert cli.main(["--log-level", "warning", "verify", "--only", "lp"]) == 0
-    assert "lp: PASS" in capsys.readouterr().out
+def test_log_level_is_case_insensitive(tmp_path, capsys):
+    cfg = small_run_config(tmp_path, rounds=0)
+    out = str(tmp_path / "out")
+    assert cli.main(["--log-level", "warning", "run", "--config", str(cfg), "--output", out]) == 0
+    assert "FL: test_acc=" in capsys.readouterr().out
 
 
 def test_run_unknown_hyper_key_is_usage_error(tmp_path):
@@ -848,45 +872,3 @@ def test_fuzzed_run_config_has_a_defined_outcome(
         assert not out.exists()
     if code == 0:
         assert len((out / "rounds.csv").read_text().splitlines()) == 1 + work["rounds"]
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def test_verify_all_checks_pass(capsys):
-    assert cli.main(["verify"]) == 0
-    out = capsys.readouterr().out
-    for name in ("lp", "gradient", "aggregation"):
-        assert f"{name}: PASS" in out
-
-
-#: each check's subject and a small spoiling of its answer
-SPOILED = {
-    "lp": (lp, "solve",
-           lambda sol: dataclasses.replace(sol, objective_value=sol.objective_value + 0.01)),
-    "gradient": (logistic, "lockstep_gradient", lambda grad: grad + 1e-2),
-    "aggregation": (protocol, "clients_round", lambda bundles: [
-        dataclasses.replace(b, psi_theta=b.psi_theta + 1e-3) for b in bundles
-    ]),
-}
-
-
-@pytest.mark.parametrize("name", list(SPOILED))
-def test_verify_check_fails_when_its_subject_is_spoiled(monkeypatch, capsys, name):
-    module, attr, spoil = SPOILED[name]
-    subject = getattr(module, attr)
-    monkeypatch.setattr(module, attr, lambda *args: spoil(subject(*args)))
-    assert cli.main(["verify", "--only", name]) == 1
-    assert f"{name}: FAIL" in capsys.readouterr().out
-
-
-def test_verify_only_filter(capsys):
-    assert cli.main(["verify", "--only", "lp"]) == 0
-    out = capsys.readouterr().out
-    assert "lp: PASS" in out and "gradient" not in out
-
-
-def test_verify_unknown_check_is_usage_error():
-    assert cli.main(["verify", "--only", "bogus"]) == 2

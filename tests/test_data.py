@@ -126,6 +126,25 @@ def test_load_csv_short_row_cites_line(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_load_csv_skips_blank_rows_but_counts_their_lines(tmp_path):
+    head, *rows = ["age,job,gender,income", "30,clerk,male,high",
+                   "40,cook,female,low", "50,clerk,male,low"]
+    plain = write_csv(tmp_path / "plain.csv", "\n".join([head, *rows]) + "\n")
+    spaced_lines = [head, rows[0], "", rows[1], "", "", rows[2], "", ""]
+    spaced = write_csv(tmp_path / "spaced.csv", "\n".join(spaced_lines) + "\n")
+    want, got = data.load_csv(plain, SCHEMA), data.load_csv(spaced, SCHEMA)
+    assert got.schema == want.schema and got.columns.keys() == want.columns.keys()
+    for name, column in want.columns.items():
+        assert column.dtype == got.columns[name].dtype
+        assert column.tolist() == got.columns[name].tolist()
+    # a bad row after them cites its line of the file, blank lines counted
+    for path, line in ((plain, 5), (spaced, 10)):
+        path.write_text(path.read_text() + "abc,cook,female,low\n")
+        with pytest.raises(RowParseError) as err:
+            data.load_csv(path, SCHEMA)
+        assert err.value.line_number == line
+
+
 def test_load_csv_empty_file(tmp_path):
     p = write_csv(tmp_path / "d.csv", "")
     with pytest.raises(SchemaError):

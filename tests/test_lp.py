@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from fedfair import lp
 from fedfair.errors import ConfigError
 
+from oracles import brute_force_oracle
+
 
 def make_lp(objective, equality, fairness_row=None, tau=0.05, box_upper=5.0):
     return lp.AlphaLP(
@@ -149,7 +151,7 @@ def test_oracle_equivalence_100_instances():
     for _ in range(100):
         problem = random_problem(rng)
         got = lp.solve(problem)
-        ref = lp.brute_force_oracle(problem)
+        ref = brute_force_oracle(problem)
         assert got.status == ref.status
         if got.status == lp.STATUS_OPTIMAL:
             check_feasible(problem, got.alpha)
@@ -171,7 +173,7 @@ def test_oracle_equivalence_includes_infeasible():
             box_upper=5.0,
         )
         got = lp.solve(problem)
-        ref = lp.brute_force_oracle(problem)
+        ref = brute_force_oracle(problem)
         assert got.status == ref.status
         if got.status == lp.STATUS_RELAXED:
             seen_relaxed += 1
@@ -182,13 +184,13 @@ def test_oracle_equivalence_includes_infeasible():
 
 def test_oracle_refuses_large_m():
     with pytest.raises(ConfigError):
-        lp.brute_force_oracle(make_lp([1.0] * 7, [1.0] * 7))
+        brute_force_oracle(make_lp([1.0] * 7, [1.0] * 7))
 
 
 def test_oracle_single_variable_matches():
     problem = make_lp([2.0], [0.25], fairness_row=[0.1], tau=5.0)
     got = lp.solve(problem)
-    ref = lp.brute_force_oracle(problem)
+    ref = brute_force_oracle(problem)
     assert got.objective_value == pytest.approx(ref.objective_value, abs=1e-8)
 
 
