@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import logging
 import os
+import pathlib
 import sys
 import time
 
@@ -25,9 +26,17 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def cmd_run(args) -> int:
-    if not args.output:
+def check_output(out: str) -> None:
+    """ConfigError unless *out* names a directory that is there or can be
+    made: neither it nor a directory above it is a file."""
+    if not out:
         raise ConfigError("--output must name a directory")
+    path = pathlib.Path(out).absolute()
+    if file := next((p for p in (path, *path.parents) if p.is_file()), None):
+        raise ConfigError(f"--output {out}: {file} is a file, not a directory")
+
+
+def cmd_run(args) -> int:
     cfg = engine.read_config(args.config, engine.RUN_KEYS) if args.config else {}
     hyper = engine.hyper_from_config(cfg, rounds=args.rounds, seed=args.seed)
 
@@ -107,6 +116,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        check_output(args.output)  # before any data is built
         return args.func(args)
     except (ConfigError, SchemaError, RowParseError, FileNotFoundError,
             IsADirectoryError) as exc:

@@ -172,12 +172,12 @@ def load_csv(path, schema: Schema) -> RawTable:
 
         values: dict[str, list] = {col.name: [] for col in schema.columns}
         kept = dropped = 0
-        for lineno, raw in enumerate(reader, start=2):
+        for raw in reader:  # line_num, not a count of records: a cell can span lines
             if not raw:
                 continue
             if len(raw) < len(header):
                 raise RowParseError(
-                    lineno, f"{len(raw)} cells where the header has {len(header)}"
+                    reader.line_num, f"{len(raw)} cells where the header has {len(header)}"
                 )
             cells = [raw[positions[col.name]].strip() for col in schema.columns]
             if any(v in MISSING_VALUES for v in cells):
@@ -193,7 +193,7 @@ def load_csv(path, schema: Schema) -> RawTable:
                     # poison the column's min-max scaling
                     if not math.isfinite(x):
                         raise RowParseError(
-                            lineno, f"column {col.name!r}: {v!r} is not a finite number"
+                            reader.line_num, f"column {col.name!r}: {v!r} is not a finite number"
                         )
                     v = x
                 values[col.name].append(v)

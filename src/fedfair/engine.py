@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -445,11 +446,10 @@ def hyper_from_config(config: dict, **overrides) -> HyperParams:
     return HyperParams(**hyper_cfg)
 
 
-def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
+def _check_data_keys(data_cfg: dict, split_cfg: dict) -> None:
     """Check a ``dataset`` section and one split against the keys
     data_from_config reads, a census ``n`` (an integer >= 1), the split's
-    ``name`` (a string) and its values, by building a spec from them;
-    returns the dataset kind."""
+    ``name`` (a string) and its values, by building a spec from them."""
     kind = data_cfg.get("kind", "census") if isinstance(data_cfg, dict) else "census"
     if kind not in ("census", "csv"):
         raise ConfigError(f"unknown dataset kind {kind!r}; valid: census, csv")
@@ -465,7 +465,6 @@ def _check_data_keys(data_cfg: dict, split_cfg: dict) -> str:
         require_int("dataset n", n := data_cfg.get("n", CENSUS_N), 1)
         if n > np.iinfo(np.intp).max:
             raise ConfigError(f"dataset n {n} is more rows than an array can hold")
-    return kind
 
 
 def _split_kwargs(split_cfg: dict) -> dict:
@@ -473,33 +472,74 @@ def _split_kwargs(split_cfg: dict) -> dict:
     return {k: split_cfg[k] for k in _SPLIT_KEYS if k in split_cfg}
 
 
+def _read_dataset(data_cfg: dict):
+    """The rows a checked ``dataset`` section names, before any split: for
+    ``kind: csv``, ``path`` parsed against the schema file ``schema`` and
+    encoded, with that file's split column and group-A values; for a
+    census (the default), its ``n``, since each seed draws its own rows."""
+    if data_cfg.get("kind") == "csv":
+        schema, column, group_a = load_schema_file(data_cfg["schema"])
+        return encode(load_csv(data_cfg["path"], schema)), column, group_a
+    return data_cfg.get("n", CENSUS_N)
+
+
+def _split(dataset, split_cfg: dict, seed: int):
+    """*dataset*, as _read_dataset gives it, split by *split_cfg* at *seed*."""
+    if isinstance(dataset, int):
+        return prepare_census(seed=seed, n=dataset, split_kwargs=_split_kwargs(split_cfg))
+    encoded, column, group_a = dataset
+    return shift_split(encoded, ShiftSplitSpec(column, group_a, seed, **_split_kwargs(split_cfg)))
+
+
 def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
     """The (train, test, shards) that a config's ``dataset`` section and
-    one of its splits describe, split at *seed*. ``kind: census`` (the
-    default) draws the census-like generator at *seed*; ``kind: csv``
-    loads ``path`` against the schema file ``schema``, whose split
-    column and group-A values take the census's place."""
-    if _check_data_keys(data_cfg, split_cfg) == "csv":
-        schema, column, group_a = load_schema_file(data_cfg["schema"])
-        spec = ShiftSplitSpec(column, group_a, seed, **_split_kwargs(split_cfg))
-        return shift_split(encode(load_csv(data_cfg["path"], schema)), spec)
-    return prepare_census(
-        seed=seed, n=data_cfg.get("n", CENSUS_N), split_kwargs=_split_kwargs(split_cfg)
-    )
+    one of its splits describe, split at *seed*."""
+    _check_data_keys(data_cfg, split_cfg)
+    return _split(_read_dataset(data_cfg), split_cfg, seed)
+
+
+def _grid_job(algorithms: list, hyper: HyperParams, dataset, split_cfg: dict, seed: int):
+    """One (split, repetition) of a grid: *dataset* split once at *seed*,
+    and every algorithm run on it; no run writes to its data. For each
+    algorithm, its ``final`` and engine.run seconds, or the text of the
+    FedFairError it raised and None."""
+    try:
+        data = _split(dataset, split_cfg, seed)
+    except ConfigError as exc:  # no data: every algorithm fails
+        return [(str(exc), None)] * len(algorithms)
+    results = []
+    for algorithm in algorithms:
+        try:
+            spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
+            start = time.perf_counter()
+            results.append((run(spec, *data).final, time.perf_counter() - start))
+        except FedFairError as exc:
+            results.append((str(exc), None))
+    return results
+
+
+def _log_to(queue, level: int) -> None:
+    """Send a grid worker's log records at *level* and above to *queue*."""
+    from logging.handlers import QueueHandler  # imported here, as the pool is
+
+    root = logging.getLogger()
+    root.setLevel(level)
+    root.handlers = [QueueHandler(queue)]
 
 
 def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     """Run every (algorithm, split) cell, averaging over repetitions.
 
-    Repetition r uses seed base_seed + r. Each (split, repetition) dataset
-    is built once and every algorithm runs on it; no run writes to its
-    data. Before any cell runs, ConfigError is raised for an empty or
-    non-list ``algorithms`` or ``splits``, an unknown algorithm, a
-    ``repetitions`` or ``base_seed`` that is not an integer >= 1 or >= 0,
-    a ``hyper`` section that hyper_from_config rejects, and a split that
-    _check_data_keys rejects. Failures that only the data shows are
-    recorded per cell and the grid continues; a schema file or CSV that
-    does not parse stops it, since every cell reads the same files.
+    Repetition r uses seed base_seed + r. Each (split, repetition) is one
+    _grid_job, run in a pool of at most one spawned process per core (in
+    this process for one) whose log records reach this process's
+    handlers; the summary is built in job order. Before any job starts,
+    ConfigError is raised for an empty or non-list ``algorithms`` or
+    ``splits``, an unknown algorithm, a ``repetitions`` or ``base_seed``
+    that is not an integer >= 1 or >= 0, a ``hyper`` section that
+    hyper_from_config rejects, and a split that _check_data_keys
+    rejects, and a CSV dataset is parsed, once. Failures that only a
+    split or a run shows are recorded per cell and the grid continues.
     """
     algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
     splits = config.get("splits", [{"name": "shift"}])
@@ -515,49 +555,52 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     data_cfg = config.get("dataset") or {}
     for split_cfg in splits:
         _check_data_keys(data_cfg, split_cfg)
+    dataset = _read_dataset(data_cfg)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
 
-    finals = {(a, i): [] for a in algorithms for i in range(len(splits))}
-    errors = {cell: [] for cell in finals}
+    jobs = [(algorithms, hyper, dataset, split_cfg, base_seed + r)
+            for split_cfg in splits for r in range(reps)]
+    workers = min(os.cpu_count() or 1, len(jobs))
+    if workers == 1:
+        results = list(map(_grid_job, *zip(*jobs)))
+    else:
+        # imported here, not at the top: they add about 1 MB to the peak
+        # memory of every process that imports engine, a bench run's too
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from logging.handlers import QueueListener
 
-    def failed(algorithm, i, r, exc):
-        log.error("cell (%s, %s) rep %d failed: %s",
-                  algorithm, splits[i].get("name", "?"), r, exc)
-        errors[algorithm, i].append(str(exc))
-
-    for i, split_cfg in enumerate(splits):
-        for r in range(reps):
-            seed = base_seed + r
-            try:
-                data = data_from_config(data_cfg, split_cfg, seed)
-            except ConfigError as exc:  # no data: every algorithm's cell fails
-                for algorithm in algorithms:
-                    failed(algorithm, i, r, exc)
-                continue
-            for algorithm in algorithms:
-                try:
-                    spec = AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
-                    finals[algorithm, i].append(run(spec, *data).final)
-                except FedFairError as exc:
-                    failed(algorithm, i, r, exc)
+        context = multiprocessing.get_context("spawn")  # a fork would copy threads' locks
+        queue = context.Queue()
+        handlers = logging.getLogger().handlers or [logging.lastResort]
+        listener = QueueListener(queue, *handlers, respect_handler_level=True)
+        listener.start()
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=_log_to,
+                                     initargs=(queue, log.getEffectiveLevel())) as pool:
+                results = list(pool.map(_grid_job, *zip(*jobs)))
+        finally:
+            listener.stop()
 
     summary = []
-    for algorithm in algorithms:
+    for k, algorithm in enumerate(algorithms):
         for i, split_cfg in enumerate(splits):
-            cell_finals, cell_errors = finals[algorithm, i], errors[algorithm, i]
-            row = {
-                "algorithm": algorithm,
-                "split": split_cfg.get("name", "unnamed"),
-                "repetitions_ok": len(cell_finals),
-                "repetitions_failed": len(cell_errors),
-            }
-            if cell_finals:
-                for key in ("train_acc", "test_acc", "test_rd"):
-                    row[key] = float(np.mean([f[key] for f in cell_finals]))
-                row["test_acc_sd"] = float(np.std([f["test_acc"] for f in cell_finals]))
-            if cell_errors:
-                row["errors"] = cell_errors
+            row = {"algorithm": algorithm, "split": split_cfg.get("name", "unnamed")}
+            outcomes = [results[i * reps + r][k] for r in range(reps)]
+            finals = [final for final, s in outcomes if s is not None]
+            errors = [text for text, s in outcomes if s is None]
+            for r, (text, s) in enumerate(outcomes):
+                if s is None:
+                    log.error("cell (%s, %s) rep %d failed: %s", algorithm, row["split"], r, text)
+            row.update(repetitions_ok=len(finals), repetitions_failed=len(errors))
+            if finals:
+                for key in ("train_acc", "test_acc", "train_rd", "test_rd"):
+                    row[key] = float(np.mean([f[key] for f in finals]))
+                row["test_acc_sd"] = float(np.std([f["test_acc"] for f in finals]))
+                row["run_s"] = sum(s for _, s in outcomes if s is not None)
+            if errors:
+                row["errors"] = errors
             summary.append(row)
 
     if output_dir is not None:
@@ -567,7 +610,7 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
 
 def _write_summary(output_dir, summary: list[dict]) -> None:
     cols = ["algorithm", "split", "repetitions_ok", "repetitions_failed",
-            "train_acc", "test_acc", "test_acc_sd", "test_rd"]
+            "train_acc", "test_acc", "test_acc_sd", "train_rd", "test_rd", "run_s"]
     with open(os.path.join(output_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)

@@ -138,16 +138,12 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     assert (row["test_acc"], row["test_rd"]) == (want["test_acc"], want["test_rd"])
 
 
-def test_csv_grid_splits_and_repetitions_draw_their_own_rows(tmp_path, monkeypatch):
+def test_csv_grid_splits_and_repetitions_draw_their_own_rows(tmp_path):
     # a CSV is split as its config's split says, at the run seed, as a
     # census is: splits that differ only in their sharding give different
     # cells, and FL's repetitions train on different rows
     data_dir = tmp_path / "data"
     make_dataset("--n", "600", "--out", str(data_dir)).check_returncode()
-    shard_counts = []
-    run = engine.run
-    monkeypatch.setattr(engine, "run", lambda spec, train, test, shards: (
-        shard_counts.append(len(shards)) or run(spec, train, test, shards)))
     cfg = {
         "algorithms": ["FL"],
         "splits": [{"name": "a"},
@@ -161,9 +157,23 @@ def test_csv_grid_splits_and_repetitions_draw_their_own_rows(tmp_path, monkeypat
     path = write_config(tmp_path, cfg, "grid.yaml")
     assert cli.main(["grid", "--config", str(path), "--output", str(out)]) == 0
     a, b = yaml.safe_load((out / "summary.yaml").read_text())
-    assert shard_counts == [2] * 3 + [4] * 3
     assert (a["test_acc"], a["test_rd"]) != (b["test_acc"], b["test_rd"])
     assert a["test_acc_sd"] > 0 and b["test_acc_sd"] > 0
+    for split, clients in zip(cfg["splits"], (2, 4)):
+        shards = [engine.data_from_config(cfg["dataset"], split, seed)[2] for seed in range(3)]
+        assert [len(s) for s in shards] == [clients] * 3
+
+
+def test_csv_grid_parses_its_files_once(tmp_path, monkeypatch):
+    # every (split, repetition) job splits the rows parsed before the first
+    loads = []
+    load = engine.load_csv
+    monkeypatch.setattr(engine, "load_csv", lambda *args: loads.append(args) or load(*args))
+    _, _, run_cfg = write_census_inputs(tmp_path)
+    cfg = {"algorithms": ["FL"], "splits": [{"name": "a"}, {"name": "b"}], "repetitions": 2,
+           "hyper": FAST_HYPER, "dataset": yaml.safe_load(run_cfg.read_text())["dataset"]}
+    summary = engine.experiment_grid(cfg)
+    assert len(loads) == 1 and [row["repetitions_ok"] for row in summary] == [2, 2]
 
 
 def test_csv_run_takes_the_configs_split(tmp_path):
@@ -445,12 +455,11 @@ def test_shipped_configs_pass_the_reader(path, tmp_path, monkeypatch):
     assert engine.read_config(path, keys) == yaml.safe_load(text)
 
     # and its sections pass the checks its command makes before the data
-    # is built, which stops here (a runtime failure, exit 1, not 2)
-    def checked(data_cfg, split_cfg, seed):
-        engine._check_data_keys(data_cfg, split_cfg)
+    # is read, which stops it (a runtime failure, exit 1, not 2)
+    def read(data_cfg):
         raise RuntimeError("checked")
 
-    monkeypatch.setattr(engine, "data_from_config", checked)
+    monkeypatch.setattr(engine, "_read_dataset", read)
     assert cli.main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 1
 
 
@@ -544,6 +553,39 @@ def test_empty_output_is_usage_error(tmp_path, monkeypatch, caplog):
     cfg = small_run_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--output", ""]) == 2
     assert "--output must name a directory" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("output", ["file", "file/out"])
+def test_output_that_is_or_lies_under_a_file_is_usage_error(
+    tmp_path, monkeypatch, caplog, command, output
+):
+    for name in ("prepare_census", "run"):
+        monkeypatch.setattr(engine, name, lambda *args, **kw: pytest.fail("built or trained"))
+    (tmp_path / "file").write_text("")
+    if command == "run":
+        cfg = small_run_config(tmp_path)
+    else:
+        cfg = write_config(tmp_path, {"hyper": FAST_HYPER, "dataset": {"n": 300}}, "grid.yaml")
+    out = str(tmp_path / output)
+    assert cli.main([command, "--config", str(cfg), "--output", out]) == 2
+    assert f"{tmp_path / 'file'} is a file, not a directory" in caplog.text
+
+
+@pytest.mark.parametrize("level, relaxed", [("WARNING", True), ("ERROR", False)])
+def test_grid_workers_log_at_the_level_and_in_the_format_set(tmp_path, level, relaxed):
+    # two jobs, so two workers where there are two cores; tau 0 relaxes
+    # AgnosticFair's fairness row in round 1
+    cfg = write_config(tmp_path, {
+        "algorithms": ["AgnosticFair"], "repetitions": 2, "dataset": {"n": 300},
+        "hyper": {"rounds": 1, "local_epochs": 2, "num_bases": 4, "tau": 0.0},
+    }, "grid.yaml")
+    proc = run_python("-m", "fedfair.cli", "--log-level", level, "grid", "--config", cfg.name,
+                      "--output", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "fairness row relaxed" in line]
+    assert bool(lines) == relaxed, proc.stderr
+    assert all(line.startswith("WARNING fedfair.engine: round ") for line in lines)
 
 
 def test_entry_point_exit_code_reaches_the_shell(tmp_path):

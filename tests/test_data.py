@@ -145,6 +145,14 @@ def test_load_csv_skips_blank_rows_but_counts_their_lines(tmp_path):
         assert err.value.line_number == line
 
 
+def test_load_csv_cites_the_file_line_after_a_cell_that_spans_lines(tmp_path):
+    p = write_csv(tmp_path / "d.csv", 'age,job,gender,income\n30,"cl\nerk",male,high\n'
+                  "abc,cook,female,low\n")
+    with pytest.raises(RowParseError) as err:
+        data.load_csv(p, SCHEMA)
+    assert err.value.line_number == 4
+
+
 def test_load_csv_empty_file(tmp_path):
     p = write_csv(tmp_path / "d.csv", "")
     with pytest.raises(SchemaError):

@@ -355,24 +355,6 @@ def test_write_census_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_experiment_grid_runs_and_summarizes(tmp_path):
-    config = {
-        "algorithms": ["FL"],
-        "splits": [{"name": "shift"}],
-        "repetitions": 2,
-        "base_seed": 0,
-        "hyper": {"rounds": 2, "local_epochs": 3, "num_bases": 4},
-        "dataset": {"n": 400},
-    }
-    summary = engine.experiment_grid(config, output_dir=tmp_path)
-    assert len(summary) == 1
-    row = summary[0]
-    assert row["repetitions_ok"] == 2 and row["repetitions_failed"] == 0
-    assert 0.0 <= row["test_acc"] <= 1.0
-    assert (tmp_path / "summary.csv").exists()
-    assert (tmp_path / "summary.yaml").exists()
-
-
 def test_experiment_grid_records_cell_failures(tmp_path):
     # a schema file whose group_a_values match no row: the config is
     # valid, and the split fails only once the CSV is loaded
@@ -409,7 +391,7 @@ def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch)
         engine.experiment_grid(config)
 
 
-def test_experiment_grid_builds_each_dataset_once(monkeypatch):
+def test_experiment_grid_builds_each_dataset_once(monkeypatch, tmp_path):
     config = {
         "algorithms": ["FL", "AFL", "AgnosticFair"],
         "splits": [{"name": "shift"},
@@ -421,30 +403,41 @@ def test_experiment_grid_builds_each_dataset_once(monkeypatch):
     }
     # what per-cell builds give: fresh data for every (algorithm, split, rep)
     hyper = engine.hyper_from_config(config)
-    expected = []
+    reference, expected = {}, []
     for algorithm in config["algorithms"]:
         for split_cfg in config["splits"]:
-            finals = []
             for seed in (5, 6):
                 data = engine.data_from_config(config["dataset"], split_cfg, seed)
                 spec = engine.AlgorithmSpec(kind=algorithm, hyper=replace(hyper, seed=seed))
-                finals.append(engine.run(spec, *data).final)
+                reference[algorithm, split_cfg["name"], seed] = engine.run(spec, *data).final
+            finals = [reference[algorithm, split_cfg["name"], seed] for seed in (5, 6)]
             expected.append({
                 "algorithm": algorithm,
                 "split": split_cfg["name"],
                 "repetitions_ok": 2,
                 "repetitions_failed": 0,
                 **{k: float(np.mean([f[k] for f in finals]))
-                   for k in ("train_acc", "test_acc", "test_rd")},
+                   for k in ("train_acc", "test_acc", "train_rd", "test_rd")},
                 "test_acc_sd": float(np.std([f["test_acc"] for f in finals])),
             })
 
+    summary = engine.experiment_grid(config, output_dir=tmp_path)
+    assert yaml.safe_load((tmp_path / "summary.yaml").read_text()) == summary
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        run_s = [float(row["run_s"]) for row in csv.DictReader(fh)]
+    assert run_s == [row.pop("run_s") for row in summary] and min(run_s) > 0
+    assert summary == expected
+
+    # each (split, repetition) job builds its data once for all its runs
     calls = []
-    build = engine.data_from_config
-    monkeypatch.setattr(
-        engine, "data_from_config", lambda *a: calls.append(a) or build(*a)
-    )
-    assert engine.experiment_grid(config) == expected
+    split = engine._split
+    monkeypatch.setattr(engine, "_split", lambda *a: calls.append(a) or split(*a))
+    dataset = engine._read_dataset(config["dataset"])
+    for split_cfg in config["splits"]:
+        for seed in (5, 6):
+            results = engine._grid_job(config["algorithms"], hyper, dataset, split_cfg, seed)
+            assert [final for final, _ in results] == [
+                reference[a, split_cfg["name"], seed] for a in config["algorithms"]]
     assert len(calls) == 2 * 2  # splits x repetitions
 
 
