@@ -115,6 +115,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    log.setLevel(args.log_level)  # basicConfig does nothing once the root has a handler
     try:
         check_output(args.output)  # before any data is built
         return args.func(args)

@@ -242,7 +242,8 @@ def encode(raw: RawTable) -> EncodedDataset:
     """Encode *raw* with statistics taken from *raw* itself.
 
     Numeric columns are min-max scaled by their own min and max (a
-    constant column becomes 0.0, with a warning); categorical columns are
+    constant column becomes 0.0, with a warning; SchemaError on one whose
+    max - min is not a finite float); categorical columns are
     one-hot expanded over their sorted levels (SchemaError on a float or
     object one holding NaN or an infinity). Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
@@ -255,6 +256,10 @@ def encode(raw: RawTable) -> EncodedDataset:
         vals = raw.columns[col.name]
         if col.kind == "numeric":
             lo, hi = vals.min(), vals.max()
+            # a Python float's difference overflows to inf with no warning
+            if not math.isfinite(float(hi) - float(lo)):
+                raise SchemaError(f"numeric column {col.name!r} spans {lo} to {hi}, "
+                                  f"a range that is not a finite float")
             if lo == hi:
                 warnings.warn(
                     f"numeric column {col.name!r} is constant; scaled to 0.0"

@@ -354,16 +354,18 @@ def generate_census_like(n: int, seed: int) -> RawTable:
         rng.random(n) < _PENSION_P_PRIVATE,
         rng.random(n) < _PENSION_P_OTHER,
     )
+    # a two-valued column is gathered from its (False, True) level pair,
+    # which takes half the time of np.where over strings
     columns = {
         "skill": skill,
         "hours": hours,
         "education": np.asarray(_EDU_LEVELS)[edu_idx],
         "occupation": np.asarray(_OCC_LEVELS)[occ_idx],
-        "schedule": np.where(regular, "regular", "flexible"),
-        "pension": np.where(pension, "enrolled", "none"),
-        "sector": np.where(private, "private", "other"),
-        "gender": np.where(male, "male", "female"),
-        "income": np.where(y, "high", "low"),
+        "schedule": np.asarray(("flexible", "regular"))[regular.view(np.uint8)],
+        "pension": np.asarray(("none", "enrolled"))[pension.view(np.uint8)],
+        "sector": np.asarray(("other", "private"))[private.view(np.uint8)],
+        "gender": np.asarray(("female", "male"))[male.view(np.uint8)],
+        "income": np.asarray(("low", "high"))[y.view(np.uint8)],
     }
     return RawTable(schema=CENSUS_SCHEMA, columns=columns)
 
@@ -476,10 +478,13 @@ def _read_dataset(data_cfg: dict):
     """The rows a checked ``dataset`` section names, before any split: for
     ``kind: csv``, ``path`` parsed against the schema file ``schema`` and
     encoded, with that file's split column and group-A values; for a
-    census (the default), its ``n``, since each seed draws its own rows."""
+    census (the default), its ``n``, since each seed draws its own rows.
+    A CSV's ``aux`` keeps only the split column, the one raw column that
+    shift_split reads, as every grid job is sent the dataset."""
     if data_cfg.get("kind") == "csv":
         schema, column, group_a = load_schema_file(data_cfg["schema"])
-        return encode(load_csv(data_cfg["path"], schema)), column, group_a
+        encoded = encode(load_csv(data_cfg["path"], schema))
+        return replace(encoded, aux={column: encoded.aux[column]}), column, group_a
     return data_cfg.get("n", CENSUS_N)
 
 

@@ -13,8 +13,11 @@ class RowParseError(FedFairError):
     """A data row could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)  # both args, so a pickle rebuilds it
         self.line_number = line_number
+
+    def __str__(self) -> str:
+        return f"line {self.args[0]}: {self.args[1]}"
 
 
 class ConfigError(FedFairError):

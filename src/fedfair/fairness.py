@@ -93,10 +93,13 @@ def covariance_coeff_alpha(
 def covariance_form(shard: ClientShard, km: np.ndarray, stats: FairnessStats) -> np.ndarray:
     """psi_theta,k = (1/n) K^T 1 in column 0 and C_k = (1/n) K^T
     diag(s - s_bar) X in the rest of one (M, d+2) array, from one product
-    over the shard's kernel matrix *km*."""
+    over the shard's kernel matrix *km*. The product is taken as left^T K,
+    faster than K^T left and equal to it bit for bit, and its transpose is
+    returned C-contiguous: on a transposed layout the psi_C and phi_C
+    products over the run stacks take another BLAS path, with other bits."""
     left = np.empty((shard.n, shard.features.shape[1] + 1))
     left[:, 0] = 1.0
     np.multiply(
         shard.features, (shard.sensitive - stats.s_bar)[:, None], out=left[:, 1:]
     )
-    return km.T @ left / stats.n_total
+    return np.divide((left.T @ km).T, stats.n_total, order="C")

@@ -25,8 +25,8 @@ GAUSSIAN = "gaussian"
 CONSTANT = "constant"
 INDICATOR = "indicator"
 
-#: rows of the Gaussian kernel matrix finished per step, through one
-#: (rows, M) buffer a call; at M = 200 the buffer and the block it
+#: rows of the Gaussian kernel matrix built per step, through one
+#: (rows + 1, M) buffer a call; at M = 200 the buffer and the block it
 #: finishes (400 KB each) stay in L2
 KERNEL_BLOCK_ROWS = 256
 
@@ -142,20 +142,26 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
             f"feature dim {shard.features.shape[1]} != basis dim "
             f"{basis.centers.shape[1]}"
         )
-    # squared distances via the (x - b)^2 expansion, finished block by
-    # block inside the cross-product matrix, which becomes the result; every
-    # entry takes the steps of exp(-max(x2 + b2 - 2 cross, 0) / (2 sigma^2))
-    # in that order, so the block height cannot change a bit of it (doubling
-    # is exact, and dividing by -(2 sigma^2) negates the quotient exactly)
+    # squared distances via the (x - b)^2 expansion, block by block: each
+    # block's cross products go into its rows of the result and are
+    # finished there while they are in L2. Every entry takes the steps of
+    # exp(-max(x2 + b2 - 2 cross, 0) / (2 sigma^2)) in that order, so the
+    # block height cannot change a bit of it (doubling is exact, and
+    # dividing by -(2 sigma^2) negates the quotient exactly). A block of one
+    # row would be a gemv, whose sums differ from the gemm's, so a one-row
+    # tail joins the block before it.
     x2 = np.sum(shard.features**2, axis=1)[:, None]
     b2 = np.sum(basis.centers**2, axis=1)[None, :]
-    out = shard.features @ basis.centers.T
-    buf = np.empty((min(shard.n, KERNEL_BLOCK_ROWS), basis.num_bases))
+    out = np.empty((shard.n, basis.num_bases))
+    buf = np.empty((min(shard.n, KERNEL_BLOCK_ROWS + 1), basis.num_bases))
+    edges = [*range(0, shard.n, KERNEL_BLOCK_ROWS), shard.n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
     # a quotient that overflows to -inf has the right kernel value, exp(-inf) = 0
     with np.errstate(over="ignore"):
-        for lo in range(0, shard.n, KERNEL_BLOCK_ROWS):
-            blk = out[lo : lo + KERNEL_BLOCK_ROWS]
-            sq = np.add(x2[lo : lo + KERNEL_BLOCK_ROWS], b2, out=buf[: len(blk)])
+        for lo, hi in zip(edges, edges[1:]):
+            blk = np.matmul(shard.features[lo:hi], basis.centers.T, out=out[lo:hi])
+            sq = np.add(x2[lo:hi], b2, out=buf[: hi - lo])
             blk *= 2.0
             sq -= blk
             np.maximum(sq, 0.0, out=sq)

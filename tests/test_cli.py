@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import os
 import pathlib
@@ -595,6 +596,28 @@ def test_entry_point_exit_code_reaches_the_shell(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "--output must name a directory" in proc.stderr
     assert os.listdir(tmp_path) == [cfg.name]
+
+
+@pytest.mark.parametrize("level, relaxed", [("WARNING", True), ("ERROR", False)])
+def test_log_level_applies_when_the_root_logger_has_a_handler(tmp_path, caplog, level, relaxed):
+    # caplog's handler is on the root logger, so basicConfig alone does
+    # nothing; tau 0 relaxes AgnosticFair's fairness row
+    cfg = write_config(tmp_path, {
+        "algorithm": "AgnosticFair", "dataset": {"n": 300},
+        "hyper": {"rounds": 2, "local_epochs": 2, "num_bases": 4, "tau": 0.0},
+    })
+    package_log = logging.getLogger("fedfair")
+    before = package_log.level
+    try:
+        with caplog.at_level(logging.WARNING):
+            rc = cli.main(["--log-level", level, "run", "--config", str(cfg),
+                           "--output", str(tmp_path / "out")])
+    finally:
+        package_log.setLevel(before)
+    assert rc == 0
+    warned = [r for r in caplog.records
+              if r.name.startswith("fedfair") and r.levelno == logging.WARNING]
+    assert bool(warned) == relaxed, caplog.text
 
 
 @pytest.mark.parametrize("level", ["bogus", "warn ", ""])

@@ -1,4 +1,6 @@
 import dataclasses
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,12 @@ def test_load_csv_cites_the_file_line_after_a_cell_that_spans_lines(tmp_path):
     assert err.value.line_number == 4
 
 
+def test_row_parse_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(RowParseError(3, "bad")))
+    assert isinstance(exc, RowParseError)
+    assert exc.line_number == 3 and str(exc) == "line 3: bad"
+
+
 def test_load_csv_empty_file(tmp_path):
     p = write_csv(tmp_path / "d.csv", "")
     with pytest.raises(SchemaError):
@@ -248,6 +256,14 @@ def test_encode_constant_numeric_warns_and_zeroes():
     with pytest.warns(UserWarning):
         ds = data.encode(table)
     assert np.all(ds.features[:, ds.feature_names.index("age")] == 0.0)
+
+
+def test_encode_rejects_a_numeric_range_past_the_largest_float():
+    table = make_table([row(-1e308, "a", "male", "high"), row(1e308, "b", "female", "low")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the scaling
+        with pytest.raises(SchemaError, match="numeric column 'age' spans"):
+            data.encode(table)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -378,6 +378,18 @@ def test_experiment_grid_records_cell_failures(tmp_path):
         assert "has no row with a value in ['privat']" in row["errors"][0]
 
 
+def test_csv_dataset_keeps_only_the_split_column_in_aux(tmp_path):
+    # every grid job is sent the dataset; shift_split reads no other raw column
+    engine.write_census_csv(tmp_path / "census.csv", engine.generate_census_like(200, 0))
+    split = {"split_column": "sector", "group_a_values": ["private"]}
+    columns = [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
+    (tmp_path / "schema.yaml").write_text(yaml.safe_dump({"columns": columns, "split": split}))
+    encoded, column, _ = engine._read_dataset({
+        "kind": "csv", "path": str(tmp_path / "census.csv"),
+        "schema": str(tmp_path / "schema.yaml")})
+    assert column == "sector" and encoded.aux.keys() == {"sector"}
+
+
 def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
     config = {

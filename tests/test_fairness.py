@@ -166,6 +166,25 @@ def test_psi_constant_basis_reduction(rng):
     assert psi[0] == pytest.approx(direct, abs=1e-12)
 
 
+BLOCK = kernels.KERNEL_BLOCK_ROWS
+
+
+# d + 2 columns of the form: 3, and 18 as in the census
+@pytest.mark.parametrize("d", [1, 16])
+# a constant basis, a 2-client indicator basis, the default Gaussian M
+@pytest.mark.parametrize("m", [1, 2, 200])
+@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, 3469])
+def test_covariance_form_equals_kt_left_bit_for_bit(n, m, d):
+    r = np.random.default_rng([n, m, d])
+    shard = random_shard(r, n, d)
+    km = r.random((n, m))
+    stats = fairness.FairnessStats(s_bar=0.3, n_total=7 * n)
+    left = np.hstack([np.ones((n, 1)), shard.features * (shard.sensitive - 0.3)[:, None]])
+    form = fairness.covariance_form(shard, km, stats)
+    assert np.array_equal(form, km.T @ left / stats.n_total)
+    assert form.flags.c_contiguous
+
+
 def direct_covariance(shards, basis, alpha, w, stats):
     """Straight evaluation of the reweighed covariance over pooled data."""
     total = 0.0
