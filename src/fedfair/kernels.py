@@ -154,9 +154,8 @@ def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
     b2 = np.sum(basis.centers**2, axis=1)[None, :]
     out = np.empty((shard.n, basis.num_bases))
     buf = np.empty((min(shard.n, KERNEL_BLOCK_ROWS + 1), basis.num_bases))
-    edges = [*range(0, shard.n, KERNEL_BLOCK_ROWS), shard.n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
+    # block edges: no block starts at row n - 1, which folds a one-row tail
+    edges = [*range(0, max(shard.n - 1, 1), KERNEL_BLOCK_ROWS), shard.n]
     # a quotient that overflows to -inf has the right kernel value, exp(-inf) = 0
     with np.errstate(over="ignore"):
         for lo, hi in zip(edges, edges[1:]):
