@@ -2,8 +2,8 @@
 """Digest every variant's run of a source tree, or compare two digests.
 
 ``run`` trains all seven variants at the defaults (census seed 0, 300
-rounds) on the by-group split and on even 20- and 7-shard splits, with the
-fedfair package of the tree given, and writes each run's ``w_final``,
+rounds) on the by-group split and on even 20-, 7- and 2-shard splits (28
+runs), with the fedfair package of the tree given, and writes each run's ``w_final``,
 ``alpha_final``, ``per_round`` and ``final`` to a JSON file. Floats are
 written with ``repr``, so they read back bit for bit.
 
@@ -14,7 +14,7 @@ LP status, alpha counts) are equal. It exits 1 when the runs or the
 integer and text fields differ, or when ``|Δw_final|`` exceeds
 ``W_TOL``.
 
-Run from anywhere (one process, one BLAS thread; about 30 s on one core):
+Run from anywhere (one process, one BLAS thread; about 40 s on one core):
 
     python3 scripts/run_digest.py run --tree /path/to/parent --out parent.json
     python3 scripts/run_digest.py run --out change.json
@@ -44,6 +44,9 @@ SPLITS = {
     # 544 rows for the first client, 543 for the other six: two runs of
     # equal-sized clients, one of them a single client
     "even7": {"client_assignment": "even", "num_clients": 7},
+    # 1901 rows each: one run of two clients, which client_round fits slot
+    # by slot, as iid_grid.yaml and client_sweep.yaml's even2 split do
+    "even2": {"client_assignment": "even", "num_clients": 2},
 }
 
 

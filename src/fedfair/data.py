@@ -154,9 +154,9 @@ def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
     Raises SchemaError if a declared column is absent from the header or
-    no complete data row remains, and RowParseError (with the 1-based
-    line number) on a row with fewer cells than the header or a numeric
-    cell that is not a finite number.
+    named in it twice, or no complete data row remains, and RowParseError
+    (with the 1-based line number) on a row with fewer cells than the
+    header or a numeric cell that is not a finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -168,6 +168,8 @@ def load_csv(path, schema: Schema) -> RawTable:
         for col in schema.columns:
             if col.name not in header:
                 raise SchemaError(f"{path}: missing column {col.name!r}")
+            if header.count(col.name) > 1:
+                raise SchemaError(f"{path}: the header names column {col.name!r} twice")
             positions[col.name] = header.index(col.name)
 
         values: dict[str, list] = {col.name: [] for col in schema.columns}
@@ -229,12 +231,16 @@ def _level_masks(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return levels[order], [masks[j] for j in order]
 
 
-def _majority_indicator(values: np.ndarray) -> np.ndarray:
-    """1 where *values* holds its most frequent value, else 0; a tie goes
-    to the larger ``str(value)``."""
-    levels, masks = _level_masks(values)
+def _majority_indicator(raw: RawTable, name: str) -> np.ndarray:
+    """1 where column *name* of *raw* holds its most frequent value, else
+    0; a tie goes to the larger ``str(value)``. A column of more than two
+    values is binarized the same way, with a logged warning."""
+    levels, masks = _level_masks(raw.columns[name])
     counts = [np.count_nonzero(m) for m in masks]
     top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
+    if levels.size > 2:
+        log.warning("column %r holds %d values: %r maps to 1, the others to 0",
+                    name, levels.size, str(levels[top]))
     return masks[top].astype(int)
 
 
@@ -283,8 +289,8 @@ def encode(raw: RawTable) -> EncodedDataset:
         features[:, j] = values
     return EncodedDataset(
         features=features,
-        labels=_majority_indicator(raw.columns[raw.schema.label_column]),
-        sensitive=_majority_indicator(raw.columns[raw.schema.sensitive_column]),
+        labels=_majority_indicator(raw, raw.schema.label_column),
+        sensitive=_majority_indicator(raw, raw.schema.sensitive_column),
         feature_names=names,
         aux=raw.columns,
     )

@@ -1,9 +1,8 @@
 """Training orchestration: algorithm variants, data, configs, experiment grid.
 
 All algorithm variants run through the same client/server machinery and
-differ only in the four switches of their VARIANTS entry: basis kind,
-whether alpha is optimized, whether the LP carries the fairness row, and
-the local penalty mode.
+differ only in the two switches of their VARIANTS entry, the basis kind
+and the penalty mode, from which protocol derives the alpha LP.
 
 LocalFair trains a global (averaged) model like the others, but its
 reported metrics follow the protocol of recording the global classifier
@@ -50,20 +49,18 @@ log = logging.getLogger(__name__)
 
 class Variant(NamedTuple):
     basis: str  # a kernels basis kind: CONSTANT, INDICATOR or GAUSSIAN
-    optimize_alpha: bool  # else alpha stays at its uniform start
-    fairness_row_in_lp: bool
     penalty: str  # a protocol.PENALTY_* mode
 
 
 #: each algorithm variant's switches; ALGORITHMS lists the variants
 VARIANTS = {
-    "FL": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_NONE),
-    "FairFL": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_GLOBAL),
-    "AFL": Variant(kernels.INDICATOR, True, False, protocol.PENALTY_NONE),
-    "AgnosticFair": Variant(kernels.GAUSSIAN, True, True, protocol.PENALTY_GLOBAL),
-    "AgnosticFair-a": Variant(kernels.GAUSSIAN, True, False, protocol.PENALTY_NONE),
-    "AgnosticFair-b": Variant(kernels.GAUSSIAN, True, False, protocol.PENALTY_UNWEIGHTED),
-    "LocalFair": Variant(kernels.CONSTANT, False, False, protocol.PENALTY_LOCAL),
+    "FL": Variant(kernels.CONSTANT, protocol.PENALTY_NONE),
+    "FairFL": Variant(kernels.CONSTANT, protocol.PENALTY_GLOBAL),
+    "AFL": Variant(kernels.INDICATOR, protocol.PENALTY_NONE),
+    "AgnosticFair": Variant(kernels.GAUSSIAN, protocol.PENALTY_GLOBAL),
+    "AgnosticFair-a": Variant(kernels.GAUSSIAN, protocol.PENALTY_NONE),
+    "AgnosticFair-b": Variant(kernels.GAUSSIAN, protocol.PENALTY_UNWEIGHTED),
+    "LocalFair": Variant(kernels.CONSTANT, protocol.PENALTY_LOCAL),
 }
 ALGORITHMS = tuple(VARIANTS)
 
@@ -137,17 +134,15 @@ def _make_basis(spec: AlgorithmSpec, shards: list[ClientShard]) -> kernels.Kerne
         )
     if kind == kernels.INDICATOR:
         return kernels.client_weight_basis(shards)
-    return kernels.constant_basis(dim, bound=h.bound)
+    return kernels.constant_basis(dim)
 
 
 def _protocol_config(spec: AlgorithmSpec) -> protocol.ProtocolConfig:
-    h, v = spec.hyper, VARIANTS[spec.kind]
+    h = spec.hyper
     return protocol.ProtocolConfig(
         lam=h.lam,
         tau=h.tau,
-        penalty_mode=v.penalty,
-        optimize_alpha=v.optimize_alpha,
-        fairness_row_in_lp=v.fairness_row_in_lp,
+        penalty_mode=VARIANTS[spec.kind].penalty,
         opt=logistic.OptimizerSpec(
             learning_rate=h.learning_rate, epochs=h.local_epochs
         ),
@@ -206,8 +201,14 @@ def run(
 
     *train* must hold exactly the shards' rows in client order, as
     cut_shards lays them out (ConfigError otherwise): each client's risk
-    difference is taken from its rows of the train prediction."""
+    difference is taken from its rows of the train prediction. A train or
+    test set of one sensitive group has no risk difference: ConfigError,
+    before training."""
     starts = shard_starts(train, shards)
+    for name, ds in (("train", train), ("test", test)):
+        if ds.n and ds.sensitive.min() == ds.sensitive.max():
+            raise ConfigError(f"the {name} set holds sensitive group {ds.sensitive[0]} alone; "
+                              f"its risk difference is undefined")
     cfg = _protocol_config(spec)
     basis = _make_basis(spec, shards)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
@@ -219,7 +220,7 @@ def run(
         bc = protocol.server_round(server, bundles, cfg)
         row = {"round": t + 1}
         row.update(_evaluate(bc.w_avg, train, test, starts))
-        if cfg.optimize_alpha:
+        if server.last_lp is not None:
             psi_L = np.sum([b.psi_L for b in bundles], axis=0)
             row["lp_status"] = server.last_lp.status
             row["lp_slack"] = server.last_lp.slack_used
@@ -238,7 +239,7 @@ def run(
 
     if not per_round:
         final_row = _evaluate(bc.w_avg, train, test, starts)
-    elif spec.kind == "LocalFair":
+    elif cfg.penalty_mode == protocol.PENALTY_LOCAL:
         final_row = _select_local_fair_round(per_round)
     else:
         final_row = per_round[-1]

@@ -104,10 +104,10 @@ def select_basis(
     return KernelBasis(kind=GAUSSIAN, centers=centers, sigma=sigma, bound=bound)
 
 
-def constant_basis(dim: int, bound: float = 5.0) -> KernelBasis:
-    """Single constant basis K == 1; theta is then uniform alpha_1."""
+def constant_basis(dim: int) -> KernelBasis:
+    """Single constant basis K == 1; theta is uniform alpha_1, unboxed: no LP moves it."""
     return KernelBasis(
-        kind=CONSTANT, centers=np.zeros((1, dim)), sigma=1.0, bound=bound
+        kind=CONSTANT, centers=np.zeros((1, dim)), sigma=1.0, bound=np.inf
     )
 
 

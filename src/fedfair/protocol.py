@@ -44,8 +44,6 @@ class ProtocolConfig:
     lam: float = 2.0
     tau: float = 0.05
     penalty_mode: str = PENALTY_NONE
-    optimize_alpha: bool = True
-    fairness_row_in_lp: bool = False
     opt: logistic.OptimizerSpec = field(default_factory=logistic.OptimizerSpec)
 
     def __post_init__(self):
@@ -244,11 +242,15 @@ def server_round(
     if not np.isfinite(w_avg).all():
         raise ProtocolError(f"round {state.round}: non-finite average weights w_avg")
 
-    if cfg.optimize_alpha:
+    # A constant basis runs no LP: the sum-to-one row fixes its one weight at
+    # alpha0. Only the global penalty's covariance is theta-weighted, so only
+    # it has an alpha side, psi_C, for the fairness row to bound (unweighted
+    # takes theta == 1, local each client's own mean, none no covariance).
+    if state.basis.kind != kernels.CONSTANT:
         problem = lp.AlphaLP(
             objective=psi_L,
             equality=psi_theta,
-            fairness_row=psi_C if cfg.fairness_row_in_lp else None,
+            fairness_row=psi_C if cfg.penalty_mode == PENALTY_GLOBAL else None,
             tau=cfg.tau,
             box_upper=state.basis.bound,
         )
@@ -280,8 +282,8 @@ def init_protocol(
     form and its logistic.signed_xt; a run's are stacked as they are
     built (RunStack). Initial weights are zero; initial alpha is the
     uniform vector solving the sum-to-one row, alpha_m = 1 / sum_m
-    psi_theta_m. Raises ProtocolError when alpha is optimized and the
-    box bound lets no alpha meet that row.
+    psi_theta_m. Raises ProtocolError when the basis is not constant (the
+    LP runs) and its box bound lets no alpha meet that row.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -298,7 +300,8 @@ def init_protocol(
         sxt = _stack_run(len(group), (logistic.signed_xt(s) for s in group))
         phis = (fairness.covariance_coeff_w(s, np.ones(s.n), stats) for s in group)
         fixed = _stack_run(len(group), phis) if unweighted else None
-        locals_ = (s.features.T @ (s.sensitive - float(s.sensitive.mean())) / s.n for s in group)
+        locals_ = (fairness.covariance_coeff_w(s, np.ones(s.n), fairness.FairnessStats(
+            s_bar=float(s.sensitive.mean()), n_total=s.n)) for s in group)
         local_phi = _stack_run(len(group), locals_) if local else None
         stack = RunStack(kms, forms, sxt, fixed_phi_C=fixed, local_phi=local_phi)
         clients += [ClientState(s, run=stack, slot=k, stats=stats) for k, s in enumerate(group)]
@@ -306,7 +309,7 @@ def init_protocol(
     total = float(np.concatenate([run.forms[:, :, 0] for run in runs]).sum(axis=0).sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
-    if cfg.optimize_alpha and basis.bound * total < 1.0:
+    if basis.kind != kernels.CONSTANT and basis.bound * total < 1.0:
         raise ProtocolError(f"no alpha meets the sum-to-one row psi_theta . alpha = 1 within "
                             f"the box bound {basis.bound!r}: bound * sum(psi_theta) < 1")
     alpha0 = np.full(basis.num_bases, 1.0 / total)

@@ -221,7 +221,7 @@ def _alpha_optimizing_trace(kind: str, rounds: int = 10):
                 "psi_C": np.sum([b.psi_C for b in bundles], axis=0),
                 "psi_theta": psi_theta_row,
                 "lp_status": server.last_lp.status,
-                "has_fairness_row": cfg.fairness_row_in_lp,
+                "has_fairness_row": cfg.penalty_mode == protocol.PENALTY_GLOBAL,
                 "tau": cfg.tau,
             }
         )
@@ -276,9 +276,7 @@ def test_criterion_12_reductions():
         seed=8, n=90, split_kwargs={"client_assignment": "even", "num_clients": 3}
     )
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
-    cfg = protocol.ProtocolConfig(
-        penalty_mode=protocol.PENALTY_NONE, optimize_alpha=False, opt=opt
-    )
+    cfg = protocol.ProtocolConfig(penalty_mode=protocol.PENALTY_NONE, opt=opt)
     basis = kernels.constant_basis(train.features.shape[1])
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     reference = run_fedavg_reference(shards, 5, opt)

@@ -643,19 +643,29 @@ def test_run_unknown_hyper_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_run_runtime_failure_exits_1(tmp_path, caplog):
+def test_run_of_one_sensitive_group_exits_2_before_training(tmp_path, caplog, monkeypatch):
     # a CSV of men only has one sensitive group, so the train set's risk
-    # difference is undefined after training
-    csv_path, _, cfg = write_census_inputs(tmp_path)
+    # difference is undefined: the data decides it, so no round runs; a
+    # grid records the cell's failure
+    csv_path, schema_path, cfg = write_census_inputs(tmp_path)
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows({**row, "gender": "male"} for row in rows)
-    rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
-    assert rc == 1
-    assert "sensitive group 0 is empty" in caplog.text
+    monkeypatch.setattr(engine.protocol, "init_protocol", lambda *args: pytest.fail("trained"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "the train set holds sensitive group 1 alone" in caplog.text
+    assert not out.exists()
+    grid = write_config(tmp_path, {
+        "algorithms": ["FL"], "hyper": {"rounds": 1},
+        "dataset": {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)},
+    }, name="grid.yaml")
+    assert cli.main(["grid", "--config", str(grid), "--output", str(out)]) == 1
+    (row,) = yaml.safe_load((out / "summary.yaml").read_text())
+    assert row["repetitions_failed"] == 1 and "train set holds" in row["errors"][0]
 
 
 def test_run_one_group_shards_record_nan(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import pickle
 import warnings
 
@@ -95,6 +96,12 @@ def test_load_csv_drops_incomplete_rows(tmp_path):
 def test_load_csv_missing_column(tmp_path):
     p = write_csv(tmp_path / "d.csv", "age,gender,income\n30,male,high\n")
     with pytest.raises(SchemaError):
+        data.load_csv(p, SCHEMA)
+
+
+def test_load_csv_names_a_column_the_header_names_twice(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "age,job,gender,income,age\n30,clerk,male,high,31\n")
+    with pytest.raises(SchemaError, match="names column 'age' twice"):
         data.load_csv(p, SCHEMA)
 
 
@@ -249,6 +256,22 @@ def test_encode_majority_tie_goes_to_larger_value():
     ds = data.encode(table)
     assert ds.labels.tolist() == [0, 1]  # "low" > "high"
     assert ds.sensitive.tolist() == [1, 0]  # "male" > "female"
+
+
+def test_encode_logs_a_label_or_sensitive_column_of_more_than_two_values(caplog):
+    table = make_table([row(1, "a", "male", "high"), row(2, "a", "male", "mid"),
+                        row(3, "a", "female", "low"), row(4, "a", "other", "high")])
+    with caplog.at_level(logging.WARNING, logger="fedfair.data"):
+        ds = data.encode(table)
+    assert ds.labels.tolist() == [1, 0, 0, 1] and ds.sensitive.tolist() == [1, 1, 0, 0]
+    assert [r.getMessage() for r in caplog.records] == [
+        "column 'income' holds 3 values: 'high' maps to 1, the others to 0",
+        "column 'gender' holds 3 values: 'male' maps to 1, the others to 0",
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fedfair.data"):
+        data.encode(make_table([row(1, "a", "male", "high"), row(2, "a", "female", "low")]))
+    assert not caplog.records
 
 
 def test_encode_constant_numeric_warns_and_zeroes():

@@ -59,6 +59,34 @@ def test_penalized_variants_keep_lambda():
     assert spec.hyper.lam == 7.0
 
 
+#: (the server solves the alpha LP, the LP carries the fairness row) of each
+#: variant, as its two switches of their own set them before protocol
+#: derived both from the basis kind and the penalty mode
+LP_SWITCHES = {
+    "FL": (False, False),
+    "FairFL": (False, False),
+    "AFL": (True, False),
+    "AgnosticFair": (True, True),
+    "AgnosticFair-a": (True, False),
+    "AgnosticFair-b": (True, False),
+    "LocalFair": (False, False),
+}
+
+
+@pytest.mark.parametrize("kind", engine.ALGORITHMS)
+def test_each_variant_solves_the_lp_and_carries_its_fairness_row_as_before(kind, monkeypatch):
+    assert set(LP_SWITCHES) == set(engine.ALGORITHMS)
+    problems, real_solve = [], protocol.lp.solve
+    monkeypatch.setattr(protocol.lp, "solve", lambda p: problems.append(p) or real_solve(p))
+    train, test, shards = synthetic_setup(n=200)
+    result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=replace(FAST, rounds=2)),
+                        train, test, shards)
+    solves, fairness_row = LP_SWITCHES[kind]
+    assert len(problems) == (2 if solves else 0)
+    assert all((p.fairness_row is not None) == fairness_row for p in problems)
+    assert all(("lp_status" in r) == solves for r in result.per_round)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -233,7 +261,7 @@ def random_dataset(rng, n, p_sensitive):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(engine.ALGORITHMS),
     seed=st.integers(0, 2**16),

@@ -13,8 +13,6 @@ from conftest import make_shard, random_shard
 def fast_cfg(**kw):
     defaults = dict(
         penalty_mode=protocol.PENALTY_NONE,
-        optimize_alpha=True,
-        fairness_row_in_lp=False,
         opt=logistic.OptimizerSpec(learning_rate=0.5, epochs=5),
     )
     defaults.update(kw)
@@ -39,7 +37,7 @@ def test_config_rejects_unknown_penalty():
 def test_init_constant_basis_alpha_is_one(rng):
     shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
     basis = kernels.constant_basis(3)
-    server, clients, bc = setup_run(shards, basis, fast_cfg(optimize_alpha=False))
+    server, clients, bc = setup_run(shards, basis, fast_cfg())
     # constant kernel: psi_theta = n_total / n_total = 1 -> alpha0 = (1,)
     assert np.allclose(server.alpha, [1.0])
     assert np.allclose(bc.w_avg, 0.0)
@@ -58,14 +56,16 @@ def test_init_alpha_satisfies_equality_row(rng):
 
 @pytest.mark.filterwarnings("error")
 def test_box_too_small_for_the_sum_to_one_row_names_its_cause(rng):
-    # psi_theta sums to 1 under the constant basis: a box below 1 leaves
-    # no alpha on the sum-to-one row, which only matters when the LP runs
+    # psi_theta sums to 1 under the indicator and the constant basis: a box
+    # below 1 leaves no alpha on the sum-to-one row, which only matters
+    # when the LP runs, so not for a constant basis
     shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
-    tiny = kernels.constant_basis(3, bound=1e-300)
+    indicator = kernels.client_weight_basis(shards)
     with pytest.raises(ProtocolError, match="sum-to-one row.*box bound 1e-300"):
-        protocol.init_protocol(shards, tiny, fast_cfg())
-    protocol.init_protocol(shards, tiny, fast_cfg(optimize_alpha=False))
-    run_rounds(shards, kernels.constant_basis(3, bound=1.0), fast_cfg(), 1)
+        protocol.init_protocol(shards, dataclasses.replace(indicator, bound=1e-300), fast_cfg())
+    tiny = dataclasses.replace(kernels.constant_basis(3), bound=1e-300)
+    run_rounds(shards, tiny, fast_cfg(), 1)
+    run_rounds(shards, dataclasses.replace(indicator, bound=1.0), fast_cfg(), 1)
 
 
 def test_init_requires_shards():
@@ -116,7 +116,7 @@ def test_round0_broadcast_ships_the_covariance_of_later_rounds(mode, rng):
 def test_zero_epoch_client_returns_broadcast_weights(rng):
     shards = [random_shard(rng, 8, 2, 0)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False, opt=logistic.OptimizerSpec(epochs=0))
+    cfg = fast_cfg(opt=logistic.OptimizerSpec(epochs=0))
     server, clients, bc = setup_run(shards, basis, cfg)
     bundle = protocol.client_round(clients[0], bc, cfg)
     assert np.array_equal(bundle.w_local, bc.w_avg)
@@ -139,7 +139,7 @@ def test_identical_clients_send_identical_bundles(rng):
 def test_round_mismatch_raises(rng):
     shards = [random_shard(rng, 6, 2, 0)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     server, clients, bc = setup_run(shards, basis, cfg)
     bad = protocol.ServerBroadcast(
         round=3, w_avg=bc.w_avg, alpha=bc.alpha, phi_C_global=bc.phi_C_global
@@ -153,7 +153,7 @@ def test_non_finite_shard_raises_protocol_error(rng):
     shard = random_shard(rng, 6, 2, 0)
     shard.features[0, 0] = np.inf
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False, opt=logistic.OptimizerSpec(epochs=0))
+    cfg = fast_cfg(opt=logistic.OptimizerSpec(epochs=0))
     server, clients, bc = setup_run([shard], basis, cfg)
     with pytest.raises(ProtocolError):
         protocol.client_round(clients[0], bc, cfg)
@@ -178,7 +178,7 @@ def run_rounds(shards, basis, cfg, rounds):
 def test_server_rejects_wrong_bundle_count(rng):
     shards = [random_shard(rng, 6, 2, 0), random_shard(rng, 6, 2, 1)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     server, clients, bc = setup_run(shards, basis, cfg)
     bundles = [protocol.client_round(clients[0], bc, cfg)]
     with pytest.raises(ProtocolError):
@@ -234,7 +234,7 @@ def test_bundle_psi_L_matches_row_major_logloss(rng):
 def test_weight_average_is_unweighted_mean(rng):
     shards = [random_shard(rng, 6, 2, 0), random_shard(rng, 12, 2, 1)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     server, clients, bc = setup_run(shards, basis, cfg)
     bundles = [protocol.client_round(c, bc, cfg) for c in clients]
     bc = protocol.server_round(server, bundles, cfg)
@@ -261,7 +261,7 @@ def test_adversary_ascent_without_fairness_row(rng):
     cannot decrease."""
     shards = [random_shard(rng, 10, 2, 0), random_shard(rng, 8, 2, 1)]
     basis = kernels.select_basis(shards, 4, seed=6)
-    cfg = fast_cfg(fairness_row_in_lp=False)
+    cfg = fast_cfg()
     server, clients, history = run_rounds(shards, basis, cfg, 5)
     for bundles, alpha_old, alpha_new, _ in history:
         psi_L = np.sum([b.psi_L for b in bundles], axis=0)
@@ -271,7 +271,7 @@ def test_adversary_ascent_without_fairness_row(rng):
 def test_frozen_alpha_never_changes(rng):
     shards = [random_shard(rng, 8, 2, 0)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     server, clients, history = run_rounds(shards, basis, cfg, 3)
     for _, alpha_old, alpha_new, _ in history:
         assert np.array_equal(alpha_old, alpha_new)
@@ -311,9 +311,7 @@ def test_message_array_lengths_never_match_shard_sizes(rng):
 def test_local_penalty_uses_local_mean(rng):
     shard = random_shard(rng, 8, 2, 0)
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(
-        optimize_alpha=False, penalty_mode=protocol.PENALTY_LOCAL, lam=2.0
-    )
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_LOCAL, lam=2.0)
     server, clients, bc = setup_run([shard], basis, cfg)
     spec = protocol._penalty([clients[0].run], bc, cfg)
     expected = shard.features.T @ (
@@ -326,9 +324,7 @@ def test_local_penalty_uses_local_mean(rng):
 def test_lambda_zero_disables_penalty(rng):
     shard = random_shard(rng, 8, 2, 0)
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(
-        optimize_alpha=False, penalty_mode=protocol.PENALTY_GLOBAL, lam=0.0
-    )
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, lam=0.0)
     server, clients, bc = setup_run([shard], basis, cfg)
     spec = protocol._penalty([clients[0].run], bc, cfg)
     assert spec.lam == 0.0
@@ -369,7 +365,7 @@ def test_lockstep_round_matches_client_rounds(mode, rng):
     for sizes in ((1, 7, 12, 30), (1, 1, 7, 7, 7, 12)):
         shards = [random_shard(rng, n, 3, k) for k, n in enumerate(sizes)]
         basis = kernels.select_basis(shards, 5, seed=1)
-        cfg = fast_cfg(penalty_mode=mode, fairness_row_in_lp=True,
+        cfg = fast_cfg(penalty_mode=mode,
                        opt=logistic.OptimizerSpec(learning_rate=2.0, epochs=10))
         server, clients, bc = setup_run(shards, basis, cfg)
         _, oracle_clients, _ = setup_run(shards, basis, cfg)
@@ -455,7 +451,7 @@ def test_non_finite_extraction_names_the_client_and_field(lockstep, rng):
 
 def test_lockstep_round_takes_clients_in_init_order(rng):
     shards = [random_shard(rng, 6, 2, k) for k in range(3)]
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     _, clients, bc = setup_run(shards, kernels.constant_basis(3), cfg)
     with pytest.raises(ProtocolError, match="in order"):
         protocol.clients_round(clients[::-1], bc, cfg)
@@ -463,7 +459,7 @@ def test_lockstep_round_takes_clients_in_init_order(rng):
 
 def test_lockstep_round_mismatch_raises(rng):
     shards = [random_shard(rng, 6, 2, k) for k in range(3)]
-    cfg = fast_cfg(optimize_alpha=False)
+    cfg = fast_cfg()
     server, clients, bc = setup_run(shards, kernels.constant_basis(3), cfg)
     protocol.clients_round(clients, bc, cfg)
     with pytest.raises(ProtocolError):
@@ -529,7 +525,7 @@ def test_round_reads_no_per_sample_covariance(split, monkeypatch):
     # after set-up, psi_C and phi_C come from the covariance form alone
     shards = FORM_SPLITS[split]
     basis = kernels.select_basis(shards, 30, seed=0)
-    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, fairness_row_in_lp=True)
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL)
     server, clients, bc = setup_run(shards, basis, cfg)
 
     def refuse(*args):
