@@ -2,10 +2,14 @@
 """Digest every variant's run of a source tree, or compare two digests.
 
 ``run`` trains all seven variants at the defaults (census seed 0, 300
-rounds) on the by-group split and on even 20-, 7- and 2-shard splits (28
-runs), with the fedfair package of the tree given, and writes each run's ``w_final``,
-``alpha_final``, ``per_round`` and ``final`` to a JSON file. Floats are
-written with ``repr``, so they read back bit for bit.
+rounds) on the by-group split, on even 20-, 7- and 2-shard splits, and
+on the by-group split of the same census written to a CSV and read back
+through the CSV path (35 runs), with the fedfair package of the tree
+given, and writes each run's ``w_final``, ``alpha_final``,
+``per_round`` and ``final`` to a JSON file. Floats are written with
+``repr``, so they read back bit for bit. The ``csv`` runs equal the
+``by_group`` runs bit for bit, so a fault of the CSV path shows as a
+mismatch between them as well as against another tree.
 
 ``compare`` reads two digests and prints, for each run, the largest
 absolute and relative difference of its floats, the largest
@@ -14,7 +18,7 @@ LP status, alpha counts) are equal. It exits 1 when the runs or the
 integer and text fields differ, or when ``|Δw_final|`` exceeds
 ``W_TOL``.
 
-Run from anywhere (one process, one BLAS thread; about 40 s on one core):
+Run from anywhere (one process, one BLAS thread; about 50 s on one core):
 
     python3 scripts/run_digest.py run --tree /path/to/parent --out parent.json
     python3 scripts/run_digest.py run --out change.json
@@ -28,12 +32,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 #: largest |Δw_final| that compare passes: last-bit moves, not new results
 W_TOL = 1e-12
@@ -64,6 +71,24 @@ def plain(value):
     return value
 
 
+def datasets(engine):
+    """Each split's name and (train, test, shards): the census at seed 0
+    split as SPLITS says, then that census as a CSV and a schema file
+    like scripts/make_dataset.py's, read through the CSV path."""
+    for split, split_kwargs in SPLITS.items():
+        yield split, engine.prepare_census(seed=0, split_kwargs=split_kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, schema_path = Path(tmp, "census.csv"), Path(tmp, "schema.yaml")
+        engine.write_census_csv(csv_path, engine.generate_census_like(engine.CENSUS_N, 0))
+        column, group_a = engine.CENSUS_SHIFT
+        schema_path.write_text(yaml.safe_dump({
+            "columns": [dataclasses.asdict(c) for c in engine.CENSUS_SCHEMA.columns],
+            "split": {"split_column": column, "group_a_values": sorted(group_a)},
+        }, sort_keys=False))
+        dataset = {"kind": "csv", "path": str(csv_path), "schema": str(schema_path)}
+        yield "csv", engine.data_from_config(dataset, {"name": "csv"}, 0)
+
+
 def digest(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
     try:
@@ -73,8 +98,7 @@ def digest(tree: Path) -> dict:
     if not Path(engine.__file__).resolve().is_relative_to(tree):
         sys.exit(f"imported fedfair from {engine.__file__}, not from {tree / 'src'}")
     runs = {}
-    for split, split_kwargs in SPLITS.items():
-        data = engine.prepare_census(seed=0, split_kwargs=split_kwargs)
+    for split, data in datasets(engine):
         for kind in engine.ALGORITHMS:
             result = engine.run(engine.AlgorithmSpec(kind=kind), *data)
             runs[f"{kind}/{split}"] = plain({

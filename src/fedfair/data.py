@@ -18,7 +18,7 @@ import csv
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -84,12 +84,9 @@ def require_int(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class ShiftSplitSpec:
-    """How shift_split cuts a table: the split column and its group-A
-    values, the seed, and the defaults of a config's split section."""
+    """How shift_split cuts a table: a config's split section, with its
+    defaults."""
 
-    split_column: str
-    split_predicate: frozenset
-    seed: int
     train_fraction_group_a: float = 0.8
     train_fraction_group_b: float = 0.2
     client_assignment: str = "by_group"  # "by_group" | "even"
@@ -102,7 +99,6 @@ class ShiftSplitSpec:
             if not 0.0 <= f <= 1.0:
                 raise ConfigError(f"train fraction {f} outside [0, 1]")
         require_int("num_clients", self.num_clients, 1)
-        require_int("seed", self.seed, 0)
         if self.client_assignment not in ("by_group", "even"):
             raise ConfigError(
                 f"unknown client_assignment {self.client_assignment!r}"
@@ -119,15 +115,13 @@ class EncodedDataset:
     labels: np.ndarray  # (n,) in {0, 1}
     sensitive: np.ndarray  # (n,) in {0, 1}
     feature_names: list[str]
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
 
     def subset(self, idx: np.ndarray) -> "EncodedDataset":
-        """Rows *idx*, without ``aux``: the raw columns serve only the
-        split, so its train and test sets do not copy them."""
+        """Rows *idx*."""
         return EncodedDataset(
             features=self.features[idx],
             labels=self.labels[idx],
@@ -150,16 +144,36 @@ class ClientShard:
         return self.features.shape[0]
 
 
+def _utf8_lines(fh, path):
+    """The lines of the text file *fh*, opened from *path*; SchemaError
+    naming *path* on bytes that are not UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_yaml(path, error: type[Exception]):
+    """The document of the YAML file at *path*; *error* naming the file
+    when it is not valid YAML, which includes bytes that are not UTF-8."""
+    with open(path, "rb") as fh:  # bytes, so that yaml reports a decode error
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise error(f"{path}: not valid YAML: {exc}") from None
+
+
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
-    Raises SchemaError if a declared column is absent from the header or
-    named in it twice, or no complete data row remains, and RowParseError
-    (with the 1-based line number) on a row with fewer cells than the
-    header or a numeric cell that is not a finite number.
+    Raises SchemaError if the file is not UTF-8 text, a declared column is
+    absent from the header or named in it twice, or no complete data row
+    remains, and RowParseError (with the 1-based line number) on a row
+    with fewer cells than the header or a numeric cell that is not a
+    finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -254,8 +268,7 @@ def encode(raw: RawTable) -> EncodedDataset:
     object one holding NaN or an infinity). Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
-    non-sensitive attributes only. Every raw column is kept, by reference,
-    in ``aux`` for shift_split to find its split column.
+    non-sensitive attributes only.
     """
     columns, names = [], []  # each feature's values, written once below
     for col in raw.schema.columns:
@@ -292,35 +305,37 @@ def encode(raw: RawTable) -> EncodedDataset:
         labels=_majority_indicator(raw, raw.schema.label_column),
         sensitive=_majority_indicator(raw, raw.schema.sensitive_column),
         feature_names=names,
-        aux=raw.columns,
     )
 
 
+def group_a_rows(raw: RawTable, column: str, values) -> np.ndarray:
+    """The bool mask of the rows of *raw* whose *column* holds one of
+    *values*: a shift split's group A. Raises ConfigError when no row
+    does, as an even split would then train with no shift."""
+    mask_a = np.isin(raw.columns[column], list(values))
+    if not mask_a.any():
+        raise ConfigError(
+            f"split column {column!r} has no row with a value in {sorted(values, key=str)}"
+        )
+    return mask_a
+
+
 def shift_split(
-    data: EncodedDataset, spec: ShiftSplitSpec
+    data: EncodedDataset, mask_a: np.ndarray, spec: ShiftSplitSpec, seed: int
 ) -> tuple[EncodedDataset, EncodedDataset, list[ClientShard]]:
     """Split into train/test with engineered distribution shift and shard.
 
-    The training set keeps ``train_fraction_group_a`` of the rows whose
-    split column matches the predicate (group A) and
+    The training set keeps ``train_fraction_group_a`` of the rows that
+    *mask_a* marks (group A, as group_a_rows finds it) and
     ``train_fraction_group_b`` of the rest; the test set is the
     complement. Train and shards are laid out by cut_shards.
-    Deterministic given the spec seed. Raises ConfigError when the split
-    column is not a schema column, no row's value is in the predicate or
-    no row is left for the test set.
+    Deterministic given *seed*. Raises ConfigError when no row is left
+    for the test set.
     """
-    if spec.split_column not in data.aux:
-        raise ConfigError(f"split column {spec.split_column!r} is not a schema column")
-    mask_a = np.isin(data.aux[spec.split_column], list(spec.split_predicate))
-    if not mask_a.any():
-        raise ConfigError(
-            f"split column {spec.split_column!r} has no row with a value in "
-            f"{sorted(spec.split_predicate, key=str)}"
-        )
     idx_a = np.flatnonzero(mask_a)
     idx_b = np.flatnonzero(~mask_a)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     take_a = int(round(spec.train_fraction_group_a * idx_a.size))
     take_b = int(round(spec.train_fraction_group_b * idx_b.size))
     perm_a = rng.permutation(idx_a)
@@ -391,13 +406,12 @@ def load_schema_file(path) -> tuple[Schema, str, frozenset]:
     """Read a YAML schema file: its columns, and the split column and
     group-A values that its ``split`` section names (how the rows are
     split is set by the config's split section). Raises SchemaError
-    naming the file for a missing key, any other split key,
-    ``group_a_values`` that is not a non-empty list of strings or
-    numbers, and a ``split_column`` that is not one of the file's
-    columns. A column entry's keys other than ``name`` and ``kind`` are
-    ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    naming the file for a file that is not valid YAML, a missing key,
+    any other split key, ``group_a_values`` that is not a non-empty list
+    of strings or numbers, and a ``split_column`` that is not one of the
+    file's columns. A column entry's keys other than ``name`` and
+    ``kind`` are ignored."""
+    doc = load_yaml(path, SchemaError)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise SchemaError(f"{path}: expected a mapping with a 'columns' list")
     for j, c in enumerate(doc["columns"]):

@@ -36,8 +36,10 @@ from fedfair.data import (
     Schema,
     ShiftSplitSpec,
     encode,
+    group_a_rows,
     load_csv,
     load_schema_file,
+    load_yaml,
     require_int,
     shard_starts,
     shift_split,
@@ -388,7 +390,8 @@ def prepare_census(seed: int, n: int = CENSUS_N, split_kwargs: dict | None = Non
     """Generate, encode and split a census-like dataset in one call."""
     table = generate_census_like(n, seed)
     ds = encode(table)
-    return shift_split(ds, ShiftSplitSpec(*CENSUS_SHIFT, seed, **(split_kwargs or {})))
+    mask_a = group_a_rows(table, *CENSUS_SHIFT)
+    return shift_split(ds, mask_a, ShiftSplitSpec(**(split_kwargs or {})), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +399,7 @@ def prepare_census(seed: int, n: int = CENSUS_N, split_kwargs: dict | None = Non
 # ---------------------------------------------------------------------------
 
 
-_SPLIT_KEYS = ("train_fraction_group_a", "train_fraction_group_b",
-               "client_assignment", "num_clients")
+_SPLIT_KEYS = tuple(f.name for f in fields(ShiftSplitSpec))
 
 #: top-level keys of a ``fedfair run`` and a ``fedfair grid`` config
 RUN_KEYS = ("algorithm", "hyper", "dataset", "split")
@@ -420,15 +422,11 @@ def _check_keys(section: str, given, known) -> None:
 def read_config(path, keys) -> dict:
     """The mapping in the YAML file at *path*, its top-level key names
     checked against *keys* (RUN_KEYS or GRID_KEYS). Raises ConfigError
-    for a YAML error, an empty file, a document that is not a mapping and
-    an unknown key; the sections' values are checked by the readers that
-    use them (hyper_from_config, AlgorithmSpec, data_from_config and
-    experiment_grid)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    for a file that is not valid YAML, an empty file, a document that is
+    not a mapping and an unknown key; the sections' values are checked by
+    the readers that use them (hyper_from_config, AlgorithmSpec,
+    data_from_config and experiment_grid)."""
+    config = load_yaml(path, ConfigError)
     if config is None:
         raise ConfigError(f"{path}: empty config")
     _check_keys("config", config, keys)
@@ -460,7 +458,7 @@ def _check_data_keys(data_cfg: dict, split_cfg: dict) -> None:
     _check_keys("split", split_cfg, ("name", *_SPLIT_KEYS))
     if not isinstance(name := split_cfg.get("name", ""), str):
         raise ConfigError(f"split name must be a string, not {name!r}")
-    ShiftSplitSpec(*CENSUS_SHIFT, 0, **_split_kwargs(split_cfg))
+    ShiftSplitSpec(**_split_kwargs(split_cfg))
     if kind == "csv":
         if missing := {"path", "schema"} - set(data_cfg):
             raise ConfigError(f"csv dataset needs key(s): {', '.join(sorted(missing))}")
@@ -477,15 +475,14 @@ def _split_kwargs(split_cfg: dict) -> dict:
 
 def _read_dataset(data_cfg: dict):
     """The rows a checked ``dataset`` section names, before any split: for
-    ``kind: csv``, ``path`` parsed against the schema file ``schema`` and
-    encoded, with that file's split column and group-A values; for a
-    census (the default), its ``n``, since each seed draws its own rows.
-    A CSV's ``aux`` keeps only the split column, the one raw column that
-    shift_split reads, as every grid job is sent the dataset."""
+    ``kind: csv``, ``path`` parsed against the schema file ``schema``,
+    encoded, and the group_a_rows mask of that file's split column and
+    group-A values; for a census (the default), its ``n``, since each
+    seed draws its own rows."""
     if data_cfg.get("kind") == "csv":
         schema, column, group_a = load_schema_file(data_cfg["schema"])
-        encoded = encode(load_csv(data_cfg["path"], schema))
-        return replace(encoded, aux={column: encoded.aux[column]}), column, group_a
+        raw = load_csv(data_cfg["path"], schema)
+        return encode(raw), group_a_rows(raw, column, group_a)
     return data_cfg.get("n", CENSUS_N)
 
 
@@ -493,8 +490,8 @@ def _split(dataset, split_cfg: dict, seed: int):
     """*dataset*, as _read_dataset gives it, split by *split_cfg* at *seed*."""
     if isinstance(dataset, int):
         return prepare_census(seed=seed, n=dataset, split_kwargs=_split_kwargs(split_cfg))
-    encoded, column, group_a = dataset
-    return shift_split(encoded, ShiftSplitSpec(column, group_a, seed, **_split_kwargs(split_cfg)))
+    encoded, mask_a = dataset
+    return shift_split(encoded, mask_a, ShiftSplitSpec(**_split_kwargs(split_cfg)), seed)
 
 
 def data_from_config(data_cfg: dict, split_cfg: dict, seed: int):
@@ -544,8 +541,9 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     ``splits``, an unknown algorithm, a ``repetitions`` or ``base_seed``
     that is not an integer >= 1 or >= 0, a ``hyper`` section that
     hyper_from_config rejects, and a split that _check_data_keys
-    rejects, and a CSV dataset is parsed, once. Failures that only a
-    split or a run shows are recorded per cell and the grid continues.
+    rejects, and a CSV dataset is parsed, once, and its empty group A
+    rejected. Failures that only a split or a run shows are recorded per
+    cell and the grid continues.
     """
     algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
     splits = config.get("splits", [{"name": "shift"}])

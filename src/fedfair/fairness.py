@@ -18,7 +18,6 @@ Each client builds its own C once (covariance_form) and keeps it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,6 @@ def compute_stats(shards: list[ClientShard]) -> FairnessStats:
     """Pool per-client (n_k, sum s) into the global sensitive mean."""
     n = sum(int(s.n) for s in shards)
     s_bar = sum(int(s.sensitive.sum()) for s in shards) / n
-    if s_bar in (0.0, 1.0):
-        warnings.warn(
-            "sensitive attribute is constant; covariance constraint degenerates"
-        )
     return FairnessStats(s_bar=s_bar, n_total=n)
 
 

@@ -119,8 +119,8 @@ def test_make_dataset_script_feeds_run_and_grid(tmp_path):
     schema, *shift = data.load_schema_file(data_dir / "schema.yaml")
     assert (schema, tuple(shift)) == (engine.CENSUS_SCHEMA, engine.CENSUS_SHIFT)
     # a run at seed 0 splits the rows as a census run at seed 0 does
-    split = data.ShiftSplitSpec(*shift, seed=0)
-    train, test, shards = data.shift_split(data.encode(raw), split)
+    mask_a = data.group_a_rows(raw, *shift)
+    train, test, shards = data.shift_split(data.encode(raw), mask_a, data.ShiftSplitSpec(), 0)
     assert train.n + test.n == 200
     spec = engine.AlgorithmSpec(kind="FL", hyper=engine.HyperParams(**hyper))
     want = engine.run(spec, train, test, shards).final
@@ -375,22 +375,16 @@ def test_schema_file_group_a_matching_no_row_is_not_trained(
     tmp_path, monkeypatch, caplog, command
 ):
     # no sector is "privat", so group A is empty and an even split would
-    # train with no shift: a run is a usage error, a grid's cells fail
+    # train with no shift: the rows alone decide it, a usage error
     path, _ = csv_config(tmp_path, monkeypatch, command, {"client_assignment": "even"})
     schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
     doc["split"]["group_a_values"] = ["privat"]
     schema_path.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
-    rc = cli.main([command, "--config", str(path), "--output", str(out)])
-    assert "'sector' has no row with a value in ['privat']" in caplog.text
-    if command == "run":
-        assert rc == 2 and not (out / "result.yaml").exists()
-    else:
-        summary = yaml.safe_load((out / "summary.yaml").read_text())
-        assert rc == 1 and [row["algorithm"] for row in summary] == engine.DEFAULT_ALGORITHMS
-        assert all(row["repetitions_ok"] == 0 and row["repetitions_failed"] == 1
-                   for row in summary)
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert "split column 'sector' has no row with a value in ['privat']" in caplog.text
+    assert not (out / "result.yaml").exists() and not (out / "summary.yaml").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -407,6 +401,39 @@ def test_schema_file_unknown_split_column_is_usage_error(tmp_path, monkeypatch, 
     assert f"{schema_path}: split: split_column 'sectr' is not one of" in caplog.text
     assert loads == []
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
+
+
+def with_ff_byte(text: bytes) -> bytes:
+    """*text* with a 0xff byte, which no UTF-8 text holds, in its middle."""
+    return text[: len(text) // 2] + b"\xff" + text[len(text) // 2 :]
+
+
+#: an input file made unreadable: its name, how, and what the error says
+UNREADABLE_FILES = {
+    "config_not_utf8": ("bad.yaml", with_ff_byte,
+                        "not valid YAML: unacceptable character #x00ff"),
+    "schema_not_utf8": ("schema.yaml", with_ff_byte,
+                        "not valid YAML: unacceptable character #x00ff"),
+    "schema_not_yaml": ("schema.yaml", lambda text: b"columns: {a\n",
+                        "not valid YAML: while parsing a flow mapping"),
+    "csv_not_utf8": ("census.csv", with_ff_byte,
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", list(UNREADABLE_FILES))
+def test_unreadable_input_file_is_usage_error_naming_it(
+    tmp_path, monkeypatch, caplog, command, case
+):
+    path, _ = csv_config(tmp_path, monkeypatch, command)
+    name, spoil, message = UNREADABLE_FILES[case]
+    spoilt = tmp_path / name
+    spoilt.write_bytes(spoil(spoilt.read_bytes()))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert f"{spoilt}: {message}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -947,3 +974,83 @@ def test_fuzzed_run_config_has_a_defined_outcome(
         assert not out.exists()
     if code == 0:
         assert len((out / "rounds.csv").read_text().splitlines()) == 1 + work["rounds"]
+
+
+#: numeric cells: zero, the least subnormals, huge floats and the largest
+NUMERIC_CELLS = ("0", "1", "2.5", "5e-324", "-5e-324", "1e308", "-1e308",
+                 repr(sys.float_info.max), repr(-sys.float_info.max))
+#: the fuzzed schema's columns and their kinds, and the levels of each
+#: column that is not numeric
+CSV_COLUMNS = {"x": "numeric", "c": "categorical", "y": "label", "s": "sensitive"}
+CSV_LEVELS = {"c": ("a", "b", "c", "d"), "y": ("0", "1", "2"), "s": ("f", "m", "x")}
+
+
+@st.composite
+def csv_dataset(draw):
+    """A small CSV and its schema file, as bytes, and how a run splits
+    its rows: drawn cells, damaged rows and header, and a split column of
+    each kind whose group A may match no row."""
+    n = draw(st.integers(1, 40))
+    pools = {"x": tuple(draw(st.lists(st.sampled_from(NUMERIC_CELLS), min_size=1,
+                                      max_size=3, unique=True)))}
+    for name, levels in CSV_LEVELS.items():  # one, two or more values
+        pools[name] = levels[: draw(st.integers(1, len(levels)))]
+    rows = [[draw(st.sampled_from(pools[name])) for name in CSV_COLUMNS] for _ in range(n)]
+    for k, damage in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.sampled_from(["blank", "missing", "short"])),
+                                   max_size=2)):
+        if damage == "blank":
+            rows[k] = []
+        elif damage == "missing" and rows[k]:
+            cell = draw(st.integers(0, len(rows[k]) - 1))
+            rows[k][cell] = draw(st.sampled_from(data.MISSING_VALUES))
+        else:
+            rows[k] = rows[k][: draw(st.integers(1, 3))]
+    header = list(CSV_COLUMNS) + draw(st.sampled_from([[]] * 4 + [["extra"], ["s"]]))
+    # a whole row gets a cell for each added header name; a short row stays short
+    rows = [row + ["e"] * (len(header) - 4) if len(row) == 4 else row for row in rows]
+    text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+    column = draw(st.sampled_from(list(CSV_COLUMNS)))
+    group_a = draw(st.sampled_from(pools[column] + ("absent",)))
+    if column == "x" and group_a != "absent":
+        group_a = float(group_a)
+    schema = yaml.safe_dump({
+        "columns": [{"name": name, "kind": kind} for name, kind in CSV_COLUMNS.items()],
+        "split": {"split_column": column, "group_a_values": [group_a]},
+    }).encode()
+    spoilt = draw(st.sampled_from([None] * 9 + ["csv", "schema", "not_yaml"]))
+    csv_bytes = with_ff_byte(text.encode()) if spoilt == "csv" else text.encode()
+    if spoilt == "schema":
+        schema = with_ff_byte(schema)
+    elif spoilt == "not_yaml":
+        schema = b"columns: {a\n"
+    split = draw(st.sampled_from([{}, {"client_assignment": "even", "num_clients": 1},
+                                  {"client_assignment": "even", "num_clients": 3},
+                                  {"train_fraction_group_a": 1.0}]))
+    return csv_bytes, schema, split
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=csv_dataset(), algorithm=st.sampled_from(["FL", "AgnosticFair", "LocalFair"]))
+def test_fuzzed_csv_dataset_has_a_defined_outcome(tmp_path_factory, case, algorithm):
+    tmp = tmp_path_factory.mktemp("csvfuzz")
+    csv_bytes, schema, split = case
+    (tmp / "data.csv").write_bytes(csv_bytes)
+    (tmp / "schema.yaml").write_bytes(schema)
+    rounds = 2
+    cfg = {"algorithm": algorithm,
+           "hyper": {"rounds": rounds, "local_epochs": 2, "num_bases": 4},
+           "dataset": {"kind": "csv", "path": str(tmp / "data.csv"),
+                       "schema": str(tmp / "schema.yaml")},
+           "split": split}
+    out = tmp / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(write_config(tmp, cfg)), "--output", str(out)])
+    assert code in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 2:
+        assert not out.exists()
+    if code == 0:
+        assert len((out / "rounds.csv").read_text().splitlines()) == 1 + rounds

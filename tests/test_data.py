@@ -389,39 +389,43 @@ def make_split_table(n_a=10, n_b=10):
     return make_table(rows)
 
 
-def spec(fa=0.8, fb=0.2, assignment="by_group", clients=2, seed=0):
+def spec(fa=0.8, fb=0.2, assignment="by_group", clients=2):
     return data.ShiftSplitSpec(
-        split_column="job",
-        split_predicate=frozenset({"private"}),
         train_fraction_group_a=fa,
         train_fraction_group_b=fb,
         client_assignment=assignment,
         num_clients=clients,
-        seed=seed,
+    )
+
+
+def split(table, sp, seed=0):
+    """shift_split of *table* encoded, group A the rows whose job is private."""
+    return data.shift_split(
+        data.encode(table), data.group_a_rows(table, "job", {"private"}), sp, seed
     )
 
 
 def test_shift_split_counts_by_group():
-    ds = data.encode(make_split_table())
-    train, test, shards = data.shift_split(ds, spec())
+    train, test, shards = split(make_split_table(), spec())
     assert shards[0].n == 8 and shards[1].n == 2
     assert train.n == 10 and test.n == 10
 
 
 def test_shift_split_leaves_split_keys_behind():
+    # the split reads one group-A mask; no raw column travels with the rows
     table = make_split_table()
-    ds = data.encode(table)
-    train, test, _ = data.shift_split(ds, spec())
-    # encode keeps every raw column, uncopied, for the split to find
-    assert all(ds.aux[name] is table.columns[name] for name in table.columns)
-    assert train.aux == {} and test.aux == {}
+    mask_a = data.group_a_rows(table, "job", ["private"])
+    assert mask_a.dtype == bool and np.array_equal(mask_a, table.columns["job"] == "private")
+    train, test, _ = split(table, spec())
+    encoded = [f.name for f in dataclasses.fields(data.EncodedDataset)]
+    assert encoded == ["features", "labels", "sensitive", "feature_names"]
+    assert all(vars(ds).keys() == set(encoded) for ds in (data.encode(table), train, test))
 
 
 def test_shift_split_partition_no_overlap():
-    ds = data.encode(make_split_table())
     # tag rows by the unique age value to track identity through the split
-    age_col = ds.feature_names.index("age")
-    train, test, shards = data.shift_split(ds, spec())
+    train, test, shards = split(make_split_table(), spec())
+    age_col = train.feature_names.index("age")
     train_ids = set(train.features[:, age_col].tolist())
     test_ids = set(test.features[:, age_col].tolist())
     assert not train_ids & test_ids
@@ -431,15 +435,13 @@ def test_shift_split_partition_no_overlap():
 
 
 def test_shift_split_even_sizes_near_equal():
-    ds = data.encode(make_split_table())
-    _, _, shards = data.shift_split(ds, spec(fa=0.8, fb=0.8, assignment="even"))
+    _, _, shards = split(make_split_table(), spec(fa=0.8, fb=0.8, assignment="even"))
     assert abs(shards[0].n - shards[1].n) <= 1
 
 
 def test_shift_split_deterministic():
-    ds = data.encode(make_split_table())
-    a = data.shift_split(ds, spec(seed=3))
-    b = data.shift_split(ds, spec(seed=3))
+    a = split(make_split_table(), spec(), seed=3)
+    b = split(make_split_table(), spec(), seed=3)
     assert np.array_equal(a[0].features, b[0].features)
     assert np.array_equal(a[1].features, b[1].features)
     for sa, sb in zip(a[2], b[2]):
@@ -447,25 +449,15 @@ def test_shift_split_deterministic():
 
 
 def test_shift_split_empty_shard_errors():
-    ds = data.encode(make_split_table())
     with pytest.raises(ConfigError):
-        data.shift_split(ds, spec(fb=0.0))
-
-
-def test_shift_split_unknown_split_column_errors():
-    ds = data.encode(make_split_table())
-    bad = dataclasses.replace(spec(), split_column="sector")
-    with pytest.raises(ConfigError, match="'sector' is not a schema column"):
-        data.shift_split(ds, bad)
+        split(make_split_table(), spec(fb=0.0))
 
 
 def test_shift_split_empty_group_a_errors():
     # an even split would otherwise train on group B's fraction alone,
     # with no shift
-    ds = data.encode(make_split_table())
-    bad = dataclasses.replace(spec(assignment="even"), split_predicate=frozenset({"privat"}))
     with pytest.raises(ConfigError, match=r"'job' has no row with a value in \['privat'\]"):
-        data.shift_split(ds, bad)
+        data.group_a_rows(make_split_table(), "job", frozenset({"privat"}))
 
 
 def test_split_spec_validation():
@@ -484,20 +476,21 @@ def test_split_spec_validation():
     seed=st.integers(0, 1000),
 )
 def test_shift_split_partition_property(fa, fb, seed):
-    ds = data.encode(make_split_table(12, 8))
-    train, test, shards = data.shift_split(
-        ds, spec(fa=fa, fb=fb, assignment="even", clients=2, seed=seed)
+    train, test, shards = split(
+        make_split_table(12, 8), spec(fa=fa, fb=fb, assignment="even", clients=2), seed
     )
-    assert train.n + test.n == ds.n
+    assert train.n + test.n == 20
     assert sum(s.n for s in shards) == train.n
 
 
-def drawn_indices(ds, sp):
-    """The shard and test row indices of *sp*'s draw, taken from *ds*
-    directly: each shard's rows in the order the draw gives them."""
-    mask_a = np.isin(ds.aux[sp.split_column], list(sp.split_predicate))
+def drawn_indices(table, sp, seed):
+    """The shard and test row indices of *sp*'s draw at *seed*, taken from
+    the census *table* directly: each shard's rows in the order the draw
+    gives them."""
+    column, group_a = engine.CENSUS_SHIFT
+    mask_a = np.isin(table.columns[column], list(group_a))
     idx_a, idx_b = np.flatnonzero(mask_a), np.flatnonzero(~mask_a)
-    rng = np.random.default_rng(sp.seed)
+    rng = np.random.default_rng(seed)
     take_a = int(round(sp.train_fraction_group_a * idx_a.size))
     take_b = int(round(sp.train_fraction_group_b * idx_b.size))
     perm_a, perm_b = rng.permutation(idx_a), rng.permutation(idx_b)
@@ -513,12 +506,13 @@ def drawn_indices(ds, sp):
 def test_shift_split_shards_are_views_of_train(assignment, clients):
     """Each client assignment gives a train set that stacks the shards'
     rows in client order, each shard a view of its rows."""
-    ds = data.encode(engine.generate_census_like(1500, 4))
-    sp = data.ShiftSplitSpec(
-        *engine.CENSUS_SHIFT, 4, client_assignment=assignment, num_clients=clients
+    table = engine.generate_census_like(1500, 4)
+    ds = data.encode(table)
+    sp = data.ShiftSplitSpec(client_assignment=assignment, num_clients=clients)
+    train, test, shards = data.shift_split(
+        ds, data.group_a_rows(table, *engine.CENSUS_SHIFT), sp, 4
     )
-    train, test, shards = data.shift_split(ds, sp)
-    shard_idx, test_idx = drawn_indices(ds, sp)
+    shard_idx, test_idx = drawn_indices(table, sp, 4)
     for name in ("features", "labels", "sensitive"):
         assert np.array_equal(getattr(test, name), getattr(ds, name)[test_idx])
     assert len(shards) == len(shard_idx) == clients

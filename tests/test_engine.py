@@ -373,9 +373,6 @@ def test_write_census_csv_roundtrip(tmp_path):
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.sensitive, want.sensitive)
     assert got.feature_names == want.feature_names
-    assert got.aux.keys() == want.aux.keys()
-    for name in want.aux:
-        assert np.array_equal(got.aux[name], want.aux[name])
 
 
 # ---------------------------------------------------------------------------
@@ -383,39 +380,37 @@ def test_write_census_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_experiment_grid_records_cell_failures(tmp_path):
-    # a schema file whose group_a_values match no row: the config is
-    # valid, and the split fails only once the CSV is loaded
-    engine.write_census_csv(tmp_path / "census.csv", engine.generate_census_like(400, 0))
-    split = {"split_column": "sector", "group_a_values": ["privat"]}
-    columns = [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
-    (tmp_path / "schema.yaml").write_text(yaml.safe_dump({"columns": columns, "split": split}))
+def test_experiment_grid_records_cell_failures():
+    # train fractions of 1 and 1 leave no test row: the config is valid,
+    # and only a job's split shows the failure
     config = {
         "algorithms": ["FL", "AFL"],
-        "splits": [{"name": "bad"}],
+        "splits": [{"name": "bad", "train_fraction_group_a": 1.0,
+                    "train_fraction_group_b": 1.0}],
         "repetitions": 1,
         "hyper": {"rounds": 1, "local_epochs": 1, "num_bases": 4},
-        "dataset": {"kind": "csv", "path": str(tmp_path / "census.csv"),
-                    "schema": str(tmp_path / "schema.yaml")},
+        "dataset": {"n": 400},
     }
     summary = engine.experiment_grid(config)
     # the split cannot be built, so every algorithm's cell fails
     assert [row["algorithm"] for row in summary] == ["FL", "AFL"]
     for row in summary:
         assert row["repetitions_failed"] == 1
-        assert "has no row with a value in ['privat']" in row["errors"][0]
+        assert "leave no row for the test set" in row["errors"][0]
 
 
-def test_csv_dataset_keeps_only_the_split_column_in_aux(tmp_path):
-    # every grid job is sent the dataset; shift_split reads no other raw column
-    engine.write_census_csv(tmp_path / "census.csv", engine.generate_census_like(200, 0))
+def test_csv_dataset_reads_a_group_a_mask_and_no_raw_column(tmp_path):
+    # every grid job is sent the dataset; the split reads only the mask
+    table = engine.generate_census_like(200, 0)
+    engine.write_census_csv(tmp_path / "census.csv", table)
     split = {"split_column": "sector", "group_a_values": ["private"]}
     columns = [{"name": c.name, "kind": c.kind} for c in engine.CENSUS_SCHEMA.columns]
     (tmp_path / "schema.yaml").write_text(yaml.safe_dump({"columns": columns, "split": split}))
-    encoded, column, _ = engine._read_dataset({
+    encoded, mask_a = engine._read_dataset({
         "kind": "csv", "path": str(tmp_path / "census.csv"),
         "schema": str(tmp_path / "schema.yaml")})
-    assert column == "sector" and encoded.aux.keys() == {"sector"}
+    assert mask_a.dtype == bool and np.array_equal(mask_a, table.columns["sector"] == "private")
+    assert vars(encoded).keys() == {"features", "labels", "sensitive", "feature_names"}
 
 
 def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch):

@@ -30,12 +30,6 @@ def test_stats_pooled_mean():
     assert stats.n_total == 3
 
 
-def test_stats_degenerate_warns():
-    shard = make_shard([[0.0]] * 3, [0, 1, 0], [1, 1, 1])
-    with pytest.warns(UserWarning):
-        fairness.compute_stats([shard])
-
-
 # ---------------------------------------------------------------------------
 # risk difference
 # ---------------------------------------------------------------------------

@@ -357,10 +357,8 @@ RUN_SIZES = st.one_of(
 )
 
 
-# a run of 1-row shards can hold one sensitive group, which warns.
 # 300 epochs on small shards hold hundreds of accept tests a client,
 # where an objective summed unlike fit_local's dot soon tips one
-@pytest.mark.filterwarnings("ignore:sensitive attribute is constant")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     sizes=RUN_SIZES,
