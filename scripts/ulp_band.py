@@ -67,8 +67,8 @@ def nudging(server_round, rounds, towards: float):
         bc = server_round(state, bundles, cfg)
         if bc.round not in rounds:
             return bc
-        state.w_avg = np.nextafter(bc.w_avg, towards)
-        return dataclasses.replace(bc, w_avg=state.w_avg)
+        state.bc = dataclasses.replace(bc, w_avg=np.nextafter(bc.w_avg, towards))
+        return state.bc
 
     return wrapped
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -405,12 +406,13 @@ def _require(section, keys, path, where: str) -> None:
 def load_schema_file(path) -> tuple[Schema, str, frozenset]:
     """Read a YAML schema file: its columns, and the split column and
     group-A values that its ``split`` section names (how the rows are
-    split is set by the config's split section). Raises SchemaError
-    naming the file for a file that is not valid YAML, a missing key,
-    any other split key, ``group_a_values`` that is not a non-empty list
-    of strings or numbers, and a ``split_column`` that is not one of the
-    file's columns. A column entry's keys other than ``name`` and
-    ``kind`` are ignored."""
+    split is set by the config's split section), read in the split
+    column's kind (_group_a_value). Raises SchemaError naming the file
+    for a file that is not valid YAML, a missing key, any other split
+    key, ``group_a_values`` that is not a non-empty list of strings or
+    numbers, a ``split_column`` that is not one of the file's columns,
+    and a group-A value that its kind does not read. A column entry's
+    keys other than ``name`` and ``kind`` are ignored."""
     doc = load_yaml(path, SchemaError)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise SchemaError(f"{path}: expected a mapping with a 'columns' list")
@@ -428,7 +430,25 @@ def load_schema_file(path) -> tuple[Schema, str, frozenset]:
     ):
         raise SchemaError(f"{path}: split: group_a_values must be a non-empty list, "
                           f"not {values!r}")
-    if column not in [c.name for c in schema.columns]:
+    kinds = {c.name: c.kind for c in schema.columns}
+    if column not in kinds:
         raise SchemaError(f"{path}: split: split_column {column!r} "
                           f"is not one of the file's columns")
-    return schema, column, frozenset(values)
+    numeric = kinds[column] == "numeric"
+    read = [_group_a_value(v, numeric) for v in values]
+    if bad := [v for v, x in zip(values, read) if x is None]:
+        raise SchemaError(f"{path}: split: group_a_values must be "
+                          f"{'finite numbers' if numeric else 'text or numbers'} for the "
+                          f"{kinds[column]} column {column!r}, not {bad!r}")
+    return schema, column, frozenset(read)
+
+
+def _group_a_value(v, numeric: bool):
+    """A group-A value read in its split column's kind: a finite float for
+    a numeric column, text for any other; None for a value of neither, a
+    YAML bool among them."""
+    if isinstance(v, bool) or numeric and isinstance(v, str):
+        return None
+    if not numeric:
+        return str(v)
+    return float(v) if abs(v) <= sys.float_info.max else None  # False for nan

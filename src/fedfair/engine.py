@@ -218,7 +218,7 @@ def run(
     per_round = []
     for t in range(spec.hyper.rounds):
         bundles = protocol.clients_round(clients, bc, cfg)
-        alpha_old = server.alpha.copy()
+        alpha_old = bc.alpha
         bc = protocol.server_round(server, bundles, cfg)
         row = {"round": t + 1}
         row.update(_evaluate(bc.w_avg, train, test, starts))
@@ -227,10 +227,10 @@ def run(
             row["lp_status"] = server.last_lp.status
             row["lp_slack"] = server.last_lp.slack_used
             row["adversary_loss_before"] = float(psi_L @ alpha_old)
-            row["adversary_loss_after"] = float(psi_L @ server.alpha)
-            row["alpha_nnz"] = int(np.count_nonzero(server.alpha))
-            row["alpha_at_bound"] = int(np.count_nonzero(server.alpha == basis.bound))
-            row["alpha_move_l1"] = float(np.abs(server.alpha - alpha_old).sum())
+            row["adversary_loss_after"] = server.last_lp.objective_value
+            row["alpha_nnz"] = int(np.count_nonzero(bc.alpha))
+            row["alpha_at_bound"] = int(np.count_nonzero(bc.alpha == basis.bound))
+            row["alpha_move_l1"] = float(np.abs(bc.alpha - alpha_old).sum())
             if server.last_lp.status == protocol.lp.STATUS_RELAXED:
                 log.warning(
                     "round %d: fairness row relaxed by %.3g",
@@ -250,7 +250,7 @@ def run(
     return RunResult(
         per_round=per_round,
         final=final,
-        alpha_final=server.alpha.copy(),
+        alpha_final=bc.alpha,
         w_final=bc.w_avg.copy(),
     )
 
@@ -540,10 +540,11 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     ConfigError is raised for an empty or non-list ``algorithms`` or
     ``splits``, an unknown algorithm, a ``repetitions`` or ``base_seed``
     that is not an integer >= 1 or >= 0, a ``hyper`` section that
-    hyper_from_config rejects, and a split that _check_data_keys
-    rejects, and a CSV dataset is parsed, once, and its empty group A
-    rejected. Failures that only a split or a run shows are recorded per
-    cell and the grid continues.
+    hyper_from_config rejects or that sets a seed, a split that
+    _check_data_keys rejects, and an algorithm or split name (``unnamed``
+    when none is given) listed twice; then a CSV dataset is parsed, once,
+    and its empty group A rejected. Failures that only a split or a run
+    shows are recorded per cell and the grid continues.
     """
     algorithms = config.get("algorithms", DEFAULT_ALGORITHMS)
     splits = config.get("splits", [{"name": "shift"}])
@@ -556,9 +557,16 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
     require_int("repetitions", reps, 1)
     require_int("base_seed", base_seed, 0)
     hyper = hyper_from_config(config)
+    if "seed" in (config.get("hyper") or {}):
+        raise ConfigError("a grid's hyper sets no seed: repetition r runs at base_seed + r")
     data_cfg = config.get("dataset") or {}
     for split_cfg in splits:
         _check_data_keys(data_cfg, split_cfg)
+    names = [split_cfg.get("name", "unnamed") for split_cfg in splits]
+    for key, listed in (("algorithm", algorithms), ("split name", names)):
+        if repeated := sorted({x for x in listed if listed.count(x) > 1}):
+            raise ConfigError(f"{key} {', '.join(map(repr, repeated))} listed twice or more; "
+                              f"each (algorithm, split name) labels one summary row")
     dataset = _read_dataset(data_cfg)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
@@ -589,14 +597,14 @@ def experiment_grid(config: dict, output_dir=None) -> list[dict]:
 
     summary = []
     for k, algorithm in enumerate(algorithms):
-        for i, split_cfg in enumerate(splits):
-            row = {"algorithm": algorithm, "split": split_cfg.get("name", "unnamed")}
+        for i, name in enumerate(names):
+            row = {"algorithm": algorithm, "split": name}
             outcomes = [results[i * reps + r][k] for r in range(reps)]
             finals = [final for final, s in outcomes if s is not None]
             errors = [text for text, s in outcomes if s is None]
             for r, (text, s) in enumerate(outcomes):
                 if s is None:
-                    log.error("cell (%s, %s) rep %d failed: %s", algorithm, row["split"], r, text)
+                    log.error("cell (%s, %s) rep %d failed: %s", algorithm, name, r, text)
             row.update(repetitions_ok=len(finals), repetitions_failed=len(errors))
             if finals:
                 for key in ("train_acc", "test_acc", "train_rd", "test_rd"):

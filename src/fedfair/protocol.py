@@ -94,10 +94,7 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    round: int
-    alpha: np.ndarray
-    w_avg: np.ndarray
-    stats: fairness.FairnessStats
+    bc: ServerBroadcast  # the last broadcast sent; the round and alpha are its
     basis: kernels.KernelBasis
     num_clients: int
     last_lp: lp.LPSolution | None = None
@@ -230,7 +227,7 @@ def server_round(
     """Aggregate bundles, refresh alpha by LP, average weights, broadcast."""
     if len(bundles) != state.num_clients:
         raise ProtocolError(
-            f"round {state.round}: got {len(bundles)} bundles, "
+            f"round {state.bc.round}: got {len(bundles)} bundles, "
             f"expected {state.num_clients}"
         )
     psi_L = np.sum([b.psi_L for b in bundles], axis=0)
@@ -240,8 +237,9 @@ def server_round(
     with np.errstate(over="ignore"):  # a non-finite average is a named failure
         w_avg = np.mean([b.w_local for b in bundles], axis=0)
     if not np.isfinite(w_avg).all():
-        raise ProtocolError(f"round {state.round}: non-finite average weights w_avg")
+        raise ProtocolError(f"round {state.bc.round}: non-finite average weights w_avg")
 
+    alpha = state.bc.alpha
     # A constant basis runs no LP: the sum-to-one row fixes its one weight at
     # alpha0. Only the global penalty's covariance is theta-weighted, so only
     # it has an alpha side, psi_C, for the fairness row to bound (unweighted
@@ -256,18 +254,14 @@ def server_round(
         )
         solution = lp.solve(problem)
         if solution.status == lp.STATUS_ERROR:
-            raise ProtocolError(f"round {state.round}: alpha LP unsolvable")
+            raise ProtocolError(f"round {state.bc.round}: alpha LP unsolvable")
         state.last_lp = solution
-        state.alpha = solution.alpha
+        alpha = solution.alpha
 
-    state.w_avg = w_avg
-    state.round += 1
-    return ServerBroadcast(
-        round=state.round,
-        w_avg=w_avg,
-        alpha=state.alpha.copy(),
-        phi_C_global=phi_C,
+    state.bc = ServerBroadcast(
+        round=state.bc.round + 1, w_avg=w_avg, alpha=alpha, phi_C_global=phi_C
     )
+    return state.bc
 
 
 def init_protocol(
@@ -275,7 +269,8 @@ def init_protocol(
     basis: kernels.KernelBasis,
     cfg: ProtocolConfig,
 ) -> tuple[ServerState, list[ClientState], ServerBroadcast]:
-    """Stats round plus kernel precomputation; returns round-0 broadcast.
+    """Stats round plus kernel precomputation; returns the round-0
+    broadcast, which is also the server's bc.
 
     Consecutive shards with equal row counts form a run. Each client
     builds its kernel matrix and, from it, psi_theta and its covariance
@@ -314,20 +309,9 @@ def init_protocol(
                             f"the box bound {basis.bound!r}: bound * sum(psi_theta) < 1")
     alpha0 = np.full(basis.num_bases, 1.0 / total)
     dim = shards[0].features.shape[1]
-    w0 = np.zeros(dim)
     # phi_C does not depend on w, so the stats round can already ship the
     # covariance vector every later round ships, at alpha0; otherwise the
     # first local fit would run with a zero (disabled) penalty.
     phi0 = np.concatenate([_phi_C(run, alpha0) for run in runs]).sum(axis=0)
-    server = ServerState(
-        round=0,
-        alpha=alpha0,
-        w_avg=w0,
-        stats=stats,
-        basis=basis,
-        num_clients=len(shards),
-    )
-    bc0 = ServerBroadcast(
-        round=0, w_avg=w0, alpha=alpha0.copy(), phi_C_global=phi0
-    )
-    return server, clients, bc0
+    bc0 = ServerBroadcast(round=0, w_avg=np.zeros(dim), alpha=alpha0, phi_C_global=phi0)
+    return ServerState(bc=bc0, basis=basis, num_clients=len(shards)), clients, bc0

@@ -301,7 +301,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int]) -> float:
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     bundles = protocol.clients_round(clients, bc, cfg)
 
-    stats = server.stats
+    stats = clients[0].stats
     pooled = dict.fromkeys(("psi_L", "psi_theta", "psi_C", "phi_C"), 0.0)
     for client, bundle in zip(clients, bundles):
         shard, w = client.shard, bundle.w_local

@@ -211,12 +211,12 @@ def _alpha_optimizing_trace(kind: str, rounds: int = 10):
     trace = []
     for _ in range(rounds):
         bundles = [protocol.client_round(c, bc, cfg) for c in clients]
-        alpha_old = server.alpha.copy()
+        alpha_old = server.bc.alpha.copy()
         bc = protocol.server_round(server, bundles, cfg)
         trace.append(
             {
                 "alpha_old": alpha_old,
-                "alpha_new": server.alpha.copy(),
+                "alpha_new": server.bc.alpha.copy(),
                 "psi_L": np.sum([b.psi_L for b in bundles], axis=0),
                 "psi_C": np.sum([b.psi_C for b in bundles], axis=0),
                 "psi_theta": psi_theta_row,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -300,6 +301,20 @@ BAD_SCHEMA_SPLITS = {
     "bare_group_a_value": ({"group_a_values": "private"}, "group_a_values must be"),
     "no_group_a_values": ({"group_a_values": []}, "group_a_values must be"),
     "nested_group_a_value": ({"group_a_values": [["private"]]}, "group_a_values must be"),
+    # each value is read in its split column's kind, and a YAML bool in none
+    "text_in_numeric_column": (
+        {"split_column": "skill", "group_a_values": [0.1, "x"]},
+        "group_a_values must be finite numbers for the numeric column 'skill', not ['x']",
+    ),
+    "bool_in_numeric_column": (
+        {"split_column": "skill", "group_a_values": [True]},
+        "group_a_values must be finite numbers for the numeric column 'skill', not [True]",
+    ),
+    "bool_in_categorical_column": (
+        {"group_a_values": [True]},
+        "group_a_values must be text or numbers for the categorical column 'sector', "
+        "not [True]",
+    ),
 }
 
 
@@ -385,6 +400,37 @@ def test_schema_file_group_a_matching_no_row_is_not_trained(
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
     assert "split column 'sector' has no row with a value in ['privat']" in caplog.text
     assert not (out / "result.yaml").exists() and not (out / "summary.yaml").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_schema_file_number_matches_the_text_of_a_categorical_column(tmp_path, command):
+    # YAML reads group_a_values: [1] as an integer, and the categorical
+    # sector column, written with 1 for private and 0 for other (which
+    # sort as the names do), holds it as the text "1": the run splits as
+    # one over the named sectors does
+    csv_path, schema_path, run_cfg = write_census_inputs(tmp_path)
+    dataset = yaml.safe_load(run_cfg.read_text())["dataset"]
+    cfg = (write_config(tmp_path, {"algorithms": ["FL"], "hyper": FAST_HYPER,
+                                   "dataset": dataset}, "grid.yaml")
+           if command == "grid" else run_cfg)
+
+    def final(name):
+        out = tmp_path / name
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 0
+        if command == "grid":
+            [row] = yaml.safe_load((out / "summary.yaml").read_text())
+            return row["test_acc"], row["test_rd"]
+        got = yaml.safe_load((out / "result.yaml").read_text())["final"]
+        return got["test_acc"], got["test_rd"]
+
+    named = final("named")
+    table = data.load_csv(csv_path, engine.CENSUS_SCHEMA)
+    table.columns["sector"] = np.where(table.columns["sector"] == "private", "1", "0")
+    engine.write_census_csv(csv_path, table)
+    doc = yaml.safe_load(schema_path.read_text())
+    doc["split"]["group_a_values"] = [1]
+    schema_path.write_text(yaml.safe_dump(doc))
+    assert final("numbered") == named
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -776,6 +822,12 @@ BAD_GRID_VALUES = {
     "splits_not_a_list": {"splits": "shift"},
     "split_not_a_mapping": {"splits": ["shift"]},
     "split_name_not_text": {"splits": [{"name": "a"}, {"name": 2}]},
+    # repetition r runs at base_seed + r, whatever hyper says
+    "hyper_seed": {"hyper": {"rounds": 1, "seed": 5}},
+    # each (algorithm, split name) labels one summary row
+    "repeated_algorithm": {"algorithms": ["FL", "FL"]},
+    "repeated_split_name": {"splits": [{"name": "a"}, {"name": "a"}]},
+    "two_unnamed_splits": {"splits": [{}, {"client_assignment": "even"}]},
 }
 
 
@@ -1013,8 +1065,11 @@ def csv_dataset(draw):
 
     column = draw(st.sampled_from(list(CSV_COLUMNS)))
     group_a = draw(st.sampled_from(pools[column] + ("absent",)))
-    if column == "x" and group_a != "absent":
-        group_a = float(group_a)
+    # a value that reads as a number is written mostly in its column's
+    # kind, sometimes in the other: text for x, a YAML number for a level
+    swapped = draw(st.sampled_from([False] * 3 + [True]))
+    if group_a[-1].isdigit() and (column == "x") != swapped:
+        group_a = int(group_a) if group_a.isdigit() else float(group_a)
     schema = yaml.safe_dump({
         "columns": [{"name": name, "kind": kind} for name, kind in CSV_COLUMNS.items()],
         "split": {"split_column": column, "group_a_values": [group_a]},

@@ -587,6 +587,52 @@ split:
     assert (column, group_a) == ("job", frozenset({"private", "self"}))
 
 
+def split_schema_file(tmp_path, column, values):
+    """A schema file over a numeric age and a categorical job column whose
+    split section names *column* and the YAML list *values*."""
+    p = tmp_path / "schema.yaml"
+    p.write_text(
+        f"""
+columns:
+  - {{name: age, kind: numeric}}
+  - {{name: job, kind: categorical}}
+  - {{name: gender, kind: sensitive}}
+  - {{name: income, kind: label}}
+split:
+  split_column: {column}
+  group_a_values: {values}
+""",
+        encoding="utf-8",
+    )
+    return p
+
+
+@pytest.mark.parametrize("column, values, group_a", [
+    ("job", "[1, 2.5, private]", {"1", "2.5", "private"}),  # text, as the cells read
+    ("age", "[1, 2.5]", {1.0, 2.5}),  # finite floats, as the cells read
+])
+def test_load_schema_file_reads_group_a_in_the_split_columns_kind(
+    tmp_path, column, values, group_a
+):
+    p = split_schema_file(tmp_path, column, values)
+    assert data.load_schema_file(p)[1:] == (column, frozenset(group_a))
+    raw = data.RawTable(data.load_schema_file(p)[0], {
+        "age": np.array([1.0, 3.0]), "job": np.array(["1", "x"]),
+        "gender": np.array(["f", "m"]), "income": np.array(["lo", "hi"]),
+    })
+    assert data.group_a_rows(raw, column, group_a).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("column, values", [
+    ("age", "[0.1, x]"), ("age", "[.inf]"), ("age", "[.nan]"), ("age", "[true]"),
+    ("job", "[false]"),
+])
+def test_load_schema_file_refuses_group_a_its_column_cannot_read(tmp_path, column, values):
+    p = split_schema_file(tmp_path, column, values)
+    with pytest.raises(SchemaError, match=f"group_a_values must be .* column '{column}', not"):
+        data.load_schema_file(p)
+
+
 def test_load_schema_file_names_the_split_settings_it_does_not_take(tmp_path):
     p = tmp_path / "schema.yaml"
     p.write_text(

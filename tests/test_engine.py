@@ -546,12 +546,12 @@ def test_round_csv_records_alpha_support(tmp_path, monkeypatch, kind, num_client
 
     def record_init(shards, basis, cfg):
         out = init(shards, basis, cfg)
-        alphas.append((out[0].alpha.copy(), basis.bound))
+        alphas.append((out[0].bc.alpha.copy(), basis.bound))
         return out
 
     def record_round(state, bundles, cfg):
         out = server_round(state, bundles, cfg)
-        alphas.append((state.alpha.copy(), state.basis.bound))
+        alphas.append((state.bc.alpha.copy(), state.basis.bound))
         return out
 
     monkeypatch.setattr(protocol, "init_protocol", record_init)

@@ -39,7 +39,7 @@ def test_init_constant_basis_alpha_is_one(rng):
     basis = kernels.constant_basis(3)
     server, clients, bc = setup_run(shards, basis, fast_cfg())
     # constant kernel: psi_theta = n_total / n_total = 1 -> alpha0 = (1,)
-    assert np.allclose(server.alpha, [1.0])
+    assert np.allclose(server.bc.alpha, [1.0])
     assert np.allclose(bc.w_avg, 0.0)
     assert bc.round == 0
 
@@ -51,7 +51,7 @@ def test_init_alpha_satisfies_equality_row(rng):
     psi_theta = np.sum(
         [kernels.kernel_matrix(s, basis).sum(axis=0) for s in shards], axis=0
     ) / sum(s.n for s in shards)
-    assert psi_theta @ server.alpha == pytest.approx(1.0, abs=1e-12)
+    assert psi_theta @ server.bc.alpha == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -80,7 +80,7 @@ def test_round0_broadcast_carries_alpha0_covariance(rng):
     stats = fairness.compute_stats(shards)
     km = kernels.kernel_matrix(shards[0], basis)
     expected = fairness.covariance_coeff_w(
-        shards[0], kernels.theta(km, server.alpha), stats
+        shards[0], kernels.theta(km, server.bc.alpha), stats
     )
     assert np.allclose(bc.phi_C_global, expected)
 
@@ -96,7 +96,7 @@ def test_round0_broadcast_ships_the_covariance_of_later_rounds(mode, rng):
     stats = fairness.compute_stats(shards)
     weighted = np.sum([
         fairness.covariance_coeff_w(
-            s, kernels.theta(kernels.kernel_matrix(s, basis), server.alpha), stats
+            s, kernels.theta(kernels.kernel_matrix(s, basis), server.bc.alpha), stats
         )
         for s in shards
     ], axis=0)
@@ -169,10 +169,25 @@ def run_rounds(shards, basis, cfg, rounds):
     history = []
     for _ in range(rounds):
         bundles = [protocol.client_round(c, bc, cfg) for c in clients]
-        alpha_old = server.alpha.copy()
+        alpha_old = server.bc.alpha.copy()
         bc = protocol.server_round(server, bundles, cfg)
-        history.append((bundles, alpha_old, server.alpha.copy(), bc))
+        history.append((bundles, alpha_old, server.bc.alpha.copy(), bc))
     return server, clients, history
+
+
+def test_server_state_is_its_last_broadcast(rng):
+    # the server holds no round, alpha or w_avg of its own: init_protocol's
+    # round-0 broadcast and each server_round's are its state, in turn
+    shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
+    basis = kernels.select_basis(shards, 4, seed=1)
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL)
+    server, clients, bc = setup_run(shards, basis, cfg)
+    assert bc is server.bc
+    for _ in range(3):
+        before = server.bc
+        bc = protocol.server_round(server, protocol.clients_round(clients, bc, cfg), cfg)
+        assert bc is server.bc
+        assert bc.round == before.round + 1
 
 
 def test_server_rejects_wrong_bundle_count(rng):
@@ -502,7 +517,7 @@ def test_bundles_match_direct_covariance_formulas(kind, split):
     cfg = engine._protocol_config(spec)
     basis = engine._make_basis(spec, shards)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
-    stats = server.stats
+    stats = clients[0].stats
     kms = [kernels.kernel_matrix(s, basis) for s in shards]
     kernel_weighted = cfg.penalty_mode in (protocol.PENALTY_GLOBAL, protocol.PENALTY_NONE)
     for _ in range(4):
