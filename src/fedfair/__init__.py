@@ -7,6 +7,6 @@ mixtures, subject to a demographic-parity covariance constraint.
 
 __version__ = "0.1.0"
 
-from fedfair.errors import ConfigError, MetricUndefinedError, SchemaError
+from fedfair.errors import ConfigError, SchemaError
 
-__all__ = ["ConfigError", "MetricUndefinedError", "SchemaError", "__version__"]
+__all__ = ["ConfigError", "SchemaError", "__version__"]

@@ -123,7 +123,7 @@ def main(argv=None) -> int:
             IsADirectoryError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - ProtocolError, MetricUndefinedError, bugs
+    except Exception as exc:  # noqa: BLE001 - ProtocolError, bugs
         log.error("runtime failure: %s", exc)
         return EXIT_RUNTIME
 

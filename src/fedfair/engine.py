@@ -204,11 +204,13 @@ def run(
     *train* must hold exactly the shards' rows in client order, as
     cut_shards lays them out (ConfigError otherwise): each client's risk
     difference is taken from its rows of the train prediction. A train or
-    test set of one sensitive group has no risk difference: ConfigError,
-    before training."""
+    test set that is empty or holds one sensitive group has no risk
+    difference: ConfigError, before training."""
     starts = shard_starts(train, shards)
     for name, ds in (("train", train), ("test", test)):
-        if ds.n and ds.sensitive.min() == ds.sensitive.max():
+        if ds.n == 0:
+            raise ConfigError(f"the {name} set holds no row; its risk difference is undefined")
+        if ds.sensitive.min() == ds.sensitive.max():
             raise ConfigError(f"the {name} set holds sensitive group {ds.sensitive[0]} alone; "
                               f"its risk difference is undefined")
     cfg = _protocol_config(spec)

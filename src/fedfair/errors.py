@@ -24,9 +24,5 @@ class ConfigError(FedFairError):
     """A configuration value is invalid or inconsistent."""
 
 
-class MetricUndefinedError(FedFairError):
-    """A metric denominator is empty (e.g. an empty sensitive group)."""
-
-
 class ProtocolError(FedFairError):
     """Client/server round produced an invalid state or message."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedfair.data import ClientShard
-from fedfair.errors import MetricUndefinedError
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,11 @@ def compute_stats(shards: list[ClientShard]) -> FairnessStats:
 
 def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
     """|P(yhat=1 | s=1) - P(yhat=1 | s=0)| over the given samples: the
-    one-segment count of client_risk_differences. Raises
-    MetricUndefinedError when a sensitive group is empty."""
-    rd = client_risk_differences(predictions, sensitive, [0])[0] if len(sensitive) else np.nan
-    if np.isnan(rd):
-        group = int(np.any(np.asarray(sensitive) == 0))  # 0 unless a row holds 0
-        raise MetricUndefinedError(f"sensitive group {group} is empty")
-    return float(rd)
+    one-segment count of client_risk_differences, and NaN, as there, when
+    a sensitive group is empty."""
+    if not len(sensitive):
+        return np.nan
+    return float(client_risk_differences(predictions, sensitive, [0])[0])
 
 
 def client_risk_differences(

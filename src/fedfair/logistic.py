@@ -58,8 +58,8 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    learning_rate: float = 0.1
-    epochs: int = 200
+    learning_rate: float
+    epochs: int
     max_halvings: int = 20
 
 
@@ -272,7 +272,6 @@ def fit_lockstep(
     if not np.all(np.isfinite(obj)):
         raise ProtocolError(f"non-finite objective at start of fit: {obj}")
     live = np.ones(len(rows), dtype=bool)  # clients still descending
-    clients = list(range(len(rows)))
     for _ in range(opt.epochs):
         grad = _stacked_gradient(runs, counts, theta, m, e, gap, penalty)
         dm, gphi = _row_products(runs, grad), _row_dots(grad, phi)
@@ -289,7 +288,7 @@ def fit_lockstep(
         m, e = np.where(taken, cand_m, m), np.where(taken, cand_e, e)
         w[accept] -= rate * grad[accept]
         gap, obj = np.where(accept, cand_gap, gap), np.where(accept, cand_obj, obj)
-        for k in [k for k in clients if not accept[k]]:
+        for k in np.flatnonzero(live & ~accept).tolist():
             # halve on this client's rows only, from the rejected first step
             rk, rate = rows[k], opt.learning_rate
             for _ in range(opt.max_halvings):
@@ -303,8 +302,7 @@ def fit_lockstep(
                     break
             else:
                 live[k] = False  # no halving lowered the objective: stop
-        clients = np.flatnonzero(live).tolist()
-        if not clients:
+        if not live.any():
             break
     if not np.all(np.isfinite(w)):
         raise ProtocolError("non-finite weights after local fit")

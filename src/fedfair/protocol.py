@@ -24,7 +24,7 @@ the same bits whether it runs alone (client_round) or in a run
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,10 @@ PENALTY_NONE = "none"
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    lam: float = 2.0
-    tau: float = 0.05
-    penalty_mode: str = PENALTY_NONE
-    opt: logistic.OptimizerSpec = field(default_factory=logistic.OptimizerSpec)
+    lam: float
+    tau: float
+    penalty_mode: str
+    opt: logistic.OptimizerSpec
 
     def __post_init__(self):
         modes = (PENALTY_GLOBAL, PENALTY_UNWEIGHTED, PENALTY_LOCAL, PENALTY_NONE)

@@ -46,3 +46,11 @@ def run_stacks(shards):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def in_process_grid(monkeypatch):
+    """One core, as os.cpu_count reports it, so experiment_grid runs its
+    jobs in this process, where a test's patches of engine and protocol
+    hold: a pool's spawned workers import them afresh."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)

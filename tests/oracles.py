@@ -13,7 +13,7 @@ import numpy as np
 
 from fedfair import engine, fairness, kernels, logistic, lp, protocol
 from fedfair.data import ClientShard, RawTable
-from fedfair.errors import ConfigError, MetricUndefinedError
+from fedfair.errors import ConfigError
 from fedfair.lp import STATUS_ERROR, STATUS_OPTIMAL, STATUS_RELAXED, AlphaLP, LPSolution
 
 
@@ -43,7 +43,7 @@ def reweighted_risk_difference(
     predictions: np.ndarray, sensitive: np.ndarray, theta: np.ndarray
 ) -> float:
     """Risk difference under sample weights theta; reduces to the plain
-    metric when theta is uniform."""
+    metric when theta is uniform. NaN when a group has zero total weight."""
     predictions = np.asarray(predictions)
     sensitive = np.asarray(sensitive)
     theta = np.asarray(theta, dtype=float)
@@ -52,21 +52,21 @@ def reweighted_risk_difference(
         mask = sensitive == g
         denom = float(theta[mask].sum())
         if denom <= 0.0:
-            raise MetricUndefinedError(f"group {g} has zero total weight")
+            return np.nan
         rates[g] = float(theta[mask & (predictions == 1)].sum()) / denom
     return abs(rates[1] - rates[0])
 
 
 def risk_difference_reference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
     """|P(yhat=1 | s=1) - P(yhat=1 | s=0)|, each rate the mean prediction
-    over its group's mask."""
+    over its group's mask; NaN when a group is empty."""
     predictions = np.asarray(predictions)
     sensitive = np.asarray(sensitive)
     rates = {}
     for g in (0, 1):
         mask = sensitive == g
         if not mask.any():
-            raise MetricUndefinedError(f"sensitive group {g} is empty")
+            return np.nan
         rates[g] = float(predictions[mask].mean())
     return abs(rates[1] - rates[0])
 
@@ -296,7 +296,8 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int]) -> float:
     )
     basis = kernels.select_basis(shards, 6, seed=basis_seed)
     cfg = protocol.ProtocolConfig(
-        penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, opt=logistic.OptimizerSpec(epochs=5)
+        penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, tau=0.05,
+        opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=5),
     )
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     bundles = protocol.clients_round(clients, bc, cfg)

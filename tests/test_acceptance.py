@@ -276,7 +276,7 @@ def test_criterion_12_reductions():
         seed=8, n=90, split_kwargs={"client_assignment": "even", "num_clients": 3}
     )
     opt = logistic.OptimizerSpec(learning_rate=0.5, epochs=5)
-    cfg = protocol.ProtocolConfig(penalty_mode=protocol.PENALTY_NONE, opt=opt)
+    cfg = protocol.ProtocolConfig(lam=2.0, tau=0.05, penalty_mode=protocol.PENALTY_NONE, opt=opt)
     basis = kernels.constant_basis(train.features.shape[1])
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     reference = run_fedavg_reference(shards, 5, opt)

@@ -237,7 +237,7 @@ BAD_CONFIGS = {
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
-def test_bad_config_is_usage_error(tmp_path, monkeypatch, command, case):
+def test_bad_config_is_usage_error(tmp_path, monkeypatch, in_process_grid, command, case):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
     bad = BAD_CONFIGS[case]
     path = tmp_path / "bad.yaml"
@@ -483,7 +483,7 @@ def test_unreadable_input_file_is_usage_error_naming_it(
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
-def test_usage_error_creates_no_output_directory(tmp_path, monkeypatch, command):
+def test_usage_error_creates_no_output_directory(tmp_path, monkeypatch, in_process_grid, command):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
     write_census_inputs(tmp_path)  # census.csv and schema.yaml, for the csv cases
     monkeypatch.chdir(tmp_path)
@@ -832,7 +832,7 @@ BAD_GRID_VALUES = {
 
 
 @pytest.mark.parametrize("case", list(BAD_GRID_VALUES))
-def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, case):
+def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, in_process_grid, case):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
     cfg = {"algorithms": ["FL"], "hyper": {"rounds": 1}, "dataset": {"n": 300}}
     path = write_config(tmp_path, {**cfg, **BAD_GRID_VALUES[case]}, "grid.yaml")
@@ -841,7 +841,7 @@ def test_grid_rejects_bad_values_before_training(tmp_path, monkeypatch, case):
     assert not (out / "summary.csv").exists()
 
 
-def test_grid_checks_the_algorithms_it_runs_by_default(tmp_path, monkeypatch):
+def test_grid_checks_the_algorithms_it_runs_by_default(tmp_path, monkeypatch, in_process_grid):
     # experiment_grid checks the default it runs
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
     monkeypatch.setattr(engine, "DEFAULT_ALGORITHMS", ["FL", "Bogus"])
@@ -884,7 +884,9 @@ BAD_HYPER_VALUES = {
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("case", list(BAD_HYPER_VALUES))
-def test_mistyped_hyper_value_is_usage_error(tmp_path, monkeypatch, caplog, command, case):
+def test_mistyped_hyper_value_is_usage_error(
+    tmp_path, monkeypatch, in_process_grid, caplog, command, case
+):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("trained"))
     path = write_config(tmp_path, {"hyper": BAD_HYPER_VALUES[case], "dataset": {"n": 300}})
     out = tmp_path / "out"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfair import data, engine, kernels, protocol
+from fedfair import data, engine, kernels, logistic, protocol
 from fedfair.errors import ConfigError, RowParseError, SchemaError
 
 from oracles import encode_reference
@@ -530,8 +530,12 @@ def test_shift_split_shards_are_views_of_train(assignment, clients):
 def init_runs(shards):
     """The (start, stop) of each run of clients that protocol.init_protocol
     lays out for *shards*, each of whose clients holds its run's stack."""
+    cfg = protocol.ProtocolConfig(
+        lam=2.0, tau=0.05, penalty_mode=protocol.PENALTY_NONE,
+        opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=200),
+    )
     _, clients, _ = protocol.init_protocol(
-        shards, kernels.constant_basis(shards[0].features.shape[1]), protocol.ProtocolConfig()
+        shards, kernels.constant_basis(shards[0].features.shape[1]), cfg
     )
     assert all(c.run is clients[k - c.slot].run for k, c in enumerate(clients))
     return [(k, k + len(c.run.kernels)) for k, c in enumerate(clients) if c.slot == 0]

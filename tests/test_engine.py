@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedfair import engine, logistic, protocol
 from fedfair.data import ClientShard, EncodedDataset, cut_shards
-from fedfair.errors import ConfigError, MetricUndefinedError, ProtocolError
+from fedfair.errors import ConfigError, ProtocolError
 
 from oracles import risk_difference_reference, run_fedavg_reference
 
@@ -117,7 +117,7 @@ def test_constant_basis_fl_matches_fedavg_reference():
 
 def test_fedavg_reference_zero_epochs_stays_at_origin():
     _, _, shards = synthetic_setup()
-    history = run_fedavg_reference(shards, 3, logistic.OptimizerSpec(epochs=0))
+    history = run_fedavg_reference(shards, 3, logistic.OptimizerSpec(learning_rate=0.1, epochs=0))
     for w in history:
         assert np.allclose(w, 0.0)
 
@@ -276,7 +276,7 @@ def test_run_returns_or_raises_documented_error(
 ):
     """Over random even and by-group partitions, tiny n and every mix of
     sensitive groups, one-group shards included, engine.run returns or
-    raises ConfigError, ProtocolError or MetricUndefinedError."""
+    raises ConfigError or ProtocolError."""
     rng = np.random.default_rng(seed)
     train = random_dataset(rng, n, p_sensitive)
     test = random_dataset(rng, n, p_sensitive)
@@ -289,9 +289,23 @@ def test_run_returns_or_raises_documented_error(
     hyper = engine.HyperParams(rounds=2, local_epochs=2, num_bases=4, seed=seed)
     try:
         result = engine.run(engine.AlgorithmSpec(kind=kind, hyper=hyper), train, test, shards)
-    except (ConfigError, ProtocolError, MetricUndefinedError):
+    except (ConfigError, ProtocolError):
         return
     assert len(result.final["per_client_rd"]) == len(shards)
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_run_refuses_an_empty_set_before_training(monkeypatch, empty):
+    """An empty set has no risk difference: ConfigError before any round,
+    for an empty train set with no shards too."""
+    train, test, shards = synthetic_setup()
+    if empty == "train":
+        train, shards = train.subset(np.arange(0)), []
+    else:
+        test = test.subset(np.arange(0))
+    monkeypatch.setattr(protocol, "init_protocol", lambda *args: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match=f"the {empty} set holds no row"):
+        engine.run(engine.AlgorithmSpec(kind="FL", hyper=FAST), train, test, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +427,7 @@ def test_csv_dataset_reads_a_group_a_mask_and_no_raw_column(tmp_path):
     assert vars(encoded).keys() == {"features", "labels", "sensitive", "feature_names"}
 
 
-def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch):
+def test_experiment_grid_rejects_a_bad_census_split_before_any_cell(monkeypatch, in_process_grid):
     monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the grid trained"))
     config = {
         "algorithms": ["FL"],

@@ -30,6 +30,11 @@ def test_basis_rejects_bad_kind():
         kernels.KernelBasis(kind="fourier", centers=np.zeros((1, 2)), sigma=1.0, bound=5.0)
 
 
+def test_basis_rejects_no_centers():
+    with pytest.raises(ConfigError, match="at least one component"):
+        gaussian_basis(np.zeros((0, 3)))
+
+
 def test_basis_rejects_nonpositive_sigma_and_bound():
     with pytest.raises(ConfigError):
         gaussian_basis(np.zeros((1, 2)), sigma=0.0)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_fit_zero_epochs_is_identity(rng):
     w0 = rng.normal(size=3)
     out = logistic.fit_local(
         w0, logistic.signed_xt(shard), np.ones(5), no_penalty(3),
-        logistic.OptimizerSpec(epochs=0),
+        logistic.OptimizerSpec(learning_rate=0.1, epochs=0),
     )
     assert np.array_equal(out, w0)
 
@@ -265,7 +266,7 @@ def test_fit_nonfinite_start_raises(rng):
     with pytest.raises(ProtocolError):
         logistic.fit_local(
             w0, logistic.signed_xt(shard), np.ones(4), no_penalty(3),
-            logistic.OptimizerSpec(epochs=1),
+            logistic.OptimizerSpec(learning_rate=0.1, epochs=1),
         )
 
 
@@ -458,8 +459,22 @@ def test_lockstep_nonfinite_start_raises(rng):
     with pytest.raises(ProtocolError):
         logistic.fit_lockstep(
             w0, run_stacks(shards), np.ones(12), no_penalty((3, 3)),
-            logistic.OptimizerSpec(epochs=1),
+            logistic.OptimizerSpec(learning_rate=0.1, epochs=1),
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_step_raises_nonfinite_weights():
+    # a step of the largest float from a gradient that is not zero
+    # overflows the weights to infinities of both signs, alone or in a run
+    shards = [make_shard([[10.0, 10.0]], [0], [1], k) for k in range(3)]
+    opt = logistic.OptimizerSpec(learning_rate=sys.float_info.max, epochs=2)
+    with pytest.raises(ProtocolError, match="non-finite weights after local fit"):
+        logistic.fit_local(np.zeros(3), logistic.signed_xt(shards[0]), np.ones(1),
+                           no_penalty(3), opt)
+    with pytest.raises(ProtocolError, match="non-finite weights after local fit"):
+        logistic.fit_lockstep(np.zeros(3), run_stacks(shards), np.ones(3), no_penalty((3, 3)),
+                              opt)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +487,8 @@ def test_signed_xt_is_the_signed_transposed_features_and_kept(rng):
     # equal-sized clients; rounds read the stacks and leave them as built
     shards = [random_shard(rng, n, 4, k) for k, n in enumerate((50, 7, 7, 7, 30))]
     cfg = protocol.ProtocolConfig(
-        penalty_mode=protocol.PENALTY_GLOBAL, opt=logistic.OptimizerSpec(epochs=3)
+        lam=2.0, tau=0.05, penalty_mode=protocol.PENALTY_GLOBAL,
+        opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=3),
     )
     basis = kernels.select_basis(shards, 4, seed=0)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)

@@ -12,6 +12,8 @@ from conftest import make_shard, random_shard
 
 def fast_cfg(**kw):
     defaults = dict(
+        lam=2.0,
+        tau=0.05,
         penalty_mode=protocol.PENALTY_NONE,
         opt=logistic.OptimizerSpec(learning_rate=0.5, epochs=5),
     )
@@ -31,7 +33,7 @@ def setup_run(shards, basis, cfg):
 
 def test_config_rejects_unknown_penalty():
     with pytest.raises(ConfigError):
-        protocol.ProtocolConfig(penalty_mode="bogus")
+        fast_cfg(penalty_mode="bogus")
 
 
 def test_init_constant_basis_alpha_is_one(rng):
@@ -66,6 +68,18 @@ def test_box_too_small_for_the_sum_to_one_row_names_its_cause(rng):
     tiny = dataclasses.replace(kernels.constant_basis(3), bound=1e-300)
     run_rounds(shards, tiny, fast_cfg(), 1)
     run_rounds(shards, dataclasses.replace(indicator, bound=1.0), fast_cfg(), 1)
+
+
+def test_init_refuses_an_all_zero_equality_row(rng):
+    # a center far from every row: each kernel value underflows to 0, so
+    # psi_theta is 0 and no alpha meets the sum-to-one row
+    shards = [make_shard(rng.random((5, 2)), [0, 1, 0, 1, 1], [1, 0, 1, 0, 1], k)
+              for k in range(2)]
+    far = kernels.KernelBasis(
+        kind=kernels.GAUSSIAN, centers=np.full((1, 3), 1e3), sigma=1.0, bound=5.0
+    )
+    with pytest.raises(ConfigError, match="all-zero equality row"):
+        protocol.init_protocol(shards, far, fast_cfg())
 
 
 def test_init_requires_shards():
@@ -116,7 +130,7 @@ def test_round0_broadcast_ships_the_covariance_of_later_rounds(mode, rng):
 def test_zero_epoch_client_returns_broadcast_weights(rng):
     shards = [random_shard(rng, 8, 2, 0)]
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(opt=logistic.OptimizerSpec(epochs=0))
+    cfg = fast_cfg(opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=0))
     server, clients, bc = setup_run(shards, basis, cfg)
     bundle = protocol.client_round(clients[0], bc, cfg)
     assert np.array_equal(bundle.w_local, bc.w_avg)
@@ -153,7 +167,7 @@ def test_non_finite_shard_raises_protocol_error(rng):
     shard = random_shard(rng, 6, 2, 0)
     shard.features[0, 0] = np.inf
     basis = kernels.constant_basis(3)
-    cfg = fast_cfg(opt=logistic.OptimizerSpec(epochs=0))
+    cfg = fast_cfg(opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=0))
     server, clients, bc = setup_run([shard], basis, cfg)
     with pytest.raises(ProtocolError):
         protocol.client_round(clients[0], bc, cfg)
@@ -206,7 +220,7 @@ def test_aggregation_identity_against_pooled_recomputation(rng):
     basis = kernels.select_basis(shards, 4, seed=3)
     # zero local epochs: every client stays at w_avg, so the pooled
     # recomputation can use the broadcast weights directly
-    cfg = fast_cfg(opt=logistic.OptimizerSpec(epochs=0))
+    cfg = fast_cfg(opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=0))
     server, clients, history = run_rounds(shards, basis, cfg, 2)
     from fedfair import fairness
 
