@@ -7,6 +7,6 @@ mixtures, subject to a demographic-parity covariance constraint.
 
 __version__ = "0.1.0"
 
-from fedfair.errors import ConfigError, SchemaError
+from fedfair.errors import ConfigError
 
-__all__ = ["ConfigError", "SchemaError", "__version__"]
+__all__ = ["ConfigError", "__version__"]

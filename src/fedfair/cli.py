@@ -17,7 +17,7 @@ import time
 import yaml
 
 from fedfair import __version__, engine
-from fedfair.errors import ConfigError, RowParseError, SchemaError
+from fedfair.errors import ConfigError
 
 log = logging.getLogger("fedfair")
 
@@ -119,8 +119,8 @@ def main(argv=None) -> int:
     try:
         check_output(args.output)  # before any data is built
         return args.func(args)
-    except (ConfigError, SchemaError, RowParseError, FileNotFoundError,
-            IsADirectoryError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - ProtocolError, bugs

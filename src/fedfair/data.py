@@ -18,13 +18,12 @@ import csv
 import logging
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from fedfair.errors import ConfigError, RowParseError, SchemaError
+from fedfair.errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -45,14 +44,19 @@ class Schema:
     columns: tuple[ColumnSpec, ...]
 
     def __post_init__(self):
+        names = [c.name for c in self.columns]
+        if bad := [n for n in names if not isinstance(n, str)]:
+            raise ConfigError(f"column names must be text, not {bad!r}")
+        if twice := [n for n in names if names.count(n) > 1]:
+            raise ConfigError(f"the schema names column {twice[0]!r} twice")
         kinds = [c.kind for c in self.columns]
         for k in kinds:
             if k not in COLUMN_KINDS:
-                raise SchemaError(f"unknown column kind {k!r}")
+                raise ConfigError(f"unknown column kind {k!r}")
         if kinds.count("label") != 1:
-            raise SchemaError("schema must declare exactly one label column")
+            raise ConfigError("schema must declare exactly one label column")
         if kinds.count("sensitive") != 1:
-            raise SchemaError("schema must declare exactly one sensitive column")
+            raise ConfigError("schema must declare exactly one sensitive column")
 
     @property
     def label_column(self) -> str:
@@ -146,31 +150,31 @@ class ClientShard:
 
 
 def _utf8_lines(fh, path):
-    """The lines of the text file *fh*, opened from *path*; SchemaError
+    """The lines of the text file *fh*, opened from *path*; ConfigError
     naming *path* on bytes that are not UTF-8."""
     try:
         yield from fh
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def load_yaml(path, error: type[Exception]):
-    """The document of the YAML file at *path*; *error* naming the file
+def load_yaml(path):
+    """The document of the YAML file at *path*; ConfigError naming the file
     when it is not valid YAML, which includes bytes that are not UTF-8."""
     with open(path, "rb") as fh:  # bytes, so that yaml reports a decode error
         try:
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise error(f"{path}: not valid YAML: {exc}") from None
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
 
 
 def load_csv(path, schema: Schema) -> RawTable:
     """Parse a headered CSV against *schema*, dropping incomplete rows.
 
-    Raises SchemaError if the file is not UTF-8 text, a declared column is
-    absent from the header or named in it twice, or no complete data row
-    remains, and RowParseError (with the 1-based line number) on a row
-    with fewer cells than the header or a numeric cell that is not a
+    Raises ConfigError naming *path* if the file is not UTF-8 text, a
+    declared column is absent from the header or named in it twice, or no
+    complete data row remains, and naming *path* and the 1-based line on a
+    row with fewer cells than the header or a numeric cell that is not a
     finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -178,13 +182,13 @@ def load_csv(path, schema: Schema) -> RawTable:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+            raise ConfigError(f"{path}: empty file") from None
         positions = {}
         for col in schema.columns:
             if col.name not in header:
-                raise SchemaError(f"{path}: missing column {col.name!r}")
+                raise ConfigError(f"{path}: missing column {col.name!r}")
             if header.count(col.name) > 1:
-                raise SchemaError(f"{path}: the header names column {col.name!r} twice")
+                raise ConfigError(f"{path}: the header names column {col.name!r} twice")
             positions[col.name] = header.index(col.name)
 
         values: dict[str, list] = {col.name: [] for col in schema.columns}
@@ -193,9 +197,8 @@ def load_csv(path, schema: Schema) -> RawTable:
             if not raw:
                 continue
             if len(raw) < len(header):
-                raise RowParseError(
-                    reader.line_num, f"{len(raw)} cells where the header has {len(header)}"
-                )
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  f"{len(raw)} cells where the header has {len(header)}")
             cells = [raw[positions[col.name]].strip() for col in schema.columns]
             if any(v in MISSING_VALUES for v in cells):
                 dropped += 1
@@ -209,14 +212,13 @@ def load_csv(path, schema: Schema) -> RawTable:
                     # float() also accepts "nan" and "inf", which would
                     # poison the column's min-max scaling
                     if not math.isfinite(x):
-                        raise RowParseError(
-                            reader.line_num, f"column {col.name!r}: {v!r} is not a finite number"
-                        )
+                        raise ConfigError(f"{path}: line {reader.line_num}: "
+                                          f"column {col.name!r}: {v!r} is not a finite number")
                     v = x
                 values[col.name].append(v)
             kept += 1
     if not kept:
-        raise SchemaError(f"{path}: no complete data rows")
+        raise ConfigError(f"{path}: no complete data rows")
     log.info("loaded %d rows from %s (%d dropped as incomplete)", kept, path, dropped)
     columns = {
         col.name: np.asarray(
@@ -263,9 +265,9 @@ def encode(raw: RawTable) -> EncodedDataset:
     """Encode *raw* with statistics taken from *raw* itself.
 
     Numeric columns are min-max scaled by their own min and max (a
-    constant column becomes 0.0, with a warning; SchemaError on one whose
-    max - min is not a finite float); categorical columns are
-    one-hot expanded over their sorted levels (SchemaError on a float or
+    constant column becomes 0.0, with a logged warning; ConfigError on one
+    whose max - min is not a finite float); categorical columns are
+    one-hot expanded over their sorted levels (ConfigError on a float or
     object one holding NaN or an infinity). Label and sensitive values
     are binary-mapped with the majority value mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
@@ -278,12 +280,10 @@ def encode(raw: RawTable) -> EncodedDataset:
             lo, hi = vals.min(), vals.max()
             # a Python float's difference overflows to inf with no warning
             if not math.isfinite(float(hi) - float(lo)):
-                raise SchemaError(f"numeric column {col.name!r} spans {lo} to {hi}, "
+                raise ConfigError(f"numeric column {col.name!r} spans {lo} to {hi}, "
                                   f"a range that is not a finite float")
             if lo == hi:
-                warnings.warn(
-                    f"numeric column {col.name!r} is constant; scaled to 0.0"
-                )
+                log.warning("numeric column %r is constant; scaled to 0.0", col.name)
             columns.append(0.0 if lo == hi else (vals - lo) / (hi - lo))
             names.append(col.name)
         elif col.kind == "categorical":
@@ -292,7 +292,7 @@ def encode(raw: RawTable) -> EncodedDataset:
             if vals.dtype.kind in "fO" and (
                 (vals != vals) | (vals == np.inf) | (vals == -np.inf)
             ).any():
-                raise SchemaError(f"categorical column {col.name!r} holds a non-finite value")
+                raise ConfigError(f"categorical column {col.name!r} holds a non-finite value")
             levels, masks = _level_masks(vals)
             columns.extend(masks)
             names.extend(f"{col.name}={v}" for v in levels)
@@ -397,47 +397,51 @@ def shard_starts(train: EncodedDataset, shards: list[ClientShard]) -> np.ndarray
 
 
 def _require(section, keys, path, where: str) -> None:
-    """Raise SchemaError naming *path* and the missing keys unless
+    """Raise ConfigError naming *path* and the missing keys unless
     *section* is a mapping that holds every key in *keys*."""
     if missing := [k for k in keys if not isinstance(section, dict) or k not in section]:
-        raise SchemaError(f"{path}: {where} lacks the key(s) {', '.join(missing)}")
+        raise ConfigError(f"{path}: {where} lacks the key(s) {', '.join(missing)}")
 
 
 def load_schema_file(path) -> tuple[Schema, str, frozenset]:
     """Read a YAML schema file: its columns, and the split column and
     group-A values that its ``split`` section names (how the rows are
     split is set by the config's split section), read in the split
-    column's kind (_group_a_value). Raises SchemaError naming the file
-    for a file that is not valid YAML, a missing key, any other split
-    key, ``group_a_values`` that is not a non-empty list of strings or
-    numbers, a ``split_column`` that is not one of the file's columns,
-    and a group-A value that its kind does not read. A column entry's
+    column's kind (_group_a_value). Raises ConfigError naming the file
+    for a file that is not valid YAML, a missing key, columns that Schema
+    refuses, any other split key, ``group_a_values`` that is not a
+    non-empty list of strings or numbers, a ``split_column`` that is not
+    one of the file's columns, and a group-A value that its kind does not
+    read. A column entry's
     keys other than ``name`` and ``kind`` are ignored."""
-    doc = load_yaml(path, SchemaError)
+    doc = load_yaml(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
-        raise SchemaError(f"{path}: expected a mapping with a 'columns' list")
+        raise ConfigError(f"{path}: expected a mapping with a 'columns' list")
     for j, c in enumerate(doc["columns"]):
         _require(c, ("name", "kind"), path, f"columns[{j}]")
-    schema = Schema(tuple(ColumnSpec(c["name"], c["kind"]) for c in doc["columns"]))
+    try:
+        schema = Schema(tuple(ColumnSpec(c["name"], c["kind"]) for c in doc["columns"]))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     split = doc.get("split")
     _require(split, ("split_column", "group_a_values"), path, "split")
     if moved := sorted(map(str, set(split) - {"split_column", "group_a_values"})):
-        raise SchemaError(f"{path}: split: unknown key(s) {', '.join(moved)}; "
+        raise ConfigError(f"{path}: split: unknown key(s) {', '.join(moved)}; "
                           f"how rows are split is set by the config's split section")
     column, values = split["split_column"], split["group_a_values"]
     if not isinstance(values, list) or not values or not all(
         isinstance(v, (str, int, float)) for v in values
     ):
-        raise SchemaError(f"{path}: split: group_a_values must be a non-empty list, "
+        raise ConfigError(f"{path}: split: group_a_values must be a non-empty list, "
                           f"not {values!r}")
     kinds = {c.name: c.kind for c in schema.columns}
-    if column not in kinds:
-        raise SchemaError(f"{path}: split: split_column {column!r} "
+    if not isinstance(column, str) or column not in kinds:  # a list is unhashable
+        raise ConfigError(f"{path}: split: split_column {column!r} "
                           f"is not one of the file's columns")
     numeric = kinds[column] == "numeric"
     read = [_group_a_value(v, numeric) for v in values]
     if bad := [v for v, x in zip(values, read) if x is None]:
-        raise SchemaError(f"{path}: split: group_a_values must be "
+        raise ConfigError(f"{path}: split: group_a_values must be "
                           f"{'finite numbers' if numeric else 'text or numbers'} for the "
                           f"{kinds[column]} column {column!r}, not {bad!r}")
     return schema, column, frozenset(read)

@@ -428,7 +428,7 @@ def read_config(path, keys) -> dict:
     not a mapping and an unknown key; the sections' values are checked by
     the readers that use them (hyper_from_config, AlgorithmSpec,
     data_from_config and experiment_grid)."""
-    config = load_yaml(path, ConfigError)
+    config = load_yaml(path)
     if config is None:
         raise ConfigError(f"{path}: empty config")
     _check_keys("config", config, keys)

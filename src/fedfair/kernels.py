@@ -80,8 +80,8 @@ def select_basis(
     shards: list[ClientShard],
     num_bases: int,
     seed: int,
-    sigma: float = 1.0,
-    bound: float = 5.0,
+    sigma: float,
+    bound: float,
 ) -> KernelBasis:
     """Sample Gaussian centers from client data, proportionally per shard.
 

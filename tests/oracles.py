@@ -294,7 +294,7 @@ def check_aggregation_oracle(n: int, seeds: tuple[int, int]) -> float:
     _, _, shards = engine.prepare_census(
         seed=data_seed, n=n, split_kwargs={"client_assignment": "even", "num_clients": 3}
     )
-    basis = kernels.select_basis(shards, 6, seed=basis_seed)
+    basis = kernels.select_basis(shards, 6, seed=basis_seed, sigma=1.0, bound=5.0)
     cfg = protocol.ProtocolConfig(
         penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0, tau=0.05,
         opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=5),

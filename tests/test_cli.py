@@ -91,7 +91,7 @@ def test_prepare_truncated_row_is_usage_error(tmp_path, caplog):
     csv_path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
     assert rc == 2
-    assert "line 6: 4 cells where the header has" in caplog.text
+    assert f"{csv_path}: line 6: 4 cells where the header has" in caplog.text
 
 
 def run_python(*args, cwd=None):
@@ -273,10 +273,38 @@ def csv_config(tmp_path, monkeypatch, command, split=None, **grid):
     return write_config(tmp_path, cfg, name="bad.yaml"), loads
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_bad_csv_row_is_usage_error_naming_its_file_and_line(
+    tmp_path, monkeypatch, caplog, command
+):
+    path, _ = csv_config(tmp_path, monkeypatch, command)
+    csv_path = tmp_path / "census.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[3] = "abc" + lines[3][lines[3].index(","):]  # skill, the first column
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert f"{csv_path}: line 4: column 'skill': 'abc' is not a finite number" in caplog.text
+    assert not out.exists()
+
+
+#: a schema file spoilt: the split section or the index of a column, its
+#: key, the value the key is given (None deletes it), and what the error
+#: says after the file's path
 BAD_SCHEMAS = {
-    "split_without_split_column": ("split", "split_column"),
-    "split_without_group_a_values": ("split", "group_a_values"),
-    "column_without_kind": ("columns", "kind"),
+    "split_without_split_column": (
+        "split", "split_column", None, "split lacks the key(s) split_column"),
+    "split_without_group_a_values": (
+        "split", "group_a_values", None, "split lacks the key(s) group_a_values"),
+    "column_without_kind": (0, "kind", None, "columns[0] lacks the key(s) kind"),
+    # the columns that data.Schema refuses (income is the label column)
+    "unknown_kind": (8, "kind", "lable", "unknown column kind 'lable'"),
+    "no_label_column": (8, "kind", "categorical",
+                        "schema must declare exactly one label column"),
+    "two_sensitive_columns": (0, "kind", "sensitive",
+                              "schema must declare exactly one sensitive column"),
+    "column_name_not_text": (0, "name", ["skill"], "column names must be text, not [['skill']]"),
+    "column_named_twice": (1, "name", "skill", "the schema names column 'skill' twice"),
 }
 
 
@@ -286,13 +314,16 @@ def test_schema_file_missing_key_is_usage_error(tmp_path, monkeypatch, caplog, c
     path, loads = csv_config(tmp_path, monkeypatch, command)
     schema_path = tmp_path / "schema.yaml"
     doc = yaml.safe_load(schema_path.read_text())
-    section, key = BAD_SCHEMAS[case]
-    target = doc["split"] if section == "split" else doc["columns"][0]
-    del target[key]
+    where, key, value, message = BAD_SCHEMAS[case]
+    target = doc["split"] if where == "split" else doc["columns"][where]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
     schema_path.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
-    assert f"{schema_path}: " in caplog.text and f"lacks the key(s) {key}" in caplog.text
+    assert f"{schema_path}: {message}" in caplog.text
     assert loads == []
     assert not (out / "result.yaml").exists() and not (out / "summary.csv").exists()
 
@@ -301,6 +332,8 @@ BAD_SCHEMA_SPLITS = {
     "bare_group_a_value": ({"group_a_values": "private"}, "group_a_values must be"),
     "no_group_a_values": ({"group_a_values": []}, "group_a_values must be"),
     "nested_group_a_value": ({"group_a_values": [["private"]]}, "group_a_values must be"),
+    "split_column_not_text": ({"split_column": ["sector"]},
+                              "split_column ['sector'] is not one of the file's columns"),
     # each value is read in its split column's kind, and a YAML bool in none
     "text_in_numeric_column": (
         {"split_column": "skill", "group_a_values": [0.1, "x"]},
@@ -621,6 +654,22 @@ def test_path_naming_a_directory_is_usage_error(tmp_path, monkeypatch, caplog, w
     assert rc == 2 and "Is a directory" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("what", ["config", "path", "schema"])
+def test_path_under_a_file_is_usage_error(tmp_path, monkeypatch, caplog, command, what):
+    path, _ = csv_config(tmp_path, monkeypatch, command)
+    if what == "config":
+        path = tmp_path / "census.csv" / "x.yaml"
+    else:
+        cfg = yaml.safe_load(path.read_text())
+        cfg["dataset"][what] = str(tmp_path / "census.csv" / "x")
+        path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert "Not a directory" in caplog.text and "runtime failure" not in caplog.text
+    assert not out.exists()
+
+
 def test_empty_output_is_usage_error(tmp_path, monkeypatch, caplog):
     for name in ("data_from_config", "run"):
         monkeypatch.setattr(engine, name, lambda *args: pytest.fail("built or trained"))
@@ -660,6 +709,23 @@ def test_grid_workers_log_at_the_level_and_in_the_format_set(tmp_path, level, re
     lines = [line for line in proc.stderr.splitlines() if "fairness row relaxed" in line]
     assert bool(lines) == relaxed, proc.stderr
     assert all(line.startswith("WARNING fedfair.engine: round ") for line in lines)
+
+
+@pytest.mark.parametrize("level, shown", [("WARNING", True), ("ERROR", False)])
+def test_constant_column_warning_follows_the_log_level(tmp_path, level, shown):
+    csv_path, _, cfg = write_census_inputs(tmp_path)
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = "1"  # skill
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    proc = run_python("-m", "fedfair.cli", "--log-level", level, "run", "--config", cfg.name,
+                      "--output", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "is constant" in line]
+    want = ["WARNING fedfair.data: numeric column 'skill' is constant; scaled to 0.0"]
+    assert lines == (want if shown else []), proc.stderr
 
 
 def test_entry_point_exit_code_reaches_the_shell(tmp_path):

@@ -200,7 +200,7 @@ def test_linear_form_equivalence_both_sides(seed):
         make_shard(r.normal(size=(4, 2)), r.integers(0, 2, 4), r.integers(0, 2, 4), 1),
     ]
     stats = fairness.compute_stats(shards)
-    basis = kernels.select_basis(shards, 3, seed=seed)
+    basis = kernels.select_basis(shards, 3, seed=seed, sigma=1.0, bound=5.0)
     alpha = r.uniform(0.0, 5.0, size=3)
     w = r.normal(size=3)
     direct = direct_covariance(shards, basis, alpha, w, stats)

@@ -65,8 +65,8 @@ def test_proportional_quotas_sum_to_total_within_each_shard(data, sizes):
 
 def test_select_basis_deterministic_and_sampled_from_data(rng):
     shards = [random_shard(rng, 80, 3, 0), random_shard(rng, 20, 3, 1)]
-    a = kernels.select_basis(shards, 10, seed=4)
-    b = kernels.select_basis(shards, 10, seed=4)
+    a = kernels.select_basis(shards, 10, seed=4, sigma=1.0, bound=5.0)
+    b = kernels.select_basis(shards, 10, seed=4, sigma=1.0, bound=5.0)
     assert np.array_equal(a.centers, b.centers)
     pool = np.vstack([s.features for s in shards])
     for row in a.centers:
@@ -75,7 +75,7 @@ def test_select_basis_deterministic_and_sampled_from_data(rng):
 
 def test_select_basis_quota_split(rng):
     shards = [random_shard(rng, 80, 3, 0), random_shard(rng, 20, 3, 1)]
-    basis = kernels.select_basis(shards, 10, seed=4)
+    basis = kernels.select_basis(shards, 10, seed=4, sigma=1.0, bound=5.0)
     from_first = sum(
         any(np.allclose(c, p) for p in shards[0].features) for c in basis.centers
     )
@@ -85,12 +85,12 @@ def test_select_basis_quota_split(rng):
 def test_select_basis_too_many_centers(rng):
     shards = [random_shard(rng, 5, 2)]
     with pytest.raises(ConfigError):
-        kernels.select_basis(shards, 6, seed=0)
+        kernels.select_basis(shards, 6, seed=0, sigma=1.0, bound=5.0)
 
 
 def test_select_basis_single_center_single_shard(rng):
     shards = [random_shard(rng, 5, 2)]
-    basis = kernels.select_basis(shards, 1, seed=0)
+    basis = kernels.select_basis(shards, 1, seed=0, sigma=1.0, bound=5.0)
     assert basis.num_bases == 1
     assert any(np.allclose(basis.centers[0], p) for p in shards[0].features)
 
@@ -138,14 +138,14 @@ def test_kernel_matrix_huge_sigma_limit():
 
 def test_kernel_matrix_entries_in_unit_interval(rng):
     shard = random_shard(rng, 20, 4)
-    basis = kernels.select_basis([shard], 5, seed=1)
+    basis = kernels.select_basis([shard], 5, seed=1, sigma=1.0, bound=5.0)
     km = kernels.kernel_matrix(shard, basis)
     assert np.all(km > 0.0) and np.all(km <= 1.0)
 
 
 def test_kernel_matrix_coordinate_permutation_invariance(rng):
     shard = random_shard(rng, 10, 3)
-    basis = kernels.select_basis([shard], 4, seed=2)
+    basis = kernels.select_basis([shard], 4, seed=2, sigma=1.0, bound=5.0)
     km = kernels.kernel_matrix(shard, basis)
     perm = [2, 0, 1, 3]  # keep bias position irrelevant: distance is all that matters
     shard_p = make_shard(shard.features[:, perm][:, :-1], shard.labels, shard.sensitive)

@@ -490,7 +490,7 @@ def test_signed_xt_is_the_signed_transposed_features_and_kept(rng):
         lam=2.0, tau=0.05, penalty_mode=protocol.PENALTY_GLOBAL,
         opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=3),
     )
-    basis = kernels.select_basis(shards, 4, seed=0)
+    basis = kernels.select_basis(shards, 4, seed=0, sigma=1.0, bound=5.0)
     server, clients, bc = protocol.init_protocol(shards, basis, cfg)
     for c in clients:
         item = c.run.signed_xt[c.slot]

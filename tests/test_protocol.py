@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedfair import engine, fairness, kernels, logistic, protocol
+from fedfair import engine, fairness, kernels, logistic, lp, protocol
 from fedfair.data import cut_shards, encode
 from fedfair.errors import ConfigError, ProtocolError
 
@@ -48,7 +48,7 @@ def test_init_constant_basis_alpha_is_one(rng):
 
 def test_init_alpha_satisfies_equality_row(rng):
     shards = [random_shard(rng, 10, 3, 0), random_shard(rng, 7, 3, 1)]
-    basis = kernels.select_basis(shards, 4, seed=1)
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
     server, clients, bc = setup_run(shards, basis, fast_cfg())
     psi_theta = np.sum(
         [kernels.kernel_matrix(s, basis).sum(axis=0) for s in shards], axis=0
@@ -89,7 +89,7 @@ def test_init_requires_shards():
 
 def test_round0_broadcast_carries_alpha0_covariance(rng):
     shards = [random_shard(rng, 8, 2, 0)]
-    basis = kernels.select_basis(shards, 3, seed=0)
+    basis = kernels.select_basis(shards, 3, seed=0, sigma=1.0, bound=5.0)
     server, clients, bc = setup_run(shards, basis, fast_cfg())
     stats = fairness.compute_stats(shards)
     km = kernels.kernel_matrix(shards[0], basis)
@@ -104,7 +104,7 @@ def test_round0_broadcast_ships_the_covariance_of_later_rounds(mode, rng):
     # the unweighted variant's first fit must penalize the fixed theta == 1
     # covariance it gets in every later round, not the alpha0-weighted one
     shards = [random_shard(rng, 9, 2, 0), random_shard(rng, 7, 2, 1)]
-    basis = kernels.select_basis(shards, 4, seed=2)
+    basis = kernels.select_basis(shards, 4, seed=2, sigma=1.0, bound=5.0)
     cfg = fast_cfg(penalty_mode=mode, lam=2.0)
     server, clients, bc0 = setup_run(shards, basis, cfg)
     stats = fairness.compute_stats(shards)
@@ -141,7 +141,7 @@ def test_identical_clients_send_identical_bundles(rng):
     y = rng.integers(0, 2, 6)
     s = np.array([0, 1, 0, 1, 0, 1])
     shards = [make_shard(x, y, s, 0), make_shard(x, y, s, 1)]
-    basis = kernels.select_basis(shards, 3, seed=2)
+    basis = kernels.select_basis(shards, 3, seed=2, sigma=1.0, bound=5.0)
     cfg = fast_cfg()
     server, clients, bc = setup_run(shards, basis, cfg)
     b0 = protocol.client_round(clients[0], bc, cfg)
@@ -193,7 +193,7 @@ def test_server_state_is_its_last_broadcast(rng):
     # the server holds no round, alpha or w_avg of its own: init_protocol's
     # round-0 broadcast and each server_round's are its state, in turn
     shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
-    basis = kernels.select_basis(shards, 4, seed=1)
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL)
     server, clients, bc = setup_run(shards, basis, cfg)
     assert bc is server.bc
@@ -214,10 +214,24 @@ def test_server_rejects_wrong_bundle_count(rng):
         protocol.server_round(server, bundles, cfg)
 
 
+def test_unsolvable_alpha_lp_leaves_the_server_as_it_was(rng, monkeypatch):
+    shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
+    cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL)
+    server, clients, bc = setup_run(shards, basis, cfg)
+    bundles = protocol.clients_round(clients, bc, cfg)
+    last_lp = server.last_lp
+    failed = lp.LPSolution(np.zeros(basis.num_bases), float("nan"), lp.STATUS_ERROR)
+    monkeypatch.setattr(lp, "solve", lambda problem: failed)
+    with pytest.raises(ProtocolError, match="round 0: alpha LP unsolvable"):
+        protocol.server_round(server, bundles, cfg)
+    assert server.bc is bc and server.last_lp is last_lp
+
+
 def test_aggregation_identity_against_pooled_recomputation(rng):
     """Server-side sums equal coefficients recomputed from pooled raw data."""
     shards = [random_shard(rng, 9, 3, 0), random_shard(rng, 11, 3, 1)]
-    basis = kernels.select_basis(shards, 4, seed=3)
+    basis = kernels.select_basis(shards, 4, seed=3, sigma=1.0, bound=5.0)
     # zero local epochs: every client stays at w_avg, so the pooled
     # recomputation can use the broadcast weights directly
     cfg = fast_cfg(opt=logistic.OptimizerSpec(learning_rate=0.1, epochs=0))
@@ -249,7 +263,7 @@ def test_bundle_psi_L_matches_row_major_logloss(rng):
     # extraction takes the losses from the shard's signed_xt;
     # per_sample_logloss, on the row-major features, is their oracle
     shards = [random_shard(rng, n, 5, k) for k, n in enumerate((300, 41))]
-    basis = kernels.select_basis(shards, 8, seed=4)
+    basis = kernels.select_basis(shards, 8, seed=4, sigma=1.0, bound=5.0)
     server, clients, bc = setup_run(shards, basis, fast_cfg())
     for c in clients:
         for scale in (0.1, 1.0, 10.0):
@@ -274,7 +288,7 @@ def test_weight_average_is_unweighted_mean(rng):
 
 def test_alpha_sums_to_one_every_round(rng):
     shards = [random_shard(rng, 10, 2, 0), random_shard(rng, 8, 2, 1)]
-    basis = kernels.select_basis(shards, 4, seed=5)
+    basis = kernels.select_basis(shards, 4, seed=5, sigma=1.0, bound=5.0)
     cfg = fast_cfg()
     psi_theta = np.sum(
         [kernels.kernel_matrix(s, basis).sum(axis=0) for s in shards], axis=0
@@ -289,7 +303,7 @@ def test_adversary_ascent_without_fairness_row(rng):
     round-invariant the previous alpha stays feasible, so the objective
     cannot decrease."""
     shards = [random_shard(rng, 10, 2, 0), random_shard(rng, 8, 2, 1)]
-    basis = kernels.select_basis(shards, 4, seed=6)
+    basis = kernels.select_basis(shards, 4, seed=6, sigma=1.0, bound=5.0)
     cfg = fast_cfg()
     server, clients, history = run_rounds(shards, basis, cfg, 5)
     for bundles, alpha_old, alpha_new, _ in history:
@@ -315,7 +329,7 @@ def test_message_array_lengths_never_match_shard_sizes(rng):
     # shard sizes chosen distinct from M and d+1
     shards = [random_shard(rng, 9, 2, 0), random_shard(rng, 11, 2, 1)]
     shard_sizes = {s.n for s in shards}
-    basis = kernels.select_basis(shards, 4, seed=7)
+    basis = kernels.select_basis(shards, 4, seed=7, sigma=1.0, bound=5.0)
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0)
     server, clients, bc = setup_run(shards, basis, cfg)
     messages = [bc]
@@ -393,7 +407,7 @@ def test_lockstep_round_matches_client_rounds(mode, rng):
     # paths make the same BLAS calls, so every bit agrees
     for sizes in ((1, 7, 12, 30), (1, 1, 7, 7, 7, 12)):
         shards = [random_shard(rng, n, 3, k) for k, n in enumerate(sizes)]
-        basis = kernels.select_basis(shards, 5, seed=1)
+        basis = kernels.select_basis(shards, 5, seed=1, sigma=1.0, bound=5.0)
         cfg = fast_cfg(penalty_mode=mode,
                        opt=logistic.OptimizerSpec(learning_rate=2.0, epochs=10))
         server, clients, bc = setup_run(shards, basis, cfg)
@@ -426,7 +440,8 @@ def test_lockstep_rounds_read_the_signed_xt_stacked_at_init(rng, monkeypatch):
     monkeypatch.setattr(logistic, "run_logloss", run_logloss)
     shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL, lam=2.0)
-    server, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), cfg)
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
+    server, clients, bc = setup_run(shards, basis, cfg)
     for _ in range(3):
         bc = protocol.server_round(server, protocol.clients_round(clients, bc, cfg), cfg)
     built = [clients[k].run.signed_xt for k in (0, 1, 4)]
@@ -437,7 +452,8 @@ def test_lockstep_rounds_read_the_signed_xt_stacked_at_init(rng, monkeypatch):
 
 def test_lockstep_round_takes_theta_once_per_run(rng, monkeypatch):
     shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
-    _, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), fast_cfg())
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
+    _, clients, bc = setup_run(shards, basis, fast_cfg())
     calls, real_theta = [], kernels.theta
 
     def theta(km, alpha):
@@ -452,7 +468,7 @@ def test_lockstep_round_takes_theta_once_per_run(rng, monkeypatch):
 
 def test_runs_share_one_stack_of_kernel_matrices_and_forms(rng):
     shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
-    basis = kernels.select_basis(shards, 4, seed=1)
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
     _, clients, _ = setup_run(shards, basis, fast_cfg())
     assert [c.run.kernels.shape[0] for c in clients] == [1, 3, 3, 3, 1]
     assert [c.slot for c in clients] == [0, 0, 1, 2, 0]
@@ -469,7 +485,8 @@ def test_non_finite_extraction_names_the_client_and_field(lockstep, rng):
     # client 2 sits in the middle of the run of 6-row shards
     shards = [random_shard(rng, n, 3, k) for k, n in enumerate((5, 6, 6, 6, 4))]
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_NONE)
-    _, clients, bc = setup_run(shards, kernels.select_basis(shards, 4, seed=1), cfg)
+    basis = kernels.select_basis(shards, 4, seed=1, sigma=1.0, bound=5.0)
+    _, clients, bc = setup_run(shards, basis, cfg)
     clients[2].run.forms[clients[2].slot, 0, 1] = np.nan  # C_2's first entry
     with pytest.raises(ProtocolError, match="client 2: non-finite psi_C"):
         if lockstep:
@@ -553,7 +570,7 @@ def test_bundles_match_direct_covariance_formulas(kind, split):
 def test_round_reads_no_per_sample_covariance(split, monkeypatch):
     # after set-up, psi_C and phi_C come from the covariance form alone
     shards = FORM_SPLITS[split]
-    basis = kernels.select_basis(shards, 30, seed=0)
+    basis = kernels.select_basis(shards, 30, seed=0, sigma=1.0, bound=5.0)
     cfg = fast_cfg(penalty_mode=protocol.PENALTY_GLOBAL)
     server, clients, bc = setup_run(shards, basis, cfg)
 
