@@ -2,8 +2,11 @@
 
 The loader is schema generic: any CSV with one declared label column and
 one declared sensitive column works. Raw tables are stored by column, one
-array per schema column. A table is encoded once, before the split, in
-one pass: categorical columns are one-hot expanded, numeric columns are
+array per schema column: a numeric column's floats, and for any other
+column one integer code per row into its sorted distinct values, made
+where the rows are read (coded_table). A table is encoded once, before
+the split, in one pass: categorical columns are one-hot expanded by
+code, numeric columns are
 min-max scaled to [0, 1], and a constant bias column is appended as the
 last feature. The encoded data is then cut into train, test and client
 shards. A run's training rows are held once: ``train`` stacks the
@@ -69,15 +72,46 @@ class Schema:
 
 @dataclass
 class RawTable:
-    """A table stored by column: one equal-length array per schema column
-    (floats for numeric columns, strings for the others)."""
+    """A table stored by column: one equal-length array per schema column,
+    floats for a numeric column and for any other (categorical, label or
+    sensitive) one integer code per row into ``levels[name]``, that
+    column's distinct values, sorted, each held by some row."""
 
     schema: Schema
     columns: dict[str, np.ndarray]
+    levels: dict[str, np.ndarray]
 
     @property
     def n(self) -> int:
         return len(self.columns[self.schema.columns[0].name])
+
+    def values(self, name: str) -> np.ndarray:
+        """Column *name*'s values, a coded column's decoded."""
+        column = self.columns[name]
+        return self.levels[name][column] if name in self.levels else column
+
+
+def coded_table(schema: Schema, columns: dict) -> RawTable:
+    """The RawTable of *columns*, which maps each numeric column to its
+    floats and each other column to a pair (values, codes): values
+    indexed by the codes, one non-negative integer code per row. Each
+    pair's values are cut to those some code names and sorted, equal
+    ones merged, and its codes remapped onto them; codes that the remap
+    would not change are kept as they are."""
+    columns, levels = dict(columns), {}
+    for col in schema.columns:
+        if col.kind == "numeric":
+            continue
+        values, codes = columns[col.name]
+        values = np.asarray(values)
+        used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+        levels[col.name], inverse = np.unique(values[used], return_inverse=True)
+        remap = np.full(len(values), -1)
+        remap[used] = inverse
+        if not np.array_equal(remap, np.arange(len(values))):
+            codes = remap[codes]
+        columns[col.name] = codes
+    return RawTable(schema=schema, columns=columns, levels=levels)
 
 
 def require_int(name: str, value, least: int) -> None:
@@ -192,6 +226,8 @@ def load_csv(path, schema: Schema) -> RawTable:
             positions[col.name] = header.index(col.name)
 
         values: dict[str, list] = {col.name: [] for col in schema.columns}
+        # each non-numeric column's cells, in the order first read, to their codes
+        seen = [None if c.kind == "numeric" else {} for c in schema.columns]
         kept = dropped = 0
         for raw in reader:  # line_num, not a count of records: a cell can span lines
             if not raw:
@@ -203,8 +239,8 @@ def load_csv(path, schema: Schema) -> RawTable:
             if any(v in MISSING_VALUES for v in cells):
                 dropped += 1
                 continue
-            for col, v in zip(schema.columns, cells):
-                if col.kind == "numeric":
+            for col, index, v in zip(schema.columns, seen, cells):
+                if index is None:
                     try:
                         x = float(v)
                     except ValueError:
@@ -215,50 +251,32 @@ def load_csv(path, schema: Schema) -> RawTable:
                         raise ConfigError(f"{path}: line {reader.line_num}: "
                                           f"column {col.name!r}: {v!r} is not a finite number")
                     v = x
+                else:
+                    v = index.setdefault(v, len(index))
                 values[col.name].append(v)
             kept += 1
     if not kept:
         raise ConfigError(f"{path}: no complete data rows")
     log.info("loaded %d rows from %s (%d dropped as incomplete)", kept, path, dropped)
     columns = {
-        col.name: np.asarray(
-            values[col.name], dtype=float if col.kind == "numeric" else str
-        )
-        for col in schema.columns
+        col.name: np.asarray(values[col.name], dtype=float) if index is None
+        else (np.array(list(index), dtype=str), np.asarray(values[col.name]))
+        for col, index in zip(schema.columns, seen)
     }
-    return RawTable(schema=schema, columns=columns)
-
-
-def _level_masks(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct values of *values*, sorted, and for each the mask of
-    the rows that hold it. Each pass takes the first row left and masks
-    its value's rows, so the cost is O(levels * n) with no sort of n
-    values; that row leaves even when its value does not equal itself
-    (NaN), so the loop ends."""
-    levels, masks = [], []
-    left = np.ones(values.shape, dtype=bool)
-    while left.any():
-        i = left.argmax()
-        levels.append(values[i])
-        masks.append(values == values[i])
-        left &= ~masks[-1]
-        left[i] = False
-    levels = np.asarray(levels, dtype=values.dtype)
-    order = np.argsort(levels)
-    return levels[order], [masks[j] for j in order]
+    return coded_table(schema, columns)
 
 
 def _majority_indicator(raw: RawTable, name: str) -> np.ndarray:
     """1 where column *name* of *raw* holds its most frequent value, else
     0; a tie goes to the larger ``str(value)``. A column of more than two
     values is binarized the same way, with a logged warning."""
-    levels, masks = _level_masks(raw.columns[name])
-    counts = [np.count_nonzero(m) for m in masks]
+    levels, codes = raw.levels[name], raw.columns[name]
+    counts = np.bincount(codes, minlength=levels.size)
     top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
     if levels.size > 2:
         log.warning("column %r holds %d values: %r maps to 1, the others to 0",
                     name, levels.size, str(levels[top]))
-    return masks[top].astype(int)
+    return (codes == top).astype(int)
 
 
 def encode(raw: RawTable) -> EncodedDataset:
@@ -267,9 +285,10 @@ def encode(raw: RawTable) -> EncodedDataset:
     Numeric columns are min-max scaled by their own min and max (a
     constant column becomes 0.0, with a logged warning; ConfigError on one
     whose max - min is not a finite float); categorical columns are
-    one-hot expanded over their sorted levels (ConfigError on a float or
-    object one holding NaN or an infinity). Label and sensitive values
-    are binary-mapped with the majority value mapped to 1. The sensitive
+    one-hot expanded over their sorted levels, one ``codes == j`` each
+    (ConfigError on float or object levels holding NaN or an infinity).
+    Label and sensitive values are binary-mapped with the majority value,
+    counted by code, mapped to 1. The sensitive
     column never enters the features, since the boundary distance is over
     non-sensitive attributes only.
     """
@@ -287,14 +306,14 @@ def encode(raw: RawTable) -> EncodedDataset:
             columns.append(0.0 if lo == hi else (vals - lo) / (hi - lo))
             names.append(col.name)
         elif col.kind == "categorical":
+            levels = raw.levels[col.name]
             # NaN != NaN; an object column compares each value, so a float
             # NaN or infinity among its strings is caught as well
-            if vals.dtype.kind in "fO" and (
-                (vals != vals) | (vals == np.inf) | (vals == -np.inf)
+            if levels.dtype.kind in "fO" and (
+                (levels != levels) | (levels == np.inf) | (levels == -np.inf)
             ).any():
                 raise ConfigError(f"categorical column {col.name!r} holds a non-finite value")
-            levels, masks = _level_masks(vals)
-            columns.extend(masks)
+            columns.extend(vals == j for j in range(levels.size))
             names.extend(f"{col.name}={v}" for v in levels)
     columns.append(1.0)
     names.append("__bias__")
@@ -311,9 +330,13 @@ def encode(raw: RawTable) -> EncodedDataset:
 
 def group_a_rows(raw: RawTable, column: str, values) -> np.ndarray:
     """The bool mask of the rows of *raw* whose *column* holds one of
-    *values*: a shift split's group A. Raises ConfigError when no row
-    does, as an even split would then train with no shift."""
-    mask_a = np.isin(raw.columns[column], list(values))
+    *values*, a coded column's matched on its levels: a shift split's
+    group A. Raises ConfigError when no row does, as an even split would
+    then train with no shift."""
+    if column in raw.levels:
+        mask_a = np.isin(raw.levels[column], list(values))[raw.columns[column]]
+    else:
+        mask_a = np.isin(raw.columns[column], list(values))
     if not mask_a.any():
         raise ConfigError(
             f"split column {column!r} has no row with a value in {sorted(values, key=str)}"

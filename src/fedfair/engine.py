@@ -35,6 +35,7 @@ from fedfair.data import (
     RawTable,
     Schema,
     ShiftSplitSpec,
+    coded_table,
     encode,
     group_a_rows,
     load_csv,
@@ -154,16 +155,17 @@ def _protocol_config(spec: AlgorithmSpec) -> protocol.ProtocolConfig:
 def _evaluate(w, train: EncodedDataset, test: EncodedDataset, starts) -> dict:
     """Accuracy and risk difference of w on train and test, and each
     client's risk difference (NaN on a client with one sensitive group)
-    from the same train prediction, client k's rows starting at starts[k]."""
+    from the same train prediction, client k's rows starting at starts[k];
+    train_rd is taken from the sum of the clients' counts."""
     train_pred = logistic.predict_label(w, train.features)
     test_pred = logistic.predict_label(w, test.features)
-    per_client = fairness.client_risk_differences(train_pred, train.sensitive, starts)
+    counts = fairness.risk_counts(train_pred, train.sensitive, starts)
     return {
         "train_acc": float((train_pred == train.labels).mean()),
         "test_acc": float((test_pred == test.labels).mean()),
-        "train_rd": fairness.risk_difference(train_pred, train.sensitive),
+        "train_rd": float(fairness.risk_differences(counts.sum(axis=1, keepdims=True))[0]),
         "test_rd": fairness.risk_difference(test_pred, test.sensitive),
-        "per_client_rd": per_client.tolist(),
+        "per_client_rd": fairness.risk_differences(counts).tolist(),
     }
 
 
@@ -307,7 +309,7 @@ _OCC_P_OTHER = (0.50, 0.40, 0.05, 0.05)
 
 
 def generate_census_like(n: int, seed: int) -> RawTable:
-    """Sample a raw census-like table (float and string columns, pre-encoding).
+    """Sample a raw census-like table (float and coded columns, pre-encoding).
 
     A generator standing in for restricted survey data: two sectors with
     different feature distributions and different sector-conditional
@@ -359,20 +361,20 @@ def generate_census_like(n: int, seed: int) -> RawTable:
         rng.random(n) < _PENSION_P_PRIVATE,
         rng.random(n) < _PENSION_P_OTHER,
     )
-    # a two-valued column is gathered from its (False, True) level pair,
-    # which takes half the time of np.where over strings
+    # the level indices as drawn, and each two-valued column's flag as the
+    # code into its (False, True) level pair
     columns = {
         "skill": skill,
         "hours": hours,
-        "education": np.asarray(_EDU_LEVELS)[edu_idx],
-        "occupation": np.asarray(_OCC_LEVELS)[occ_idx],
-        "schedule": np.asarray(("flexible", "regular"))[regular.view(np.uint8)],
-        "pension": np.asarray(("none", "enrolled"))[pension.view(np.uint8)],
-        "sector": np.asarray(("other", "private"))[private.view(np.uint8)],
-        "gender": np.asarray(("female", "male"))[male.view(np.uint8)],
-        "income": np.asarray(("low", "high"))[y.view(np.uint8)],
+        "education": (_EDU_LEVELS, edu_idx),
+        "occupation": (_OCC_LEVELS, occ_idx),
+        "schedule": (("flexible", "regular"), regular.view(np.uint8)),
+        "pension": (("none", "enrolled"), pension.view(np.uint8)),
+        "sector": (("other", "private"), private.view(np.uint8)),
+        "gender": (("female", "male"), male.view(np.uint8)),
+        "income": (("low", "high"), y.view(np.uint8)),
     }
-    return RawTable(schema=CENSUS_SCHEMA, columns=columns)
+    return coded_table(CENSUS_SCHEMA, columns)
 
 
 def write_census_csv(path, table: RawTable) -> None:
@@ -381,7 +383,7 @@ def write_census_csv(path, table: RawTable) -> None:
         w = csv.writer(fh)
         w.writerow(names)
         # .tolist() hands csv Python floats, which it writes by repr
-        w.writerows(zip(*(table.columns[k].tolist() for k in names)))
+        w.writerows(zip(*(table.values(k).tolist() for k in names)))
 
 
 #: the census's shift column and its group-A values

@@ -40,25 +40,33 @@ def compute_stats(shards: list[ClientShard]) -> FairnessStats:
 
 def risk_difference(predictions: np.ndarray, sensitive: np.ndarray) -> float:
     """|P(yhat=1 | s=1) - P(yhat=1 | s=0)| over the given samples: the
-    one-segment count of client_risk_differences, and NaN, as there, when
-    a sensitive group is empty."""
+    one-segment count of risk_counts, and NaN, as risk_differences gives,
+    when a sensitive group is empty."""
     if not len(sensitive):
         return np.nan
-    return float(client_risk_differences(predictions, sensitive, [0])[0])
+    return float(risk_differences(risk_counts(predictions, sensitive, [0]))[0])
 
 
-def client_risk_differences(
-    predictions: np.ndarray, sensitive: np.ndarray, starts
-) -> np.ndarray:
-    """Risk difference of each client's segment of rows, the segments
-    starting at *starts*; NaN for a client whose rows hold one sensitive
-    group, where the metric is undefined."""
+def risk_counts(predictions: np.ndarray, sensitive: np.ndarray, starts) -> np.ndarray:
+    """The integer counts of each segment of rows, the segments starting
+    at *starts*: (4, p), its rows, its rows of sensitive group 1, its
+    positive predictions and those of group 1. Summed over segments, they
+    are the counts of the segments' union."""
     starts = np.asarray(starts)
     sensitive = np.asarray(sensitive)
-    size = np.diff(np.append(starts, len(sensitive)))
-    ones = np.add.reduceat(sensitive, starts)
-    pos = np.add.reduceat(predictions, starts)
-    pos_ones = np.add.reduceat(predictions * sensitive, starts)
+    return np.array([
+        np.diff(np.append(starts, len(sensitive))),
+        np.add.reduceat(sensitive, starts),
+        np.add.reduceat(predictions, starts),
+        np.add.reduceat(predictions * sensitive, starts),
+    ])
+
+
+def risk_differences(counts: np.ndarray) -> np.ndarray:
+    """The risk difference of each segment that *counts* (risk_counts)
+    describe; NaN for a segment of one sensitive group, where the metric
+    is undefined."""
+    size, ones, pos, pos_ones = counts
     defined = (ones > 0) & (ones < size)
     with np.errstate(divide="ignore", invalid="ignore"):
         rd = np.abs(pos_ones / ones - (pos - pos_ones) / (size - ones))

@@ -73,14 +73,16 @@ class ServerBroadcast:
 @dataclass(eq=False)
 class RunStack:
     """The kernel matrices, covariance forms, signed design matrices and
-    fixed covariance and penalty vectors of one run of equal-sized
-    clients, stacked: one client's are [None] views, with no copy."""
+    fixed weights, covariance and penalty vectors of one run of
+    equal-sized clients, stacked: one client's are [None] views, with no
+    copy."""
 
     kernels: np.ndarray  # (g, n, M)
     forms: np.ndarray  # (g, M, d+2): psi_theta, then C_k (fairness.covariance_form)
     signed_xt: np.ndarray  # (g, d+1, n): logistic.signed_xt
     fixed_phi_C: np.ndarray | None  # (g, d+1): phi_C when its weights ignore alpha
     local_phi: np.ndarray | None  # (g, d+1): LocalFair's penalty vectors
+    fixed_theta: np.ndarray | None = None  # (g, n): theta on a constant basis, at alpha0
 
 
 @dataclass
@@ -183,7 +185,9 @@ def client_round(
     _check_round(state, bc)
     k = slice(state.slot, state.slot + 1)
     alone = RunStack(**{f: a if a is None else a[k] for f, a in vars(state.run).items()})
-    th = kernels.theta(alone.kernels[0], bc.alpha)
+    # theta of the lone K, not of its [None] stack, whose column reads cost more
+    fixed = alone.fixed_theta
+    th = kernels.theta(alone.kernels[0], bc.alpha) if fixed is None else fixed[0]
     pen = _penalty([alone], bc, cfg)
     penalty = logistic.PenaltySpec(lam=pen.lam, tau=pen.tau, phi_c=pen.phi_c[0])
     w_new = logistic.fit_local(bc.w_avg, alone.signed_xt[0], th, penalty, cfg.opt)
@@ -214,7 +218,10 @@ def clients_round(
     slots = [(run, j) for _, run in runs for j in range(len(run.kernels))]
     if [(c.run, c.slot) for c in clients] != slots:
         raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
-    theta = np.concatenate([kernels.theta(run.kernels, bc.alpha).ravel() for _, run in runs])
+    theta = np.concatenate([
+        (kernels.theta(run.kernels, bc.alpha) if run.fixed_theta is None else run.fixed_theta)
+        .ravel() for _, run in runs
+    ])
     penalty = _penalty([run for _, run in runs], bc, cfg)
     stacks = [run.signed_xt for _, run in runs]
     w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalty, cfg.opt)
@@ -230,10 +237,10 @@ def server_round(
             f"round {state.bc.round}: got {len(bundles)} bundles, "
             f"expected {state.num_clients}"
         )
-    psi_L = np.sum([b.psi_L for b in bundles], axis=0)
-    psi_theta = np.sum([b.psi_theta for b in bundles], axis=0)
-    psi_C = np.sum([b.psi_C for b in bundles], axis=0)
-    phi_C = np.sum([b.phi_C for b in bundles], axis=0)
+    def summed(name):
+        return np.sum([getattr(b, name) for b in bundles], axis=0)
+
+    phi_C = summed("phi_C")
     with np.errstate(over="ignore"):  # a non-finite average is a named failure
         w_avg = np.mean([b.w_local for b in bundles], axis=0)
     if not np.isfinite(w_avg).all():
@@ -244,11 +251,12 @@ def server_round(
     # alpha0. Only the global penalty's covariance is theta-weighted, so only
     # it has an alpha side, psi_C, for the fairness row to bound (unweighted
     # takes theta == 1, local each client's own mean, none no covariance).
+    # The server sums only the vectors its LP reads.
     if state.basis.kind != kernels.CONSTANT:
         problem = lp.AlphaLP(
-            objective=psi_L,
-            equality=psi_theta,
-            fairness_row=psi_C if cfg.penalty_mode == PENALTY_GLOBAL else None,
+            objective=summed("psi_L"),
+            equality=summed("psi_theta"),
+            fairness_row=summed("psi_C") if cfg.penalty_mode == PENALTY_GLOBAL else None,
             tau=cfg.tau,
             box_upper=state.basis.bound,
         )
@@ -277,8 +285,9 @@ def init_protocol(
     form and its logistic.signed_xt; a run's are stacked as they are
     built (RunStack). Initial weights are zero; initial alpha is the
     uniform vector solving the sum-to-one row, alpha_m = 1 / sum_m
-    psi_theta_m. Raises ProtocolError when the basis is not constant (the
-    LP runs) and its box bound lets no alpha meet that row.
+    psi_theta_m; on a constant basis, which no LP moves, each run's theta
+    is taken at it once. Raises ProtocolError when the basis is not
+    constant (the LP runs) and its box bound lets no alpha meet that row.
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -308,6 +317,9 @@ def init_protocol(
         raise ProtocolError(f"no alpha meets the sum-to-one row psi_theta . alpha = 1 within "
                             f"the box bound {basis.bound!r}: bound * sum(psi_theta) < 1")
     alpha0 = np.full(basis.num_bases, 1.0 / total)
+    if basis.kind == kernels.CONSTANT:  # no LP moves alpha, so theta is fixed
+        for run in runs:
+            run.fixed_theta = kernels.theta(run.kernels, alpha0)
     dim = shards[0].features.shape[1]
     # phi_C does not depend on w, so the stats round can already ship the
     # covariance vector every later round ships, at alpha0; otherwise the

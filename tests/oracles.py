@@ -72,8 +72,9 @@ def risk_difference_reference(predictions: np.ndarray, sensitive: np.ndarray) ->
 
 
 def encode_reference(raw: RawTable):
-    """The encoding by its definition, each column's sorted levels found by
-    np.unique: (features, labels, sensitive, feature names). Numeric
+    """The encoding by its definition, each coded column decoded to its
+    values and their sorted levels found again by np.unique: (features,
+    labels, sensitive, feature names). Numeric
     columns are min-max scaled (a constant one becomes 0.0), categorical
     ones one-hot expanded over their sorted levels, and a bias column of
     ones comes last. Label and sensitive map their most frequent value to
@@ -84,9 +85,12 @@ def encode_reference(raw: RawTable):
         top = max(range(levels.size), key=lambda j: (counts[j], str(levels[j])))
         return (codes == top).astype(int)
 
+    def values(name):
+        return raw.levels[name][raw.columns[name]] if name in raw.levels else raw.columns[name]
+
     blocks, names = [], []
     for col in raw.schema.columns:
-        vals = raw.columns[col.name]
+        vals = values(col.name)
         if col.kind == "numeric":
             lo, hi = vals.min(), vals.max()
             scaled = np.zeros(raw.n) if lo == hi else (vals - lo) / (hi - lo)
@@ -100,8 +104,8 @@ def encode_reference(raw: RawTable):
     names.append("__bias__")
     return (
         np.hstack(blocks),
-        majority(raw.columns[raw.schema.label_column]),
-        majority(raw.columns[raw.schema.sensitive_column]),
+        majority(values(raw.schema.label_column)),
+        majority(values(raw.schema.sensitive_column)),
         names,
     )
 

@@ -458,7 +458,7 @@ def test_schema_file_number_matches_the_text_of_a_categorical_column(tmp_path, c
 
     named = final("named")
     table = data.load_csv(csv_path, engine.CENSUS_SCHEMA)
-    table.columns["sector"] = np.where(table.columns["sector"] == "private", "1", "0")
+    table.levels["sector"] = np.where(table.levels["sector"] == "private", "1", "0")
     engine.write_census_csv(csv_path, table)
     doc = yaml.safe_load(schema_path.read_text())
     doc["split"]["group_a_values"] = [1]

@@ -24,15 +24,25 @@ SCHEMA = data.Schema(
 )
 
 
+def coded(schema, columns):
+    """The RawTable of *columns*, arrays of values: each non-numeric one
+    goes to coded_table with code i for row i, and is merged and sorted
+    there."""
+    return data.coded_table(schema, {
+        c.name: columns[c.name] if c.kind == "numeric"
+        else (columns[c.name], np.arange(len(columns[c.name])))
+        for c in schema.columns
+    })
+
+
 def make_table(rows):
     """Columnar table from row dicts (floats for numeric columns)."""
-    columns = {
+    return coded(SCHEMA, {
         c.name: np.asarray(
             [r[c.name] for r in rows], dtype=float if c.kind == "numeric" else str
         )
         for c in SCHEMA.columns
-    }
-    return data.RawTable(schema=SCHEMA, columns=columns)
+    })
 
 
 def row(age, job, gender, income):
@@ -83,7 +93,20 @@ def test_load_csv_basic(tmp_path):
     table = data.load_csv(p, SCHEMA)
     assert table.n == 2
     assert table.columns["age"].tolist() == [30.0, 40.0]
-    assert table.columns["job"].tolist() == ["clerk", "cook"]
+    assert table.values("job").tolist() == ["clerk", "cook"]
+
+
+def test_load_csv_codes_each_column_over_its_sorted_values(tmp_path):
+    p = write_csv(
+        tmp_path / "d.csv",
+        "age,job,gender,income\n1,cook,m,lo\n2,clerk,f,hi\n3,cook,f,lo\n4,baker,m,lo\n",
+    )
+    table = data.load_csv(p, SCHEMA)
+    assert table.levels.keys() == {"job", "gender", "income"}
+    # sorted, not in the order first read
+    assert table.levels["job"].tolist() == ["baker", "clerk", "cook"]
+    assert table.columns["job"].tolist() == [2, 1, 2, 0]
+    assert table.values("gender").tolist() == ["m", "f", "f", "m"]
 
 
 def test_load_csv_drops_incomplete_rows(tmp_path):
@@ -141,9 +164,13 @@ def test_load_csv_skips_blank_rows_but_counts_their_lines(tmp_path):
     spaced = write_csv(tmp_path / "spaced.csv", "\n".join(spaced_lines) + "\n")
     want, got = data.load_csv(plain, SCHEMA), data.load_csv(spaced, SCHEMA)
     assert got.schema == want.schema and got.columns.keys() == want.columns.keys()
+    assert got.levels.keys() == want.levels.keys()
     for name, column in want.columns.items():
         assert column.dtype == got.columns[name].dtype
         assert column.tolist() == got.columns[name].tolist()
+    for name, levels in want.levels.items():
+        assert levels.dtype == got.levels[name].dtype
+        assert levels.tolist() == got.levels[name].tolist()
     # a bad row after them cites its line of the file, blank lines counted
     for path, line in ((plain, 5), (spaced, 10)):
         path.write_text(path.read_text() + "abc,cook,female,low\n")
@@ -221,7 +248,7 @@ def test_encode_one_hot_rows_sum_to_one():
     # round-trip: one-hot block recovers the original category
     levels = ["a", "b", "c"]
     decoded = [levels[j] for j in block.argmax(axis=1)]
-    assert decoded == table.columns["job"].tolist()
+    assert decoded == table.values("job").tolist()
 
 
 def test_encode_bias_column_last_and_all_ones():
@@ -292,30 +319,34 @@ def test_encode_rejects_a_numeric_range_past_the_largest_float():
             data.encode(table)
 
 
+def with_job(job):
+    """A two-row table whose job column holds the values *job*."""
+    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
+    columns = {name: table.values(name) for name in table.columns}
+    return coded(SCHEMA, {**columns, "job": job})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_encode_rejects_a_non_finite_categorical_value(bad):
     # a direct caller's float categorical column; load_csv gives strings
-    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
-    table.columns["job"] = np.array([1.0, bad])
     with pytest.raises(ConfigError, match="'job'.*non-finite"):
-        data.encode(table)
+        data.encode(with_job(np.array([1.0, bad])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_encode_rejects_a_non_finite_value_in_an_object_column(bad):
-    # a float among an object column's strings: NaN would otherwise become
-    # a level of its own that no row holds
+    # a float among an object column's strings, as a direct caller may
+    # give the levels (coded_table could not sort them)
     table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
-    table.columns["job"] = np.array(["clerk", bad], dtype=object)
+    table.levels["job"] = np.array(["clerk", bad], dtype=object)
     with pytest.raises(ConfigError, match="'job'.*non-finite"):
         data.encode(table)
 
 
 def test_encode_takes_a_finite_object_column():
-    table = make_table([row(1, "a", "male", "high"), row(2, "b", "female", "low")])
-    table.columns["job"] = np.array(["clerk", "cook"], dtype=object)
-    ds = data.encode(table)
-    assert {"job=clerk", "job=cook"} <= set(ds.feature_names)
+    ds = data.encode(with_job(np.array(["cook", "clerk"], dtype=object)))
+    assert ds.feature_names[1:3] == ["job=clerk", "job=cook"]
+    assert ds.features[:, 1:3].tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 PROPERTY_SCHEMA = data.Schema(
@@ -332,9 +363,11 @@ PROPERTY_SCHEMA = data.Schema(
 
 @st.composite
 def raw_tables(draw):
-    """Tables of 1-40 rows: categorical columns of 1-12 levels, first seen
-    in any order, a one-level column, a numeric column that may be
-    constant, and label and sensitive columns that may tie exactly."""
+    """Tables of 1-40 rows, coded by coded_table from drawn (values,
+    codes) pairs, and each column's values as drawn: categorical columns
+    of 1-12 values in any order, not all of them used, a one-value column,
+    a numeric column that may be constant, and label and sensitive columns
+    that may tie exactly."""
     n = draw(st.integers(1, 40))
     text = st.text("abcXY=-9 ", min_size=1, max_size=4)
 
@@ -343,14 +376,14 @@ def raw_tables(draw):
 
     def categorical(most):
         k = draw(st.integers(1, most))
-        return levels(k)[draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))]
+        return levels(k), np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
 
     def binary():
         if not draw(st.booleans()):
             return categorical(3)
-        half = n // 2  # two levels of half the rows each; a third for an odd row
+        half = n // 2  # two values of half the rows each; a third for an odd row
         codes = [0] * half + [1] * half + [2] * (n - 2 * half)
-        return levels(3)[draw(st.permutations(codes))]
+        return levels(3), np.asarray(draw(st.permutations(codes)))
 
     floats = st.floats(-1e6, 1e6, allow_nan=False)
     x = draw(st.one_of(floats.map(lambda v: [v] * n), st.lists(floats, min_size=n, max_size=n)))
@@ -358,16 +391,22 @@ def raw_tables(draw):
         "x": np.asarray(x, dtype=float),
         "a": categorical(12),
         "s": binary(),
-        "one": levels(1)[np.zeros(n, dtype=int)],
+        "one": (levels(1), np.zeros(n, dtype=np.uint8)),
         "b": categorical(12),
         "y": binary(),
     }
-    return data.RawTable(schema=PROPERTY_SCHEMA, columns=columns)
+    values = {k: v if k == "x" else v[0][v[1]] for k, v in columns.items()}
+    return data.coded_table(PROPERTY_SCHEMA, columns), values
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=raw_tables())
-def test_encode_equals_the_unique_reference(table):
+@given(drawn=raw_tables())
+def test_encode_equals_the_unique_reference(drawn):
+    table, values = drawn
+    for name, levels in table.levels.items():
+        # sorted, distinct and each held by some row, and decoding to the draw
+        assert levels.tolist() == sorted(set(values[name].tolist()))
+        assert table.values(name).tolist() == values[name].tolist()
     ds = data.encode(table)
     features, labels, sensitive, names = encode_reference(table)
     for got, want in ((ds.features, features), (ds.labels, labels), (ds.sensitive, sensitive)):
@@ -417,7 +456,7 @@ def test_shift_split_leaves_split_keys_behind():
     # the split reads one group-A mask; no raw column travels with the rows
     table = make_split_table()
     mask_a = data.group_a_rows(table, "job", ["private"])
-    assert mask_a.dtype == bool and np.array_equal(mask_a, table.columns["job"] == "private")
+    assert mask_a.dtype == bool and np.array_equal(mask_a, table.values("job") == "private")
     train, test, _ = split(table, spec())
     encoded = [f.name for f in dataclasses.fields(data.EncodedDataset)]
     assert encoded == ["features", "labels", "sensitive", "feature_names"]
@@ -490,7 +529,7 @@ def drawn_indices(table, sp, seed):
     the census *table* directly: each shard's rows in the order the draw
     gives them."""
     column, group_a = engine.CENSUS_SHIFT
-    mask_a = np.isin(table.columns[column], list(group_a))
+    mask_a = np.isin(table.values(column), list(group_a))
     idx_a, idx_b = np.flatnonzero(mask_a), np.flatnonzero(~mask_a)
     rng = np.random.default_rng(seed)
     take_a = int(round(sp.train_fraction_group_a * idx_a.size))
@@ -622,7 +661,7 @@ def test_load_schema_file_reads_group_a_in_the_split_columns_kind(
 ):
     p = split_schema_file(tmp_path, column, values)
     assert data.load_schema_file(p)[1:] == (column, frozenset(group_a))
-    raw = data.RawTable(data.load_schema_file(p)[0], {
+    raw = coded(data.load_schema_file(p)[0], {
         "age": np.array([1.0, 3.0]), "job": np.array(["1", "x"]),
         "gender": np.array(["f", "m"]), "income": np.array(["lo", "hi"]),
     })

@@ -316,19 +316,29 @@ def test_run_refuses_an_empty_set_before_training(monkeypatch, empty):
 def test_census_deterministic():
     a = engine.generate_census_like(200, 5)
     b = engine.generate_census_like(200, 5)
-    assert a.columns.keys() == b.columns.keys()
+    assert a.columns.keys() == b.columns.keys() and a.levels.keys() == b.levels.keys()
     for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name])
+    for name in a.levels:
+        assert np.array_equal(a.levels[name], b.levels[name])
 
 
 def test_census_rows_match_schema():
     table = engine.generate_census_like(100, 0)
     assert list(table.columns) == [c.name for c in table.schema.columns]
     assert table.n == 100
+    assert list(table.levels) == [c.name for c in table.schema.columns if c.kind != "numeric"]
     for c in table.schema.columns:
         values = table.columns[c.name]
         assert values.shape == (100,)
-        assert values.dtype.kind == ("f" if c.kind == "numeric" else "U")
+        if c.kind == "numeric":
+            assert values.dtype.kind == "f"
+            continue
+        # integer codes into the sorted text values that some row holds
+        levels = table.levels[c.name]
+        assert values.dtype.kind in "iu" and levels.dtype.kind == "U"
+        assert levels.tolist() == sorted(set(levels.tolist()))
+        assert np.array_equal(np.unique(values), np.arange(levels.size))
 
 
 def _sha256(arrays) -> str:
@@ -345,9 +355,10 @@ def _sha256(arrays) -> str:
 ])
 def test_census_output_is_pinned(n, seed, digest):
     """The census draws are the data every criterion is measured on: a
-    change to the generator's code must leave its tables byte-identical."""
+    change to the generator's code must leave its tables, decoded,
+    byte-identical."""
     table = engine.generate_census_like(n, seed)
-    assert _sha256([table.columns[c.name] for c in table.schema.columns]) == digest
+    assert _sha256([table.values(c.name) for c in table.schema.columns]) == digest
 
 
 @pytest.mark.parametrize("n, seed, digest", [
@@ -380,8 +391,11 @@ def test_write_census_csv_roundtrip(tmp_path):
     engine.write_census_csv(path, table)
     loaded = load_csv(path, engine.CENSUS_SCHEMA)
     assert loaded.n == 50
+    assert loaded.levels.keys() == table.levels.keys()
     for name in table.columns:
         assert np.array_equal(loaded.columns[name], table.columns[name])
+    for name in table.levels:
+        assert np.array_equal(loaded.levels[name], table.levels[name])
     got, want = encode(loaded), encode(table)
     assert np.array_equal(got.features, want.features)
     assert np.array_equal(got.labels, want.labels)
@@ -423,7 +437,7 @@ def test_csv_dataset_reads_a_group_a_mask_and_no_raw_column(tmp_path):
     encoded, mask_a = engine._read_dataset({
         "kind": "csv", "path": str(tmp_path / "census.csv"),
         "schema": str(tmp_path / "schema.yaml")})
-    assert mask_a.dtype == bool and np.array_equal(mask_a, table.columns["sector"] == "private")
+    assert mask_a.dtype == bool and np.array_equal(mask_a, table.values("sector") == "private")
     assert vars(encoded).keys() == {"features", "labels", "sensitive", "feature_names"}
 
 

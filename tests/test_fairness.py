@@ -54,7 +54,7 @@ def test_rd_constant_classifier_is_zero():
 
 
 def test_rd_empty_group_is_nan():
-    # NaN, as client_risk_differences gives a client of one group
+    # NaN, as risk_differences gives a client of one group
     for sens in ([1, 1], [0, 0], []):
         assert np.isnan(
             fairness.risk_difference(np.array([1, 0][: len(sens)]), np.array(sens, dtype=int))

@@ -82,6 +82,26 @@ def test_fairness_row_binds():
     assert sol.alpha.sum() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_bind_gives_up_after_its_pass_limit(monkeypatch):
+    # the row binds (every best fill has psi_C . alpha = 10 > tau); each
+    # refill of the multiplier search is made to gain, doubling in scale,
+    # so no pass stops it and the search runs out after (M + 1)^2 passes
+    problem = make_lp([2.0, 1.0], [1.0, 1.0], fairness_row=[10.0, -10.0], tau=0.05)
+    real_fill, calls = lp._fill, []
+
+    def fill(p, q, e, upper):
+        calls.append(p)
+        if len(calls) <= 3:  # lo and hi in solve, b in _bind
+            return real_fill(p, q, e, upper)
+        return np.sign(p) * 2.0 ** len(calls)
+
+    monkeypatch.setattr(lp, "_fill", fill)
+    sol = lp.solve(problem)
+    assert len(calls) == 3 + (2 + 1) ** 2
+    assert sol.status == lp.STATUS_ERROR
+    assert np.array_equal(sol.alpha, np.zeros(2)) and np.isnan(sol.objective_value)
+
+
 def test_box_bound_caps_solution():
     # equality 0.1*a = 1 forces a = 10 > B = 5 -> infeasible without fairness row
     sol = lp.solve(make_lp([1.0], [0.1], fairness_row=None))
