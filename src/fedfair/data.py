@@ -207,9 +207,9 @@ def load_csv(path, schema: Schema) -> RawTable:
 
     Raises ConfigError naming *path* if the file is not UTF-8 text, a
     declared column is absent from the header or named in it twice, or no
-    complete data row remains, and naming *path* and the 1-based line on a
-    row with fewer cells than the header or a numeric cell that is not a
-    finite number.
+    complete data row remains, and naming *path*, the 1-based line and
+    the column on a row with fewer cells than the header, a numeric cell
+    that is not a finite number or a text cell holding a NUL character.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -252,6 +252,10 @@ def load_csv(path, schema: Schema) -> RawTable:
                                           f"column {col.name!r}: {v!r} is not a finite number")
                     v = x
                 else:
+                    # numpy's str dtype drops trailing NULs: "a\0" would be "a"
+                    if v not in index and "\0" in v:
+                        raise ConfigError(f"{path}: line {reader.line_num}: "
+                                          f"column {col.name!r}: {v!r} holds a NUL character")
                     v = index.setdefault(v, len(index))
                 values[col.name].append(v)
             kept += 1
@@ -354,7 +358,7 @@ def shift_split(
     ``train_fraction_group_b`` of the rest; the test set is the
     complement. Train and shards are laid out by cut_shards.
     Deterministic given *seed*. Raises ConfigError when no row is left
-    for the test set.
+    for the test set or an even split has more clients than rows.
     """
     idx_a = np.flatnonzero(mask_a)
     idx_b = np.flatnonzero(~mask_a)
@@ -374,6 +378,8 @@ def shift_split(
         shard_indices = [train_a, train_b]
     else:
         pooled = rng.permutation(np.concatenate([train_a, train_b]))
+        if spec.num_clients > len(pooled):
+            raise ConfigError(f"num_clients {spec.num_clients} exceeds {len(pooled)} training rows")
         shard_indices = np.array_split(pooled, spec.num_clients)
 
     train, shards = cut_shards(data, shard_indices)

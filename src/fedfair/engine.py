@@ -440,12 +440,14 @@ def read_config(path, keys) -> dict:
 def hyper_from_config(config: dict, **overrides) -> HyperParams:
     """HyperParams from a config's ``hyper`` section, which may spell
     ``lam`` as ``lambda``; *overrides* that are not None take precedence.
-    Raises ConfigError on an unknown key and on a value HyperParams
-    rejects."""
+    Raises ConfigError on an unknown key, on both spellings set and on a
+    value HyperParams rejects."""
     hyper_cfg = config.get("hyper") or {}
     _check_keys("hyper", hyper_cfg, ("lambda", *(f.name for f in fields(HyperParams))))
     hyper_cfg = dict(hyper_cfg)
     if "lambda" in hyper_cfg:
+        if "lam" in hyper_cfg:
+            raise ConfigError("hyper sets both lam and lambda, two names of one value")
         hyper_cfg["lam"] = hyper_cfg.pop("lambda")
     hyper_cfg.update((k, v) for k, v in overrides.items() if v is not None)
     return HyperParams(**hyper_cfg)

@@ -130,12 +130,11 @@ def client_weight_basis(shards: list[ClientShard]) -> KernelBasis:
 
 
 def kernel_matrix(shard: ClientShard, basis: KernelBasis) -> np.ndarray:
-    """Evaluate every basis function on every shard sample: (n_k, M)."""
-    if basis.kind == CONSTANT:
-        return np.ones((shard.n, 1))
-    if basis.kind == INDICATOR:
+    """Evaluate every basis function on every shard sample: (n_k, M); a
+    constant or indicator basis's is zeros but for one column of ones."""
+    if basis.kind != GAUSSIAN:
         km = np.zeros((shard.n, basis.num_bases))
-        km[:, shard.client_id] = 1.0
+        km[:, 0 if basis.kind == CONSTANT else shard.client_id] = 1.0
         return km
     if shard.features.shape[1] != basis.centers.shape[1]:
         raise ConfigError(
@@ -174,11 +173,12 @@ def theta(km: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     matrix (n, M) or of a run's stack of them (g, n, M), one row each.
 
     The LP answers with a vertex, so alpha has a handful of nonzeros:
-    their columns of K are summed one at a time, with no n x |support|
-    copy. Reading one column of the row-major K still costs a cache line
-    a row, so an alpha with more than M / SPARSE_THETA_RATIO nonzeros
-    (the uniform round-0 alpha) takes one pass over the whole matrix:
-    one gemv per item of a stack, so each item's bits are its own.
+    their columns are summed one at a time from K's (g n, M) row view,
+    with no copy of a C-contiguous K nor of its n x |support| columns.
+    Reading one column of the row-major K still costs a cache line a
+    row, so an alpha with more than M / SPARSE_THETA_RATIO nonzeros (the
+    uniform round-0 alpha) takes one pass over the whole matrix: one
+    gemv per item of a stack, so each item's bits are its own.
     """
     alpha = np.asarray(alpha, dtype=float)
     if km.shape[-1] != alpha.shape[0]:
@@ -190,10 +190,11 @@ def theta(km: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         return km @ alpha
     # one product buffer a call: a fresh temporary per column raised
     # peak RSS at n = 60000 by 2 MB
-    out = np.zeros(km.shape[:-1])
+    rows = km.reshape(-1, km.shape[-1])
+    out = np.zeros(len(rows))
     term = np.empty_like(out)
     for m in support:
-        np.multiply(km[..., m], alpha[m], out=term)
+        np.multiply(rows[:, m], alpha[m], out=term)
         out += term
-    return out
+    return out.reshape(km.shape[:-1])
 

@@ -24,7 +24,7 @@ the same bits whether it runs alone (client_round) or in a run
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,6 +141,11 @@ def _check_round(state: ClientState, bc: ServerBroadcast) -> None:
         )
 
 
+def _theta(run: RunStack, alpha: np.ndarray) -> np.ndarray:
+    """theta = K alpha of a run's clients, (g, n); a constant basis's is fixed."""
+    return kernels.theta(run.kernels, alpha) if run.fixed_theta is None else run.fixed_theta
+
+
 def _phi_C(run: RunStack, alpha: np.ndarray) -> np.ndarray:
     """The covariance vectors of a run's clients, (g, d+1): their fixed
     ones when the variant's weights ignore alpha, else weighted by
@@ -185,11 +190,9 @@ def client_round(
     _check_round(state, bc)
     k = slice(state.slot, state.slot + 1)
     alone = RunStack(**{f: a if a is None else a[k] for f, a in vars(state.run).items()})
-    # theta of the lone K, not of its [None] stack, whose column reads cost more
-    fixed = alone.fixed_theta
-    th = kernels.theta(alone.kernels[0], bc.alpha) if fixed is None else fixed[0]
     pen = _penalty([alone], bc, cfg)
-    penalty = logistic.PenaltySpec(lam=pen.lam, tau=pen.tau, phi_c=pen.phi_c[0])
+    penalty = replace(pen, phi_c=pen.phi_c[0])
+    th = _theta(alone, bc.alpha)[0]
     w_new = logistic.fit_local(bc.w_avg, alone.signed_xt[0], th, penalty, cfg.opt)
     return _extract([state], alone, bc.alpha, w_new[None])[0]
 
@@ -218,10 +221,7 @@ def clients_round(
     slots = [(run, j) for _, run in runs for j in range(len(run.kernels))]
     if [(c.run, c.slot) for c in clients] != slots:
         raise ProtocolError("a lockstep round takes init_protocol's clients, in order")
-    theta = np.concatenate([
-        (kernels.theta(run.kernels, bc.alpha) if run.fixed_theta is None else run.fixed_theta)
-        .ravel() for _, run in runs
-    ])
+    theta = np.concatenate([_theta(run, bc.alpha).ravel() for _, run in runs])
     penalty = _penalty([run for _, run in runs], bc, cfg)
     stacks = [run.signed_xt for _, run in runs]
     w_new = logistic.fit_lockstep(bc.w_avg, stacks, theta, penalty, cfg.opt)
@@ -286,8 +286,8 @@ def init_protocol(
     built (RunStack). Initial weights are zero; initial alpha is the
     uniform vector solving the sum-to-one row, alpha_m = 1 / sum_m
     psi_theta_m; on a constant basis, which no LP moves, each run's theta
-    is taken at it once. Raises ProtocolError when the basis is not
-    constant (the LP runs) and its box bound lets no alpha meet that row.
+    is taken at it once. Raises ProtocolError when the basis's box bound
+    lets no alpha meet that row (a constant basis's is unbounded).
     """
     if not shards:
         raise ConfigError("init_protocol needs at least one shard")
@@ -313,7 +313,7 @@ def init_protocol(
     total = float(np.concatenate([run.forms[:, :, 0] for run in runs]).sum(axis=0).sum())
     if total <= 0.0:
         raise ConfigError("all-zero equality row; cannot initialize alpha")
-    if basis.kind != kernels.CONSTANT and basis.bound * total < 1.0:
+    if basis.bound * total < 1.0:
         raise ProtocolError(f"no alpha meets the sum-to-one row psi_theta . alpha = 1 within "
                             f"the box bound {basis.bound!r}: bound * sum(psi_theta) < 1")
     alpha0 = np.full(basis.num_bases, 1.0 / total)

@@ -232,6 +232,7 @@ BAD_CONFIGS = {
         "dataset": {"n": 300}, "split": {"train_fraction_group_a": "x"},
     },
     "split_name_not_text": {"dataset": {"n": 300}, "split": {"name": 2}},
+    "lam_and_lambda": {"dataset": {"n": 300}, "hyper": {"lam": 1.0, "lambda": 3.0}},
 }
 
 
@@ -271,6 +272,22 @@ def csv_config(tmp_path, monkeypatch, command, split=None, **grid):
     elif split is not None:
         cfg["split"] = split
     return write_config(tmp_path, cfg, name="bad.yaml"), loads
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_nul_in_a_csv_text_cell_is_usage_error_naming_its_file_and_line(
+    tmp_path, monkeypatch, caplog, command
+):
+    path, _ = csv_config(tmp_path, monkeypatch, command)
+    csv_path = tmp_path / "census.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[3] = lines[3].replace(",private,", ",private\0,").replace(",other,", ",other\0,")
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert f"{csv_path}: line 4: column 'sector': " in caplog.text
+    assert "holds a NUL character" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -829,15 +846,33 @@ def test_run_one_group_shards_record_nan(tmp_path):
 
 
 def test_run_more_clients_than_train_rows_is_usage_error(tmp_path, caplog):
-    # a 50-row draw keeps 31 training rows, so 40 even clients leave
-    # clients 31 to 39 without a row
+    # a 50-row draw keeps 31 training rows: 32 and 40 even clients would
+    # leave clients 31 on without a row, and 10**30 is more than an array
+    # index can count; each is refused before the rows are cut
+    for clients in (32, 40, 10**30):
+        path = write_config(tmp_path, {
+            "algorithm": "FL",
+            "dataset": {"n": 50},
+            "split": {"client_assignment": "even", "num_clients": clients},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 2
+        assert f"num_clients {clients} exceeds 31 training rows" in caplog.text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("clients", [32, 10**30])
+def test_grid_records_more_clients_than_rows_in_its_cell(tmp_path, in_process_grid, clients):
     path = write_config(tmp_path, {
-        "algorithm": "FL",
-        "dataset": {"n": 50},
-        "split": {"client_assignment": "even", "num_clients": 40},
-    })
-    rc = cli.main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
-    assert rc == 2 and "empty shard for client 31" in caplog.text
+        "algorithms": ["FL"], "hyper": {"rounds": 1}, "dataset": {"n": 50},
+        "splits": [{"name": "wide", "client_assignment": "even", "num_clients": clients}],
+    }, name="grid.yaml")
+    out = tmp_path / "out"
+    assert cli.main(["grid", "--config", str(path), "--output", str(out)]) == 1
+    (row,) = yaml.safe_load((out / "summary.yaml").read_text())
+    assert row["repetitions_failed"] == 1
+    assert row["errors"] == [f"num_clients {clients} exceeds 31 training rows"]
+    assert (out / "summary.csv").exists()
 
 
 def test_run_deterministic_across_invocations(tmp_path):
@@ -1044,6 +1079,13 @@ def test_tiny_sigma_zeroes_the_kernel_without_numpy_warnings(tmp_path, caplog, s
     assert cli.main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert "sum-to-one row" in caplog.text
     assert not out.exists()
+
+
+def test_hyper_takes_either_spelling_of_lambda_but_not_both():
+    for key in ("lam", "lambda"):
+        assert engine.hyper_from_config({"hyper": {key: 3.0}}).lam == 3.0
+    with pytest.raises(ConfigError, match="^hyper sets both lam and lambda"):
+        engine.hyper_from_config({"hyper": {"lam": 1.0, "lambda": 3.0}})
 
 
 def test_hyper_takes_integers_for_float_fields():

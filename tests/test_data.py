@@ -147,6 +147,19 @@ def test_load_csv_non_finite_numeric_cites_line(tmp_path):
         data.load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("column", ["job", "gender", "income"])
+def test_load_csv_refuses_a_nul_in_a_text_cell(tmp_path, column):
+    # numpy's str dtype drops trailing NULs, which would code "cook\0"
+    # and "cook" as one level
+    cells = {"age": "31", "job": "cook", "gender": "female", "income": "low"}
+    cells[column] += "\0"
+    p = write_csv(tmp_path / "d.csv", "age,job,gender,income\n30,cook,female,low\n"
+                  + ",".join(cells.values()) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: line 3: column "
+                                          f"'{column}': .* holds a NUL character"):
+        data.load_csv(p, SCHEMA)
+
+
 def test_load_csv_short_row_cites_line(tmp_path):
     p = write_csv(
         tmp_path / "d.csv",

@@ -353,17 +353,22 @@ def test_stacked_theta_is_each_clients_theta(seed, g, n, m, alpha_kind):
 def test_theta_allocates_a_few_n_vectors(nonzeros):
     # a dense alpha (the uniform round-0 one) and the most nonzeros the
     # column sum takes; gathering the support's columns would cost
-    # n x |support| floats
+    # n x |support| floats, and a copy of K to read them n x M. A matrix,
+    # a run's (g, n, M) stack and one client's [k:k+1] slice of a stack
+    # are each read in place.
     n = 20_000
     shard, basis = shard_and_basis(n, 1.0, m=195, d=10)
     km = kernels.kernel_matrix(shard, basis)
     alpha = np.zeros(km.shape[1])
     alpha[:: km.shape[1] // nonzeros] = 0.01
     assert np.count_nonzero(alpha) == nonzeros
-    tracemalloc.start()
-    try:
-        kernels.theta(km, alpha)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * n * 8
+    stack = km.reshape(4, n // 4, km.shape[1])  # four clients' matrices, K's memory
+    for kms in (km, stack, stack[2:3]):
+        rows = kms.size // kms.shape[-1]
+        tracemalloc.start()
+        try:
+            kernels.theta(kms, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rows * 8, kms.shape

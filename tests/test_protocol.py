@@ -59,14 +59,14 @@ def test_init_alpha_satisfies_equality_row(rng):
 @pytest.mark.filterwarnings("error")
 def test_box_too_small_for_the_sum_to_one_row_names_its_cause(rng):
     # psi_theta sums to 1 under the indicator and the constant basis: a box
-    # below 1 leaves no alpha on the sum-to-one row, which only matters
-    # when the LP runs, so not for a constant basis
+    # below 1 leaves no alpha on the sum-to-one row, alpha0 included, on
+    # either basis; constant_basis's own bound is unbounded
     shards = [random_shard(rng, 8, 2, 0), random_shard(rng, 6, 2, 1)]
     indicator = kernels.client_weight_basis(shards)
-    with pytest.raises(ProtocolError, match="sum-to-one row.*box bound 1e-300"):
-        protocol.init_protocol(shards, dataclasses.replace(indicator, bound=1e-300), fast_cfg())
-    tiny = dataclasses.replace(kernels.constant_basis(3), bound=1e-300)
-    run_rounds(shards, tiny, fast_cfg(), 1)
+    for basis in (indicator, kernels.constant_basis(3)):
+        with pytest.raises(ProtocolError, match="sum-to-one row.*box bound 1e-300"):
+            protocol.init_protocol(shards, dataclasses.replace(basis, bound=1e-300), fast_cfg())
+    run_rounds(shards, kernels.constant_basis(3), fast_cfg(), 1)
     run_rounds(shards, dataclasses.replace(indicator, bound=1.0), fast_cfg(), 1)
 
 
